@@ -219,8 +219,17 @@ class CoverSpec:
     def point_class(self, j: int) -> ClassKey:
         return self.branch_points[j].psi
 
+    @cached_property
+    def point_orders(self) -> tuple[int, ...]:
+        """Order of the class of each branch value, by point index."""
+        orders = [0] * len(self.branch_points)
+        for cls in self.branch_classes:
+            for j in cls.points:
+                orders[j] = cls.order
+        return tuple(orders)
+
     def point_order(self, j: int) -> int:
-        return self.class_order(self.branch_points[j].psi)
+        return self.point_orders[j]
 
     # -- invariants -----------------------------------------------------------
 

@@ -30,6 +30,7 @@ from typing import Sequence, Union
 from .cover import CharLike, ClassKey, CoverSpec
 from .errors import (
     AdmissibilityViolation,
+    ConfigError,
     IdentityElement,
     InternalInconsistency,
     NonIntegralInvariant,
@@ -176,11 +177,14 @@ def delta_info(cover: CoverSpec, q: int = 1, gamma_degree: int = 0) -> DeltaInfo
     q = 1 or the cover has genus 1.  For genus >= 2 (or genus 0), q must then
     be 1 and the corrected character is trivial.  A genus-1 cover of the line
     carries the correction at the unique character whose raw value is -1,
-    found by scanning; a genus-1 cover of a genus-1 base is unramified, every
+    found by scanning the characters and the trivial one, which a generic
+    table may omit; a genus-1 cover of a genus-1 base is unramified, every
     raw value vanishes, and the trivial character is corrected.
     """
     if gamma_degree < 0:
-        raise ValueError("the auxiliary divisor must be integral")
+        raise ConfigError(
+            f"the auxiliary divisor must be integral, got degree {gamma_degree}", "gamma_degree"
+        )
     g_x = cover.genus()
     check_admissible(g_x, q)
     if gamma_degree != 0 or (g_x != 1 and q != 1):
@@ -189,9 +193,12 @@ def delta_info(cover: CoverSpec, q: int = 1, gamma_degree: int = 0) -> DeltaInfo
         return DeltaInfo(1, cover.trivial_character)
     if cover.base_genus == 1:
         return DeltaInfo(1, cover.trivial_character)
-    candidates = [
-        chi for chi in cover.characters() if raw_dimension_value(cover, chi, q, 0) == -1
-    ]
+    characters = tuple(cover.characters())
+    trivial = cover.trivial_character
+    if not any(same_character(cover, chi, trivial) for chi in characters):
+        # a generic table may omit the trivial row; the correction can sit there
+        characters += (trivial,)
+    candidates = [chi for chi in characters if raw_dimension_value(cover, chi, q, 0) == -1]
     if len(candidates) != 1:
         raise InternalInconsistency(
             f"expected exactly one character with raw value -1, found {len(candidates)}"

@@ -20,6 +20,7 @@ with A_{C,chi} the union of buckets below u_{chi,C}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 from typing import Sequence, Union
 
 from .cover import CharLike, ClassKey, CoverSpec, Label
@@ -36,17 +37,19 @@ class InvariantDivisor:
     base_part: tuple[tuple[Label, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "buckets", tuple(int(i) for i in self.buckets))
+        buckets = tuple(map(int, self.buckets))
+        object.__setattr__(self, "buckets", buckets)
         object.__setattr__(self, "base_part", tuple(self.base_part))
-        if len(self.buckets) != len(self.cover.branch_points):
+        orders = self.cover.point_orders
+        if len(buckets) != len(orders):
             raise ValueError(
-                f"{len(self.buckets)} bucket entries for "
-                f"{len(self.cover.branch_points)} branch values"
+                f"{len(buckets)} bucket entries for {len(orders)} branch values"
             )
-        for j, i in enumerate(self.buckets):
-            o = self.cover.point_order(j)
-            if not 0 <= i < o:
-                raise ValueError(f"bucket {i} out of range [0, {o}) at branch value {j}")
+        if any(map(ge, buckets, orders)) or (buckets and min(buckets) < 0):
+            j = next(j for j, (i, o) in enumerate(zip(buckets, orders)) if not 0 <= i < o)
+            raise ValueError(
+                f"bucket {buckets[j]} out of range [0, {orders[j]}) at branch value {j}"
+            )
         if self.cover.base_genus == 0 and self.base_part:
             raise ValueError("genus-0 base: extra base divisor must be empty")
 
@@ -67,8 +70,7 @@ class InvariantDivisor:
     def degree(self) -> int:
         n = self.cover.degree
         branch = sum(
-            n * self.exponent(j) // self.cover.point_order(j)
-            for j in range(len(self.buckets))
+            n * (o - 1 - i) // o for i, o in zip(self.buckets, self.cover.point_orders)
         )
         base = sum(e for _, e in self.base_part)
         return branch + n * self.p + n * base

@@ -11,12 +11,35 @@ Both constraints depend only on the bucket cardinalities, so enumeration
 first solves the integer cardinality system and then expands every solution
 into concrete bucket assignments.  A brute-force filter over the full
 assignment space doubles as the reference implementation.
+
+The cardinality system.  A solution gives each branch class C a composition
+|B_{C,0}|, ..., |B_{C,o(C)-1}| of its count; a constraint whose weight in C
+is w = u_{chi,C} receives the prefix sum of the first w sizes, and the sums
+over the classes must meet its target.  Constraints with equal weight rows
+and targets are merged.  The search walks the classes in order and, inside
+a class, the buckets in order, trying prefix sums in increasing order, so
+solutions come out in lexicographic order.  Each constraint keeps a residual
+target.  Once the prefix of weight w is complete, every constraint of weight
+w in the class is checked once: the residual less the prefix must lie
+between 0 and the most the later classes can still add, and becomes the new
+residual.  On entering a class the prefixes are also capped by the smallest
+residual among the constraints still to be checked in it.  A complete path
+through a class thus costs O(order + constraints), and a composition that
+breaks a bound is cut at the bucket where it does so.  The search still
+walks dead ends where the bounds of single constraints hold but no later
+class can meet them jointly.
+
+``count_by_cardinality`` runs the same search as a walk over states (class
+index, residual targets), memoized, with each composition weighted by its
+multinomial coefficient; it builds no solution list.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from functools import partial
+from itertools import chain, combinations, product
+from operator import itemgetter
 from typing import Iterator
 
 from .cover import CoverSpec
@@ -57,78 +80,186 @@ def _constraints(cover: CoverSpec, family: str):
     return targets, weights
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All nonnegative integer vectors of the given length summing to total,
-    in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+class _CardinalitySystem:
+    """The cardinality system of one family, with equal constraints merged."""
+
+    def __init__(self, cover: CoverSpec, family: str):
+        self.classes = classes = cover.branch_classes
+        targets, weights = _constraints(cover, family)
+        merged = dict.fromkeys(zip(map(tuple, weights), targets))
+        self.targets = [t for _, t in merged]
+        rows = [w for w, _ in merged]
+        # tail[c][k]: the most that classes c.. can still add to constraint k
+        tail = [[0] * len(rows) for _ in range(len(classes) + 1)]
+        for c in range(len(classes) - 1, -1, -1):
+            for k, row in enumerate(rows):
+                tail[c][k] = tail[c + 1][k] + (classes[c].count if row[c] else 0)
+        self.feasible = all(0 <= t <= tail[0][k] for k, t in enumerate(self.targets))
+        # checks[c][w]: (constraint, tail after class c) for each constraint of
+        # weight w in class c; weight 0 adds nothing and needs no check there
+        self.checks = []
+        for c, cls in enumerate(classes):
+            by_weight = [[] for _ in range(cls.order)]
+            for k, row in enumerate(rows):
+                if row[c]:
+                    by_weight[row[c]].append((k, tail[c + 1][k]))
+            self.checks.append(by_weight)
+
+    def compositions(self, c: int, residual: list[int]) -> Iterator[tuple[int, ...]]:
+        """The compositions of class c that pass its checks, in lexicographic
+        order.  While one is yielded, ``residual`` holds the targets left for
+        the later classes; it is restored when the walk ends."""
+        n, order = self.classes[c].count, self.classes[c].order
+        checks = self.checks[c]
+        last = order - 1  # >= 1: branch classes are nontrivial
+        # cap[w]: the most the prefix of length w may hold, since the prefix of
+        # every weight >= w contains it
+        cap = [n] * order
+        for w in range(1, order):
+            for k, _ in checks[w]:
+                cap[w] = min(cap[w], residual[k])
+        for w in range(order - 2, 0, -1):
+            cap[w] = min(cap[w], cap[w + 1])
+
+        sizes = [0] * order
+        before = [0] * order  # prefix sum before bucket i
+        current = [0] * order  # prefix sum through bucket i on this path
+        top = [0] * order
+
+        def enter(i: int, p: int):
+            lo = p
+            for k, t in checks[i + 1]:
+                lo = max(lo, residual[k] - t)
+            before[i], current[i], top[i] = p, lo, cap[i + 1]
+
+        def retract(i: int):
+            q = current[i]
+            for k, _ in checks[i + 1]:
+                residual[k] += q
+            current[i] = q + 1
+
+        i = 0
+        enter(0, 0)
+        while True:
+            q = current[i]
+            if q > top[i]:
+                if i == 0:
+                    return
+                i -= 1
+                retract(i)
+                continue
+            for k, _ in checks[i + 1]:
+                residual[k] -= q
+            sizes[i] = q - before[i]
+            if i + 1 == last:
+                sizes[last] = n - q
+                yield tuple(sizes)
+                retract(i)
+            else:
+                i += 1
+                enter(i, q)
+
+    def solutions(self) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """Per-class compositions of every solution, in lexicographic order."""
+        if not self.feasible:
+            return
+        residual = list(self.targets)
+        chosen: list[tuple[int, ...]] = []
+
+        def extend(c: int):
+            if c == len(self.classes):
+                yield tuple(chosen)
+                return
+            for sizes in self.compositions(c, residual):
+                chosen.append(sizes)
+                yield from extend(c + 1)
+                chosen.pop()
+
+        yield from extend(0)
+
+    def count(self) -> int:
+        """Number of divisors realizing the solutions."""
+        if not self.feasible:
+            return 0
+        residual = list(self.targets)
+        memo: dict[tuple, int] = {}
+
+        def completions(c: int) -> int:
+            if c == len(self.classes):
+                return 1
+            key = (c, *residual)
+            if key not in memo:
+                memo[key] = sum(
+                    _multinomial(sizes) * completions(c + 1)
+                    for sizes in self.compositions(c, residual)
+                )
+            return memo[key]
+
+        return completions(0)
+
+
+def _multinomial(sizes: tuple[int, ...]) -> int:
+    ways, total = 1, 0
+    for s in sizes:
+        if s:
+            total += s
+            ways *= math.comb(total, s)
+    return ways
 
 
 def _cardinality_solutions(cover: CoverSpec, family: str) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Solve the cardinality system class by class with interval pruning."""
-    classes = cover.branch_classes
-    targets, weights = _constraints(cover, family)
-    # max further contribution to constraint k from classes c..end
-    max_tail = [[0] * len(targets) for _ in range(len(classes) + 1)]
-    for c in range(len(classes) - 1, -1, -1):
-        for k in range(len(targets)):
-            gain = classes[c].count if weights[k][c] > 0 else 0
-            max_tail[c][k] = max_tail[c + 1][k] + gain
+    return _CardinalitySystem(cover, family).solutions()
 
-    def extend(c: int, partial: list[int], chosen: list[tuple[int, ...]]):
-        if c == len(classes):
-            if all(partial[k] == targets[k] for k in range(len(targets))):
-                yield tuple(chosen)
-            return
-        cls = classes[c]
-        for sizes in _compositions(cls.count, cls.order):
-            new_partial = list(partial)
-            ok = True
-            for k in range(len(targets)):
-                new_partial[k] += sum(sizes[: weights[k][c]])
-                if new_partial[k] > targets[k] or new_partial[k] + max_tail[c + 1][k] < targets[k]:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(sizes)
-                yield from extend(c + 1, new_partial, chosen)
-                chosen.pop()
 
-    yield from extend(0, [0] * len(targets), [])
+def _class_assignments(count: int, sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The bucket of each of a class's points, by position in the class, for
+    every placement with the given bucket sizes: bucket 0's points are chosen
+    first, in the order of ``combinations``, then bucket 1's among the rest,
+    and so on."""
+    *head, (last, _) = [(i, s) for i, s in enumerate(sizes) if s]
+    # points no earlier bucket takes sit in the last nonempty one
+    values = [last] * count
+    out = []
+
+    def place(free: tuple[int, ...], level: int):
+        bucket, size = head[level]
+        for chosen in combinations(free, size):
+            for pos in chosen:
+                values[pos] = bucket
+            if level + 1 == len(head):
+                out.append(tuple(values))
+            else:
+                taken = set(chosen)
+                place(tuple(pos for pos in free if pos not in taken), level + 1)
+            for pos in chosen:
+                values[pos] = last
+
+    if head:
+        place(tuple(range(count)), 0)
+    else:
+        out.append(tuple(values))
+    return out
 
 
 def _expand(cover: CoverSpec, solution) -> Iterator[tuple[int, ...]]:
     """Concrete bucket tuples realizing the given per-class cardinalities."""
     classes = cover.branch_classes
-
-    def assignments(points: tuple[int, ...], sizes: tuple[int, ...]):
-        if not sizes:
-            yield ()
-            return
-        remaining_sizes = sizes[1:]
-        for chosen in combinations(points, sizes[0]):
-            rest = tuple(j for j in points if j not in chosen)
-            for tail in assignments(rest, remaining_sizes):
-                yield tuple((j, 0) for j in chosen) + tuple((j, i + 1) for j, i in tail)
-
-    per_class = [list(assignments(cls.points, sizes)) for cls, sizes in zip(classes, solution)]
-    for combo in product(*per_class):
-        buckets = [0] * len(cover.branch_points)
-        for part in combo:
-            for j, i in part:
-                buckets[j] = i
-        yield tuple(buckets)
+    per_class = [_class_assignments(cls.count, sizes) for cls, sizes in zip(classes, solution)]
+    rows = map(tuple, map(chain.from_iterable, product(*per_class)))
+    # rows list the points class by class; put them back in index order
+    slots = [j for cls in classes for j in cls.points]
+    if slots == sorted(slots):
+        return rows
+    position = [0] * len(slots)
+    for pos, j in enumerate(slots):
+        position[j] = pos
+    return map(itemgetter(*position), rows)
 
 
 def _iter_family(cover: CoverSpec, family: str) -> Iterator[InvariantDivisor]:
-    p = 0 if family == "integral" else -1
+    divisor = partial(InvariantDivisor, cover, p=0 if family == "integral" else -1)
     for solution in _cardinality_solutions(cover, family):
-        for buckets in _expand(cover, solution):
-            yield InvariantDivisor(cover, buckets, p)
+        yield from map(divisor, _expand(cover, solution))
 
 
 def iter_nonspecial_integral(cover: CoverSpec) -> Iterator[InvariantDivisor]:
@@ -152,27 +283,18 @@ def enumerate_degree_gm1(cover: CoverSpec) -> list[InvariantDivisor]:
 
 
 def count_by_cardinality(cover: CoverSpec, family: str) -> int:
-    """Number of divisors in the family, as a sum of products of multinomial
-    coefficients over the cardinality solutions; no divisor is materialized.
+    """Number of divisors in the family, as a memoized sum of products of
+    multinomial coefficients over the cardinality solutions; no divisor and
+    no solution list is materialized.
     """
     if family not in ("integral", "gm1"):
         raise ValueError(f"unknown family {family!r}")
     _require_abelian_line(cover)
-    classes = cover.branch_classes
-    total = 0
-    for solution in _cardinality_solutions(cover, family):
-        ways = 1
-        for cls, sizes in zip(classes, solution):
-            remaining = cls.count
-            for s in sizes:
-                ways *= math.comb(remaining, s)
-                remaining -= s
-        total += ways
-    return total
+    return _CardinalitySystem(cover, family).count()
 
 
 def search_space_size(cover: CoverSpec) -> int:
-    return math.prod(cover.point_order(j) for j in range(len(cover.branch_points)))
+    return math.prod(cover.point_orders)
 
 
 def brute_force_filter(
@@ -188,9 +310,8 @@ def brute_force_filter(
     size = search_space_size(cover)
     if size > cap:
         raise SearchSpaceTooLarge(size, cap)
-    orders = [cover.point_order(j) for j in range(len(cover.branch_points))]
     hits = []
-    for buckets in product(*(range(o) for o in orders)):
+    for buckets in product(*(range(o) for o in cover.point_orders)):
         div = InvariantDivisor(cover, buckets, p)
         if div.degree() == degree_target and div.r_total() == r_target:
             hits.append(div)

@@ -285,6 +285,46 @@ class TestCli:
         capsys.readouterr()
         assert code == EXIT_CODES["unsupported-base-genus"]
 
+    def test_negative_gamma_degree_exit_code(self, capsys):
+        code = main(["dims", str(CONFIG_DIR / "klein4.json"), "--gamma-degree", "-1", "--format", "json"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CODES["config"]
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["code"] == "config"
+
+    def test_negative_gamma_degree_child_process(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "galcov.cli", "dims", str(CONFIG_DIR / "klein4.json"),
+             "--gamma-degree", "-1", "--format", "json"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == EXIT_CODES["config"]
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["dims", "chevalley-weil", "all"])
+    def test_generic_table_without_trivial_row(self, tmp_path, capsys, command):
+        # S3 over the line with four transpositions: genus 1, corrected at the
+        # trivial character, which the table does not list
+        doc = {
+            "mode": "branch-data",
+            "base_genus": 0,
+            "group": {
+                "classes": [{"id": "t", "order": 2}, {"id": "r", "order": 3}],
+                "order": 6,
+                "u_table": {"sgn": {"t": 1, "r": 0}},
+            },
+            "branch_points": [{"label": [k, 0], "psi": "t"} for k in range(1, 5)],
+        }
+        code = self.run(tmp_path, doc, command, "--q", "1", "--format", "json")
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        if command == "chevalley-weil":
+            assert out["multiplicities"] == [{"irrep": "sgn", "dim": 1, "multiplicity": 1}]
+        else:
+            dims = out["dims"] if command == "all" else out
+            assert dims["characters"] == [{"character": "sgn", "dim": 1}]
+
     def test_omega_command(self, tmp_path, capsys):
         code = self.run(tmp_path, hyper6_doc(), "omega", "--q", "2", "--format", "json")
         out = json.loads(capsys.readouterr().out)

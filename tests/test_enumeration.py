@@ -14,9 +14,14 @@ from galcov import (
     search_space_size,
     trivial_divisor,
 )
+from galcov.enumeration import _cardinality_solutions
 from galcov.errors import NotAbelian, SearchSpaceTooLarge, UnsupportedBaseGenus
 
+import enumeration_oracle as oracle
 from covergen import covers, cyclic_cover, fixture_covers, hyperelliptic, klein_cover
+
+FAMILIES = ("integral", "gm1")
+STREAMS = {"integral": iter_nonspecial_integral, "gm1": iter_degree_gm1}
 
 
 def buckets_of(divisors):
@@ -175,3 +180,51 @@ class TestPreconditions:
         cover = CoverSpec(0, g, tuple(BranchPoint(pt(i), g.element([1])) for i in range(5)))
         with pytest.raises(NonIntegralInvariant):
             enumerate_nonspecial_integral(cover)
+
+
+class TestAgainstUnprunedSearch:
+    """The pruned search against the unpruned reference in enumeration_oracle."""
+
+    def check(self, cover):
+        for family in FAMILIES:
+            solutions = list(_cardinality_solutions(cover, family))
+            assert solutions == list(oracle.cardinality_solutions(cover, family))
+            count = count_by_cardinality(cover, family)
+            assert count == oracle.count_by_cardinality(cover, family)
+            if count <= 5000:  # keeps the materialized streams small
+                streamed = [d.buckets for d in STREAMS[family](cover)]
+                assert streamed == list(oracle.stream(cover, family))
+
+    def test_fixtures(self):
+        for cover in fixture_covers():
+            self.check(cover)
+
+    @settings(max_examples=40, deadline=None)
+    @given(covers(max_order=12, max_points=6))
+    def test_random_covers(self, cover):
+        self.check(cover)
+
+    @settings(max_examples=15, deadline=None)
+    @given(covers(max_order=6, max_points=5))
+    def test_small_covers_match_brute_force(self, cover):
+        g = cover.genus()
+        for family, (p, degree, r) in (("integral", (0, g, 1)), ("gm1", (-1, g - 1, 0))):
+            expected = sorted(d.buckets for d in brute_force_filter(cover, p, degree, r))
+            assert sorted(d.buckets for d in STREAMS[family](cover)) == expected
+            assert count_by_cardinality(cover, family) == len(expected)
+
+
+class TestLargeCounts:
+    """Counts whose unpruned search took seconds or more."""
+
+    @pytest.mark.parametrize("m", [11, 12])
+    def test_one_class_of_m_points(self, m):
+        cover = cyclic_cover(m, [1] * m)
+        assert count_by_cardinality(cover, "integral") == math.factorial(m) // 2
+        assert count_by_cardinality(cover, "gm1") == math.factorial(m)
+
+    @pytest.mark.parametrize("n", [12, 24, 60])
+    def test_three_point_cyclic(self, n):
+        cover = cyclic_cover(n, [1, 1, n - 2])
+        for family in FAMILIES:
+            assert count_by_cardinality(cover, family) == oracle.count_by_cardinality(cover, family)
