@@ -49,9 +49,7 @@ from .equations import (
     EquationSystem,
     FactoredRational,
     build_cover,
-    check_nondegeneracy,
     equation_system,
-    is_nondegenerate,
     psi_at,
 )
 from .groups import (

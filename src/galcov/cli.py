@@ -104,16 +104,14 @@ def cmd_validate(parsed: ParsedInput, args) -> dict:
         {"kind": issue.kind, "character": character_to_json(issue.character), "detail": issue.detail}
         for issue in report.issues
     ]
-    degenerate_tuple = None
+    out = {"command": "validate", "valid": report.ok, "issues": issues}
     if parsed.equations is not None:
-        from .equations import check_nondegeneracy
-
-        failing = check_nondegeneracy(parsed.equations)
-        if failing is not None:
-            degenerate_tuple = list(failing)
-    out = {"command": "validate", "valid": report.ok and degenerate_tuple is None, "issues": issues}
-    if degenerate_tuple is not None:
-        out["degenerate_monomial"] = degenerate_tuple
+        # the monomial w^E collapses into the base field exactly when the
+        # character with exponents E is degenerate
+        for issue in report.issues:
+            if issue.kind == "degenerate":
+                out["degenerate_monomial"] = list(issue.character.exponents)
+                break
     return out
 
 
@@ -241,6 +239,10 @@ def cmd_traces(parsed: ParsedInput, args) -> dict:
     return {"command": "traces", "q": args.q, "gamma_degree": args.gamma_degree, "traces": rows}
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _load_irreps(cover: CoverSpec, path: str) -> list[tuple[str, IrrepClassData]]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -260,16 +262,18 @@ def _load_irreps(cover: CoverSpec, path: str) -> list[tuple[str, IrrepClassData]
         name = rec.get("name", f"rho{k}")
         dim = rec.get("dim")
         rows = rec.get("classes")
-        if not isinstance(dim, int) or not isinstance(rows, dict):
-            raise ConfigError("irrep records need 'dim' and 'classes'", where)
+        if not isinstance(rows, dict) or not _is_count(dim) or dim < 1:
+            raise ConfigError("irrep records need a positive integer 'dim' and 'classes'", where)
         table = []
         for raw_key, row in sorted(rows.items()):
             try:
                 key = by_key[json.dumps(json.loads(raw_key))] if raw_key.startswith("[") else raw_key
             except (json.JSONDecodeError, KeyError):
                 raise ConfigError(f"unknown class {raw_key!r}", where)
-            if not isinstance(row, list) or not all(isinstance(v, int) for v in row):
-                raise ConfigError(f"multiplicity row for {raw_key!r} must be a list", where)
+            if not isinstance(row, list) or not all(_is_count(v) for v in row):
+                raise ConfigError(
+                    f"multiplicity row for {raw_key!r} must be a list of nonnegative integers", where
+                )
             table.append((key, tuple(row)))
         out.append((str(name), IrrepClassData(dim, tuple(table))))
     return out

@@ -101,6 +101,11 @@ def _parse_group(document, path):
         u_table = document.get("u_table") or {}
         if not isinstance(u_table, dict):
             _fail("u_table must map character names to class rows", f"{path}.u_table")
+        for name, row in u_table.items():
+            if not isinstance(row, dict) or not all(
+                isinstance(u, int) and not isinstance(u, bool) for u in row.values()
+            ):
+                _fail("a u_table row maps class ids to integers", f"{path}.u_table.{name}")
         try:
             return ClassTable.build(specs, order, u_table)
         except ValueError as exc:
@@ -194,6 +199,12 @@ def _parse_branch_mode(document) -> ParsedInput:
         cover = CoverSpec(base_genus, group, tuple(points))
     except (ValueError, KeyError) as exc:
         _fail(str(exc), "branch_points")
+    if not abelian:
+        # every formula reads each character on every branch class
+        for chi in group.characters:
+            missing = [cls.key for cls in cover.branch_classes if cls.key not in chi.u_map]
+            if missing:
+                _fail(f"no value on branch class {missing[0]!r}", f"group.u_table.{chi.name}")
     return ParsedInput(cover, None)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import DegenerateCover, NonIntegralInvariant, NotAbelian
 from .groups import (
@@ -161,11 +161,12 @@ class CoverSpec:
             return self.group.element_order(key)
         return self.group.record(key).order
 
-    def characters(self) -> tuple[CharLike, ...]:
-        """All characters in abelian mode; the supplied rows in generic mode."""
+    def characters(self) -> Iterator[CharLike]:
+        """All characters in abelian mode, one at a time so that no loop over
+        the dual group holds it whole; the supplied rows in generic mode."""
         if self.is_abelian:
-            return tuple(self.group.characters())
-        return self.group.characters
+            return self.group.characters()
+        return iter(self.group.characters)
 
     @property
     def trivial_character(self) -> CharLike:

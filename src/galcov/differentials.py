@@ -13,6 +13,13 @@ cover has genus 1.  The admissibility window (genus >= 2 with q >= 1, genus
 1 with any q, genus 0 with q <= 1) is enforced; outside it the formula does
 not compute dimensions and callers get a hard error rather than a number.
 
+One kernel evaluates this sum, the generalized Chevalley-Weil formula: a
+representation enters as its dimension and, per branch class, the nonzero
+multiplicities N_alpha of the eigenvalues zeta_{o(C)}^alpha (a character is
+the single pair (u_{chi,C}, 1)).  ``cw_value`` serves all four
+multiplicities: ``raw_dimension_value`` and ``cw_multiplicity`` here, and
+the analytic and rational multiplicities in the jacobian module.
+
 Traces of nontrivial deck transformations are evaluated by the fixed-point
 formula and returned as floating-point complex numbers together with the
 exact list of root-of-unity terms; downstream consumers reconstruct exact
@@ -25,7 +32,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .cover import CharLike, ClassKey, CoverSpec
 from .errors import (
@@ -39,10 +46,6 @@ from .errors import (
     UnsupportedBaseGenus,
 )
 from .groups import Character, GroupElement
-
-
-def _frac(x: Fraction) -> Fraction:
-    return x - math.floor(x)
 
 
 def check_admissible(genus_cover: int, q: int):
@@ -134,17 +137,7 @@ class DeltaInfo:
 
 def raw_dimension_value(cover: CoverSpec, chi: CharLike, q: int, gamma_degree: int) -> int:
     """The uncorrected dimension formula; an integer for consistent branch data."""
-    value = (
-        Fraction((2 * q - 1) * (cover.base_genus - 1) + gamma_degree)
-        + sum(
-            cls.count
-            * (
-                (q - 1) * (1 - Fraction(1, cls.order))
-                + _frac(Fraction(q - 1 - cover.u_value(chi, cls.key), cls.order))
-            )
-            for cls in cover.branch_classes
-        )
-    )
+    value = cw_value(cover, *eigen_rows(cover, chi), q, gamma_degree)
     if value.denominator != 1:
         raise NonIntegralInvariant(chi, f"dimension value {value}")
     return int(value)
@@ -356,6 +349,8 @@ class IrrepClassData:
                 f"class {key} has order {cover.class_order(key)}, "
                 f"but {len(row)} multiplicities were supplied"
             )
+        if any(n < 0 for n in row):
+            raise NTableMismatch(f"negative eigenvalue multiplicity at class {key}: {row}")
         if sum(row) != self.dim:
             raise NTableMismatch(
                 f"eigenvalue multiplicities at class {key} sum to {sum(row)}, "
@@ -364,45 +359,72 @@ class IrrepClassData:
         return row
 
 
-def _as_irrep(cover: CoverSpec, rho: Union[IrrepClassData, CharLike]) -> IrrepClassData:
+EigenRows = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def eigen_rows(cover: CoverSpec, rho: IrrepClassData | CharLike) -> tuple[int, EigenRows]:
+    """The dimension of a representation and, for each branch class in
+    order, its (alpha, N_alpha) pairs with N_alpha > 0.
+
+    A character has the single pair (u_{chi,C}, 1) at each class; a table
+    gives its checked rows.
+    """
     if isinstance(rho, IrrepClassData):
-        return rho
-    return IrrepClassData.from_character(cover, rho)
+        rows = tuple(
+            tuple((alpha, n) for alpha, n in enumerate(rho.row(cover, cls.key)) if n)
+            for cls in cover.branch_classes
+        )
+        return rho.dim, rows
+    return 1, tuple(((cover.u_value(rho, cls.key), 1),) for cls in cover.branch_classes)
 
 
-def _matches_delta_character(cover: CoverSpec, rho: IrrepClassData, chi_delta: CharLike) -> bool:
-    if rho.dim != 1:
+def cw_value(cover: CoverSpec, dim: int, rows: EigenRows, q: int, gamma_degree: int) -> Fraction:
+    """The Chevalley-Weil sum without the delta correction:
+
+        dim ((2q-1)(g_S - 1) + deg Gamma)
+            + sum_C r_C sum_alpha N_alpha [ (q-1)(1 - 1/o(C)) + frac((q - 1 - alpha) / o(C)) ]
+
+    This one sum serves the q-differential dimensions, the Chevalley-Weil
+    multiplicities and, at q = 1, the analytic and rational multiplicities
+    on the Jacobian.
+    """
+    value = Fraction(dim * ((2 * q - 1) * (cover.base_genus - 1) + gamma_degree))
+    for cls, row in zip(cover.branch_classes, rows):
+        o = cls.order
+        value += Fraction(
+            cls.count * sum(n * ((q - 1) * (o - 1) + (q - 1 - alpha) % o) for alpha, n in row), o
+        )
+    return value
+
+
+def representation_character(rho: IrrepClassData | CharLike) -> CharLike | None:
+    """The character a representation is known to be, if any."""
+    return rho.character if isinstance(rho, IrrepClassData) else rho
+
+
+def _matches_delta_character(
+    cover: CoverSpec, rho: IrrepClassData | CharLike, dim: int, rows: EigenRows, chi_delta: CharLike
+) -> bool:
+    if dim != 1:
         return False
-    if rho.character is not None:
-        return same_character(cover, rho.character, chi_delta)
+    character = representation_character(rho)
+    if character is not None:
+        return same_character(cover, character, chi_delta)
     # fall back to comparing eigenvalue rows on the branch classes
     return all(
-        rho.row(cover, cls.key)[cover.u_value(chi_delta, cls.key)] == 1
-        for cls in cover.branch_classes
+        (cover.u_value(chi_delta, cls.key), 1) in row for cls, row in zip(cover.branch_classes, rows)
     )
 
 
-def cw_multiplicity(
-    cover: CoverSpec,
-    rho: Union[IrrepClassData, CharLike],
-    q: int = 1,
-    gamma_degree: int = 0,
-) -> int:
+def cw_multiplicity(cover: CoverSpec, rho: IrrepClassData | CharLike, q: int = 1, gamma_degree: int = 0) -> int:
     """Multiplicity of an irreducible representation in the deck action on
     q-differentials bounded by a pullback divisor."""
-    rho = _as_irrep(cover, rho)
     info = delta_info(cover, q, gamma_degree)
-    value = Fraction(rho.dim * ((2 * q - 1) * (cover.base_genus - 1) + gamma_degree))
-    for cls in cover.branch_classes:
-        row = rho.row(cover, cls.key)
-        value += cls.count * sum(
-            n_alpha
-            * ((q - 1) * (1 - Fraction(1, cls.order)) + _frac(Fraction(q - 1 - alpha, cls.order)))
-            for alpha, n_alpha in enumerate(row)
-        )
+    dim, rows = eigen_rows(cover, rho)
+    value = cw_value(cover, dim, rows, q, gamma_degree)
     if value.denominator != 1:
         raise NTableMismatch(f"multiplicity {value} is not an integer; eigenvalue table inconsistent")
     result = int(value)
-    if info.delta and _matches_delta_character(cover, rho, info.character):
+    if info.delta and _matches_delta_character(cover, rho, dim, rows, info.character):
         result += 1
     return result

@@ -198,14 +198,14 @@ class GroupSpec:
     def u_value(self, chi: Character, x: GroupElement) -> int:
         """Discrete log of chi(x) to base the primitive o(x)-th root of unity.
 
-        Returns the unique u with 0 <= u < o(x) and chi(x) = zeta_{o(x)}^u.
+        Returns the unique u with 0 <= u < o(x) and chi(x) = zeta_{o(x)}^u,
+        in integers: o * a_i is a multiple of m_i because o * x = 0.
         """
         self.check_character(chi)
-        self.check_element(x)
-        u = self.element_order(x) * self.pairing(chi, x)
-        if u.denominator != 1:
-            raise AssertionError(f"pairing {u} is not integral; broken invariant")
-        return int(u)
+        o = self.element_order(x)
+        return sum(
+            k * (o * a // m) for k, a, m in zip(chi.exponents, x.exponents, self.cyclic_orders)
+        ) % o
 
     def character_of_monomial(self, monomial_exponents: Sequence[int]) -> Character:
         """Character through which the group acts on the monomial w^E.

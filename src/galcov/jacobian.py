@@ -4,68 +4,56 @@ Multiplicities of irreducibles in the analytic and rational representations
 of the deck group on the Jacobian, dimensions of the isotypical abelian
 subvarieties, and, for abelian deck groups, the cyclic-quotient pieces: one
 per Galois orbit of characters, realized as the primitive Prym variety of
-the corresponding cyclic quotient cover.  Only integers are computed here;
-no period matrices, polarizations, or isogenies are constructed.
+the corresponding cyclic quotient cover.  The multiplicities read the
+Chevalley-Weil kernel of the differentials module.  Each quotient cover is
+built directly from branch data: a character of order e maps the deck group
+onto Z_e, so the group is never enumerated and no Smith form is taken.
+Only integers are computed here; no period matrices, polarizations, or
+isogenies are constructed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
-from .cover import CharLike, ClassKey, CoverSpec
-from .differentials import IrrepClassData
+from .cover import BranchPoint, CharLike, ClassKey, CoverSpec
+from .differentials import EigenRows, IrrepClassData, cw_value, eigen_rows, representation_character
 from .errors import InternalInconsistency, NonIntegralDimension, NotAbelian, NTableMismatch
-from .groups import Character, CharacterOrbit, euler_phi
+from .groups import Character, CharacterOrbit, GroupSpec, euler_phi
 
 
-def _frac(x: Fraction) -> Fraction:
-    return x - math.floor(x)
-
-
-def _as_irrep(cover: CoverSpec, rho: Union[IrrepClassData, CharLike]) -> IrrepClassData:
-    if isinstance(rho, IrrepClassData):
-        return rho
-    return IrrepClassData.from_character(cover, rho)
-
-
-def _is_trivial_rep(cover: CoverSpec, rho: IrrepClassData) -> bool:
-    if rho.dim != 1:
+def _is_trivial_rep(rho: IrrepClassData | CharLike, dim: int, rows: EigenRows) -> bool:
+    if dim != 1:
         return False
-    if rho.character is not None:
-        return rho.character.is_trivial
-    return all(rho.row(cover, cls.key)[0] == 1 for cls in cover.branch_classes)
+    character = representation_character(rho)
+    if character is not None:
+        return character.is_trivial
+    return all((0, 1) in row for row in rows)
 
 
-def analytic_multiplicity(cover: CoverSpec, rho: Union[IrrepClassData, CharLike]) -> int:
+def analytic_multiplicity(cover: CoverSpec, rho: IrrepClassData | CharLike) -> int:
     """Multiplicity of the irreducible in the deck action on the tangent
-    space of the Jacobian at the origin."""
-    rho = _as_irrep(cover, rho)
-    value = Fraction(rho.dim * (cover.base_genus - 1))
-    if _is_trivial_rep(cover, rho):
-        value += 1
-    for cls in cover.branch_classes:
-        row = rho.row(cover, cls.key)
-        value += cls.count * sum(
-            n_alpha * Fraction(alpha, cls.order) for alpha, n_alpha in enumerate(row)
-        )
+    space of the Jacobian at the origin: the Chevalley-Weil sum at q = 1 of
+    the conjugate representation, plus one for the trivial representation."""
+    dim, rows = eigen_rows(cover, rho)
+    conjugate = tuple(
+        tuple(((-alpha) % cls.order, n) for alpha, n in row)
+        for cls, row in zip(cover.branch_classes, rows)
+    )
+    value = cw_value(cover, dim, conjugate, 1, 0) + _is_trivial_rep(rho, dim, rows)
     if value.denominator != 1:
         raise NTableMismatch(f"analytic multiplicity {value} is not an integer")
     return int(value)
 
 
-def rational_multiplicity(cover: CoverSpec, rho: Union[IrrepClassData, CharLike]) -> int:
+def rational_multiplicity(cover: CoverSpec, rho: IrrepClassData | CharLike) -> int:
     """Multiplicity of the irreducible in the complexified action on the
     rational homology of the Jacobian."""
-    rho = _as_irrep(cover, rho)
-    value = rho.dim * (2 * cover.base_genus - 2)
-    if _is_trivial_rep(cover, rho):
-        value += 2
-    for cls in cover.branch_classes:
-        row = rho.row(cover, cls.key)
-        value += cls.count * (rho.dim - row[0])
+    dim, rows = eigen_rows(cover, rho)
+    value = dim * (2 * cover.base_genus - 2) + 2 * _is_trivial_rep(rho, dim, rows)
+    for cls, row in zip(cover.branch_classes, rows):
+        value += cls.count * sum(n for alpha, n in row if alpha)
     return value
 
 
@@ -127,32 +115,27 @@ class RationalIrrepData:
         return cls(1, orbit.field_degree, 1, rows, trivial=orbit.order == 1)
 
 
+def _isotypical_dim(cover: CoverSpec, w: RationalIrrepData, factor: int, name: str) -> int:
+    """k f (d (g_S - 1) + sum_C r_C (d - N_{C,0}) / 2) + [W trivial]."""
+    k, d = w.field_degree, w.dim
+    value = Fraction(k * factor * d * (cover.base_genus - 1)) + w.is_trivial(cover)
+    for cls in cover.branch_classes:
+        value += Fraction(k * factor, 2) * cls.count * (d - w.n0(cover, cls.key))
+    if value.denominator != 1:
+        raise NonIntegralDimension(f"{name} = {value} is not an integer")
+    return int(value)
+
+
 def dim_A_W(cover: CoverSpec, w: RationalIrrepData) -> int:
     """Dimension of the isotypical abelian subvariety attached to a rational
     irreducible."""
-    k, d = w.field_degree, w.dim
-    value = Fraction(k * d * d * (cover.base_genus - 1))
-    if w.is_trivial(cover):
-        value += 1
-    for cls in cover.branch_classes:
-        value += Fraction(k * d, 2) * cls.count * (d - w.n0(cover, cls.key))
-    if value.denominator != 1:
-        raise NonIntegralDimension(f"dim A_W = {value} is not an integer")
-    return int(value)
+    return _isotypical_dim(cover, w, w.dim, "dim A_W")
 
 
 def dim_B_W(cover: CoverSpec, w: RationalIrrepData) -> int:
     """Dimension of the primitive factor B_W, of which A_W is the
     (d/m)-th power up to isogeny."""
-    k, d, m = w.field_degree, w.dim, w.schur_index
-    value = Fraction(k * d * m * (cover.base_genus - 1))
-    if w.is_trivial(cover):
-        value += 1
-    for cls in cover.branch_classes:
-        value += Fraction(k * m, 2) * cls.count * (d - w.n0(cover, cls.key))
-    if value.denominator != 1:
-        raise NonIntegralDimension(f"dim B_W = {value} is not an integer")
-    return int(value)
+    return _isotypical_dim(cover, w, w.schur_index, "dim B_W")
 
 
 @dataclass(frozen=True)
@@ -180,48 +163,54 @@ class PrymPiece:
 def cyclic_quotient_dims(cover: CoverSpec) -> tuple[QuotientPiece, ...]:
     """One entry per cyclic quotient of an abelian deck group (equivalently
     per Galois orbit of characters): dim B_Q = phi(|Q|) (g_S - 1 + delta +
-    sum over classes outside the kernel of r_C / 2)."""
+    sum over classes outside the kernel of r_C / 2), which is dim B_W of the
+    orbit's rational irreducible."""
     if not cover.is_abelian:
         raise NotAbelian("cyclic quotients are enumerated for abelian deck groups")
-    pieces = []
-    for orbit in cover.group.rational_character_orbits():
-        chi = orbit.representative
-        value = Fraction(cover.base_genus - 1) + (1 if orbit.order == 1 else 0)
-        value += sum(
-            Fraction(cls.count, 2)
-            for cls in cover.branch_classes
-            if cover.u_value(chi, cls.key) != 0
+    return tuple(
+        QuotientPiece(
+            orbit, orbit.order, dim_B_W(cover, RationalIrrepData.from_character_orbit(cover, orbit))
         )
-        value *= orbit.field_degree
-        if value.denominator != 1:
-            raise NonIntegralDimension(f"dim B_Q = {value} is not an integer")
-        pieces.append(QuotientPiece(orbit, orbit.order, int(value)))
-    return tuple(pieces)
+        for orbit in cover.group.rational_character_orbits()
+    )
 
 
-def _kernel_elements(cover: CoverSpec, chi: Character):
-    group = cover.group
-    return [x for x in group.elements() if group.u_value(chi, x) == 0]
+def _cyclic_quotient(cover: CoverSpec, chi: Character, e: int) -> CoverSpec:
+    """The quotient cover by the kernel of chi, a character of order e.
+
+    chi maps the deck group onto Z_e, sending a class x to e * pairing(chi, x),
+    which is e * u_{chi,x} / o(x); branch values whose class dies are dropped.
+    """
+    group = GroupSpec((e,))
+    image = {
+        cls.key: group.element([e * cover.u_value(chi, cls.key) // cls.order])
+        for cls in cover.branch_classes
+    }
+    points = tuple(
+        BranchPoint(bp.label, image[bp.psi])
+        for bp in cover.branch_points
+        if any(image[bp.psi].exponents)
+    )
+    return CoverSpec(cover.base_genus, group, points)
 
 
 def primitive_prym_dims(cover: CoverSpec) -> tuple[PrymPiece, ...]:
     """Primitive Prym dimensions of the cyclic quotient covers.
 
     For each Galois orbit the quotient cover by the kernel of a representative
-    character is built explicitly; its genus feeds the cross-check formula
-    phi(|Q|)/|Q| * (g_Y - 1) + delta + phi(|Q|) * sum_y r_y / (2 o(y)), which
-    must agree with the kernel-sum dimension.  A piece is flagged nontrivial
-    per the quotient-genus criterion: g_Y >= 1, except for a nontrivial
-    quotient with g_Y = g_S = 1.
+    character is built directly as a Z_e-cover; its genus feeds the
+    cross-check formula phi(|Q|)/|Q| * (g_Y - 1) + delta + phi(|Q|) * sum_y
+    r_y / (2 o(y)), which must agree with the kernel-sum dimension.  A piece
+    is flagged nontrivial per the quotient-genus criterion: g_Y >= 1, except
+    for a nontrivial quotient with g_Y = g_S = 1.
     """
     if not cover.is_abelian:
         raise NotAbelian("cyclic quotients are enumerated for abelian deck groups")
     pieces = []
     for piece in cyclic_quotient_dims(cover):
-        chi = piece.orbit.representative
-        quotient = cover.quotient(_kernel_elements(cover, chi))
-        g_y = quotient.genus()
         e = piece.quotient_order
+        quotient = _cyclic_quotient(cover, piece.orbit.representative, e)
+        g_y = quotient.genus()
         value = Fraction(euler_phi(e), e) * (g_y - 1) + (1 if e == 1 else 0)
         value += euler_phi(e) * sum(
             Fraction(cls.count, 2 * cls.order) for cls in quotient.branch_classes
@@ -264,18 +253,14 @@ def decompose(cover: CoverSpec) -> DecompositionReport:
     chars = tuple(cover.characters())
     analytic = tuple((chi, analytic_multiplicity(cover, chi)) for chi in chars)
     rational = tuple((chi, rational_multiplicity(cover, chi)) for chi in chars)
-    orbits = tuple(
-        OrbitSummary(
-            orbit,
-            dim_A_W(cover, RationalIrrepData.from_character_orbit(cover, orbit)),
-            dim_B_W(cover, RationalIrrepData.from_character_orbit(cover, orbit)),
-        )
-        for orbit in cover.group.rational_character_orbits()
-    )
+    orbits = []
+    for orbit in cover.group.rational_character_orbits():
+        w = RationalIrrepData.from_character_orbit(cover, orbit)
+        orbits.append(OrbitSummary(orbit, dim_A_W(cover, w), dim_B_W(cover, w)))
     total = sum(summary.dim_A for summary in orbits)
     genus = cover.genus()
     if total != genus:
         raise InternalInconsistency(
             f"isotypical dimensions sum to {total}, expected the genus {genus}"
         )
-    return DecompositionReport(cover, analytic, rational, orbits, primitive_prym_dims(cover))
+    return DecompositionReport(cover, analytic, rational, tuple(orbits), primitive_prym_dims(cover))

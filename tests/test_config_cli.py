@@ -267,6 +267,72 @@ class TestCli:
         assert code == 0
         assert out["multiplicities"] == [{"irrep": "std", "dim": 2, "multiplicity": 2}]
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"name": "neg", "dim": -1, "classes": {"s": [1, 1]}},
+            {"name": "zero", "dim": 0, "classes": {"s": [0, 0]}},
+            {"name": "bool", "dim": True, "classes": {"s": [1, 0]}},
+            {"name": "row", "dim": 1, "classes": {"s": [2, -1]}},
+            {"name": "flag", "dim": 1, "classes": {"s": [True, 0]}},
+        ],
+    )
+    def test_chevalley_weil_bad_irrep_rejected(self, tmp_path, capsys, record):
+        doc = {
+            "mode": "branch-data",
+            "base_genus": 1,
+            "group": {"classes": [{"id": "s", "order": 2}], "order": 8},
+            "branch_points": [{"label": f"p{i}", "psi": "s"} for i in range(4)],
+        }
+        irreps = {"irreps": [{"name": "ok", "dim": 2, "classes": {"s": [1, 1]}}, record]}
+        irrep_path = tmp_path / "irreps.json"
+        irrep_path.write_text(json.dumps(irreps))
+        code = self.run(
+            tmp_path, doc, "chevalley-weil", "--irrep-file", str(irrep_path), "--format", "json"
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_CODES["config"]
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["code"] == "config"
+        assert "irreps[1]" in error["message"]
+
+    @pytest.mark.parametrize(
+        "u_table",
+        [{"sgn": 5}, {"sgn": {"t": None}}, {"sgn": {"t": 1.7}}, {"sgn": {"t": True}}, {"sgn": {}}],
+    )
+    def test_bad_u_table_row_rejected(self, tmp_path, capsys, u_table):
+        doc = {
+            "mode": "branch-data",
+            "base_genus": 0,
+            "group": {
+                "classes": [{"id": "t", "order": 2}, {"id": "r", "order": 3}],
+                "order": 6,
+                "u_table": u_table,
+            },
+            "branch_points": [{"label": [k, 0], "psi": "t"} for k in range(1, 5)],
+        }
+        code = self.run(tmp_path, doc, "validate", "--format", "json")
+        captured = capsys.readouterr()
+        assert code == EXIT_CODES["config"]
+        assert "Traceback" not in captured.err
+        assert "group.u_table.sgn" in json.loads(captured.err)["error"]["message"]
+
+    def test_bad_u_table_row_child_process(self, tmp_path):
+        doc = {
+            "mode": "branch-data",
+            "base_genus": 0,
+            "group": {"classes": [{"id": "t", "order": 2}], "order": 2, "u_table": {"sgn": 5}},
+            "branch_points": [{"label": [k, 0], "psi": "t"} for k in range(1, 3)],
+        }
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        result = subprocess.run(
+            [sys.executable, "-m", "galcov.cli", "genus", str(path)], capture_output=True, text=True
+        )
+        assert result.returncode == EXIT_CODES["config"]
+        assert "Traceback" not in result.stderr
+
     def test_table_format_smoke(self, tmp_path, capsys):
         code = self.run(tmp_path, hyper6_doc(), "tchi")
         out = capsys.readouterr().out

@@ -12,11 +12,13 @@ from galcov import (
     GroupSpec,
     IrrepClassData,
     alpha_beta,
+    analytic_multiplicity,
     cw_multiplicity,
     delta_info,
     dim_omega_chi,
     eichler_trace,
     omega_divisor,
+    rational_multiplicity,
     total_dim_omega,
     trace_from_fixed_points,
     FixedPointTerm,
@@ -364,6 +366,13 @@ class TestChevalleyWeil:
             cw_multiplicity(cover, IrrepClassData(2, ((key, (1, 0)),)), 1, 0)
         with pytest.raises(NTableMismatch):
             cw_multiplicity(cover, IrrepClassData(1, ()), 1, 0)
+
+    def test_negative_multiplicity_rejected(self):
+        cover = hyperelliptic(6)
+        rho = IrrepClassData(1, ((cover.branch_classes[0].key, (2, -1)),))
+        for evaluate in (cw_multiplicity, analytic_multiplicity, rational_multiplicity):
+            with pytest.raises(NTableMismatch):
+                evaluate(cover, rho)
 
     @settings(max_examples=30, deadline=None)
     @given(covers(max_order=24, max_points=6))

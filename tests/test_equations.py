@@ -1,3 +1,10 @@
+import contextlib
+import io
+import json
+import random
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,14 +12,15 @@ from galcov import (
     INF,
     FactoredRational,
     build_cover,
-    check_nondegeneracy,
     equation_system,
-    is_nondegenerate,
     psi_at,
 )
+from galcov.cli import EXIT_CODES, main
+from galcov.config import ParsedInput, to_document
 from galcov.errors import BranchedAtInfinity
 
 from covergen import pt
+from equations_oracle import check_nondegeneracy, is_nondegenerate
 
 
 def hyper6():
@@ -167,3 +175,44 @@ class TestNondegeneracy:
         else:
             assert not report.ok
             assert all(issue.kind == "degenerate" for issue in report.issues)
+
+
+def random_system(seed):
+    """One to three root extractions over a few shared points, with no
+    branching at infinity; repeated and proportional factors make many of
+    them degenerate."""
+    rng = random.Random(seed)
+    specs = []
+    for _ in range(rng.randint(1, 3)):
+        m = rng.choice([2, 3, 4, 6])
+        points = rng.sample(range(1, 6), rng.randint(1, 4))
+        exps = [rng.randint(1, m - 1) for _ in points]
+        total = sum(exps) % m
+        if total:
+            extra = next(x for x in range(1, 8) if x not in points)
+            points.append(extra)
+            exps.append(m - total)
+        specs.append((m, [(pt(x), e) for x, e in zip(points, exps)]))
+    return equation_system(specs)
+
+
+class TestValidateReportsDegenerateMonomial:
+    """``galcov validate`` reads the degenerate monomial off the cover's
+    characters; the scan over the equations must find the same one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_matches_equation_scan(self, seed):
+        eqs = random_system(seed)
+        document = to_document(ParsedInput(build_cover(eqs), eqs))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "system.json"
+            path.write_text(json.dumps(document))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["validate", str(path), "--format", "json"])
+        report = json.loads(out.getvalue())
+        expected = check_nondegeneracy(eqs)
+        assert report.get("degenerate_monomial") == (None if expected is None else list(expected))
+        assert (code == EXIT_CODES["degenerate-cover"]) == (expected is not None)
+        assert code in (0, EXIT_CODES["degenerate-cover"])

@@ -86,6 +86,17 @@ class TestUValue:
         )
         assert abs(direct - cmath.exp(2j * cmath.pi * u / o)) < 1e-12
 
+    def test_order_not_dividing_factor_order(self):
+        # x = 2 in Z4 has order 2, and 4 does not divide 2: u = k * (2 * 2 // 4)
+        g = GroupSpec((4,))
+        assert [g.u_value(g.character([k]), g.element([2])) for k in range(4)] == [0, 1, 0, 1]
+
+    def test_equals_order_times_pairing(self):
+        for g in (GroupSpec((4, 6)), GroupSpec((2, 4, 3)), GroupSpec((12,))):
+            for chi in g.characters():
+                for x in g.elements():
+                    assert g.u_value(chi, x) == g.element_order(x) * g.pairing(chi, x)
+
     @given(small_groups, st.integers(0, 10**6))
     def test_pairing_is_multiplicative(self, g, seed):
         rng = random.Random(seed)

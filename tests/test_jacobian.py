@@ -15,9 +15,16 @@ from galcov import (
     primitive_prym_dims,
     rational_multiplicity,
 )
+from galcov.differentials import cw_multiplicity, dim_omega_chi
 from galcov.errors import NonIntegralDimension, NotAbelian, NTableMismatch
 
 from covergen import covers, cyclic_cover, fixture_covers, hyperelliptic, klein_cover, pt
+
+
+def kernel_elements(cover, chi):
+    """The kernel of chi, found by scanning every element of the group."""
+    group = cover.group
+    return [x for x in group.elements() if group.u_value(chi, x) == 0]
 
 
 def orbit_data(cover):
@@ -85,6 +92,33 @@ class TestRationalMultiplicity:
             assert rational_multiplicity(cover, chi) == analytic_multiplicity(
                 cover, chi
             ) + analytic_multiplicity(cover, conj)
+
+
+class TestOneKernel:
+    """A character and its one-hot eigenvalue table go through the same
+    Chevalley-Weil kernel and must agree, with or without the character
+    attached to the table."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(covers(max_order=24, max_points=6))
+    def test_character_matches_its_table(self, cover):
+        for chi in cover.characters():
+            table = IrrepClassData.from_character(cover, chi)
+            anonymous = IrrepClassData(1, table.n_table)
+            for rho in (table, anonymous):
+                for q in (1, 2):
+                    if q == 2 and cover.genus() == 0:
+                        continue
+                    assert cw_multiplicity(cover, rho, q) == cw_multiplicity(cover, chi, q)
+                assert analytic_multiplicity(cover, rho) == analytic_multiplicity(cover, chi)
+                assert rational_multiplicity(cover, rho) == rational_multiplicity(cover, chi)
+
+    @settings(max_examples=30, deadline=None)
+    @given(covers(max_order=24, max_points=6))
+    def test_analytic_is_conjugate_dimension(self, cover):
+        for chi in cover.characters():
+            conj = cover.conjugate_character(chi)
+            assert analytic_multiplicity(cover, chi) == dim_omega_chi(cover, conj, 1, 0)
 
 
 class TestIsotypicalDimensions:
@@ -203,6 +237,21 @@ class TestPrimitivePrym:
     def test_two_forms_agree_random(self, cover):
         for piece in primitive_prym_dims(cover):
             assert piece.dim == piece.dim_from_quotient
+
+    @settings(max_examples=25, deadline=None)
+    @given(covers(max_order=24, max_points=6))
+    def test_quotient_genus_matches_kernel_quotient(self, cover):
+        for piece in primitive_prym_dims(cover):
+            chi = piece.orbit.representative
+            expected = cover.quotient(kernel_elements(cover, chi))
+            assert expected.degree == piece.quotient_order
+            assert piece.quotient_genus == expected.genus()
+
+    def test_quotient_genus_matches_kernel_quotient_on_fixtures(self):
+        for cover in fixture_covers() + [genus2_base_cover(), CoverSpec(1, GroupSpec((2,)), ())]:
+            for piece in primitive_prym_dims(cover):
+                kernel = kernel_elements(cover, piece.orbit.representative)
+                assert piece.quotient_genus == cover.quotient(kernel).genus()
 
     def test_unramified_genus1_flags(self):
         # double cover of a torus: quotient piece has g_Y = g_S = 1, flagged trivial

@@ -1,0 +1,55 @@
+"""Golden reports: the CLI's JSON output on the bundled configs, byte for byte.
+
+Each case runs ``cli.main`` in process and compares stdout and the exit code
+with ``tests/golden/<case>.out`` and ``tests/golden/exit_codes.json``.  The
+golden files were produced by the code before the Chevalley-Weil kernel was
+unified, so any change in a reported number, key or ordering shows up here.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from galcov.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+COMMANDS = {
+    "all": ["all"],
+    "traces": ["traces"],
+    "omega": ["omega"],
+    "hchi": ["hchi"],
+    "chevalley-weil-q2": ["chevalley-weil", "--q", "2"],
+}
+
+
+def cases():
+    out = {}
+    for config in sorted((ROOT / "configs").glob("*.json")):
+        for name, argv in COMMANDS.items():
+            out[f"{config.stem}.{name}"] = (argv, config)
+    out["degenerate_equations.validate"] = (["validate"], GOLDEN / "degenerate_equations.json")
+    return out
+
+
+CASES = cases()
+
+
+def run_case(case: str) -> tuple[int, str]:
+    argv, path = CASES[case]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([argv[0], str(path), *argv[1:], "--format", "json"])
+    return code, stdout.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case):
+    code, stdout = run_case(case)
+    expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert code == expected_codes[case]
+    assert stdout == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
