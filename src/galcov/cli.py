@@ -129,7 +129,7 @@ def cmd_tchi(parsed: ParsedInput, args) -> dict:
         {
             "character": character_to_json(chi),
             "t": cover.t_chi(chi),
-            "u": [cover.u_value(chi, cls.key) for cls in cover.branch_classes],
+            "u": list(cover.u_row(chi)),
         }
         for chi in _characters(cover, args.char)
     ]

@@ -202,9 +202,12 @@ def _parse_branch_mode(document) -> ParsedInput:
     if not abelian:
         # every formula reads each character on every branch class
         for chi in group.characters:
-            missing = [cls.key for cls in cover.branch_classes if cls.key not in chi.u_map]
-            if missing:
-                _fail(f"no value on branch class {missing[0]!r}", f"group.u_table.{chi.name}")
+            try:
+                cover.u_row(chi)
+            except ValueError:
+                known = dict(chi.u_values)
+                missing = next(c.key for c in cover.branch_classes if c.key not in known)
+                _fail(f"no value on branch class {missing!r}", f"group.u_table.{chi.name}")
     return ParsedInput(cover, None)
 
 

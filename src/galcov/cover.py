@@ -6,16 +6,24 @@ the deck-group class attached to each by lifting small loops.  Everything
 downstream (genus, t-invariants, divisor dimensions, traces, Jacobian
 dimensions) is derived from this data alone.
 
+Every formula sees a character only through its u-row, ``CoverSpec.u_row``:
+the integers u_{chi,C}, one per branch class in ``branch_classes`` order,
+with chi(x) = zeta_{o(C)}^u for x in C.  On an abelian cover u is additive in
+chi, so the row is one dot product per class with the unit characters'
+columns, built once per cover; a generic cover reads the supplied row.
+
 The distinguished base point used for normalization (infinity when the base
 has genus 0) is implicit and never allowed to be a branch value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence, Union
+from operator import mul
+from typing import Iterator, Sequence
 
 from .errors import DegenerateCover, NonIntegralInvariant, NotAbelian
 from .groups import (
@@ -50,9 +58,9 @@ class Coord:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-Label = Union[Coord, str]
-CharLike = Union[Character, GenericCharacter]
-ClassKey = Union[GroupElement, str]
+Label = Coord | str
+CharLike = Character | GenericCharacter
+ClassKey = GroupElement | str
 
 
 @dataclass(frozen=True)
@@ -182,15 +190,34 @@ class CoverSpec:
         return GenericCharacter(f"~{chi.name}", row)
 
     def u_value(self, chi: CharLike, key: ClassKey) -> int:
+        """u_{chi,C} on one class; the formulas read whole rows via u_row."""
         if isinstance(chi, Character):
             self._require_abelian()
             return self.group.u_value(chi, key)
-        try:
-            return chi.u_map[key]
-        except KeyError:
-            raise ValueError(
-                f"character {chi} supplies no value on class {key}"
-            ) from None
+        for cid, u in chi.u_values:
+            if cid == key:
+                return u
+        raise ValueError(f"character {chi} supplies no value on class {key}")
+
+    def u_row(self, chi: CharLike) -> tuple[int, ...]:
+        """u_{chi,C} for every branch class, in ``branch_classes`` order.
+
+        Abelian: (sum_i k_i u_{e_i,C}) mod o(C) over the unit characters e_i.
+        Generic: the supplied row; a missing class raises ValueError.
+        """
+        if isinstance(chi, Character):
+            k = self._require_abelian().check_character(chi).exponents
+            return tuple(sum(map(mul, k, col)) % o for col, o in self._unit_u_columns)
+        return tuple(self.u_value(chi, cls.key) for cls in self.branch_classes)
+
+    @cached_property
+    def _unit_u_columns(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Per branch class, u_{e_i,C} for the unit characters e_i, and o(C)."""
+        g = self.group
+        units = [g.character([int(i == j) for j in range(g.rank)]) for i in range(g.rank)]
+        return tuple(
+            (tuple(g.u_value(e, c.key) for e in units), c.order) for c in self.branch_classes
+        )
 
     # -- branch bookkeeping -------------------------------------------------
 
@@ -211,12 +238,6 @@ class CoverSpec:
                 return cls
         raise KeyError(f"no branch values of class {key}")
 
-    def branch_count(self, key: ClassKey) -> int:
-        for cls in self.branch_classes:
-            if cls.key == key:
-                return cls.count
-        return 0
-
     def point_class(self, j: int) -> ClassKey:
         return self.branch_points[j].psi
 
@@ -234,11 +255,16 @@ class CoverSpec:
 
     # -- invariants -----------------------------------------------------------
 
+    @cached_property
+    def _t_weights(self) -> tuple[int, tuple[int, ...]]:
+        """L = lcm of the class orders, and r_C * L / o(C) per branch class."""
+        lcm = math.lcm(*(cls.order for cls in self.branch_classes))
+        return lcm, tuple(cls.count * (lcm // cls.order) for cls in self.branch_classes)
+
     def t_fraction(self, chi: CharLike) -> Fraction:
-        return sum(
-            (Fraction(cls.count * self.u_value(chi, cls.key), cls.order) for cls in self.branch_classes),
-            Fraction(0),
-        )
+        """sum_C r_C u_{chi,C} / o(C), in integers over the common denominator."""
+        lcm, weights = self._t_weights
+        return Fraction(sum(map(mul, weights, self.u_row(chi))), lcm)
 
     def t_chi(self, chi: CharLike) -> int:
         """The t-invariant: pole order at the base point of the normalized
@@ -287,7 +313,7 @@ class CoverSpec:
             CharacterInvariants(
                 chi,
                 self.t_chi(chi),
-                tuple((cls.key, self.u_value(chi, cls.key)) for cls in self.branch_classes),
+                tuple(zip((cls.key for cls in self.branch_classes), self.u_row(chi))),
             )
             for chi in self.characters()
         )

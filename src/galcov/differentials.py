@@ -67,10 +67,12 @@ class AlphaBeta:
 
 
 def alpha_beta(cover: CoverSpec, chi: CharLike, class_key: ClassKey, q: int) -> AlphaBeta:
-    o = cover.class_order(class_key)
-    u_conj = cover.u_value(cover.conjugate_character(chi), class_key)
-    alpha, beta = divmod(q * (o - 1) - u_conj, o)
-    return AlphaBeta(alpha, beta)
+    return _split(q, cover.class_order(class_key), cover.u_value(chi, class_key))
+
+
+def _split(q: int, o: int, u: int) -> AlphaBeta:
+    """alpha_beta from u_{chi,C}: u_{conj chi,C} is (-u) mod o."""
+    return AlphaBeta(*divmod(q * (o - 1) - (-u) % o, o))
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ class OmegaDivisor:
         )
 
     def presentation(self) -> str:
-        denom = [f"h[{_conj_name(self.cover, self.character)}]"]
+        denom = [f"h[{self.cover.conjugate_character(self.character)}]"]
         denom.extend(
             f"(z-{label})^{alpha}" if alpha != 1 else f"(z-{label})"
             for label, alpha in self.linear_factor_powers
@@ -105,16 +107,12 @@ class OmegaDivisor:
         return f"(dz)^{self.q} / ({' * '.join(denom)})"
 
 
-def _conj_name(cover: CoverSpec, chi: CharLike):
-    return cover.conjugate_character(chi)
-
-
 def omega_divisor(cover: CoverSpec, chi: CharLike, q: int = 1) -> OmegaDivisor:
     """Exponents of the normalized q-differential generator: beta at every
     branch preimage, and t_{conj chi} - 2q + sum_C r_C alpha at infinity."""
     if cover.base_genus != 0:
         raise UnsupportedBaseGenus("explicit generators need a genus-0 base")
-    splits = {cls.key: alpha_beta(cover, chi, cls.key, q) for cls in cover.branch_classes}
+    splits = {c.key: _split(q, c.order, u) for c, u in zip(cover.branch_classes, cover.u_row(chi))}
     branch = tuple(splits[cover.point_class(j)].beta for j in range(len(cover.branch_points)))
     conj = cover.conjugate_character(chi)
     infinity = cover.t_chi(conj) - 2 * q + sum(
@@ -156,10 +154,7 @@ def same_character(cover: CoverSpec, a: CharLike, b: CharLike) -> bool:
     if isinstance(a, Character) or isinstance(b, Character):
         return False
     if cover.branch_classes:
-        return all(
-            cover.u_value(a, cls.key) == cover.u_value(b, cls.key)
-            for cls in cover.branch_classes
-        )
+        return cover.u_row(a) == cover.u_row(b)
     return a.name == b.name
 
 
@@ -321,27 +316,17 @@ class IrrepClassData:
     n_table: tuple[tuple[ClassKey, tuple[int, ...]], ...]
     character: CharLike | None = None
 
-    @property
-    def n_map(self) -> dict[ClassKey, tuple[int, ...]]:
-        return dict(self.n_table)
-
     @classmethod
     def from_character(cls, cover: CoverSpec, chi: CharLike) -> "IrrepClassData":
         rows = tuple(
-            (
-                bcls.key,
-                tuple(
-                    1 if alpha == cover.u_value(chi, bcls.key) else 0
-                    for alpha in range(bcls.order)
-                ),
-            )
-            for bcls in cover.branch_classes
+            (bcls.key, tuple(1 if alpha == u else 0 for alpha in range(bcls.order)))
+            for bcls, u in zip(cover.branch_classes, cover.u_row(chi))
         )
         return cls(1, rows, chi)
 
     def row(self, cover: CoverSpec, key: ClassKey) -> tuple[int, ...]:
         try:
-            row = self.n_map[key]
+            row = dict(self.n_table)[key]
         except KeyError:
             raise NTableMismatch(f"no eigenvalue multiplicities supplied for class {key}") from None
         if len(row) != cover.class_order(key):
@@ -375,7 +360,7 @@ def eigen_rows(cover: CoverSpec, rho: IrrepClassData | CharLike) -> tuple[int, E
             for cls in cover.branch_classes
         )
         return rho.dim, rows
-    return 1, tuple(((cover.u_value(rho, cls.key), 1),) for cls in cover.branch_classes)
+    return 1, tuple(((u, 1),) for u in cover.u_row(rho))
 
 
 def cw_value(cover: CoverSpec, dim: int, rows: EigenRows, q: int, gamma_degree: int) -> Fraction:
@@ -411,9 +396,7 @@ def _matches_delta_character(
     if character is not None:
         return same_character(cover, character, chi_delta)
     # fall back to comparing eigenvalue rows on the branch classes
-    return all(
-        (cover.u_value(chi_delta, cls.key), 1) in row for cls, row in zip(cover.branch_classes, rows)
-    )
+    return all((u, 1) in row for u, row in zip(cover.u_row(chi_delta), rows))
 
 
 def cw_multiplicity(cover: CoverSpec, rho: IrrepClassData | CharLike, q: int = 1, gamma_degree: int = 0) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import ge
-from typing import Sequence, Union
+from typing import Sequence
 
 from .cover import CharLike, ClassKey, CoverSpec, Label
 from .errors import NonInvariantInput, NotAbelian, UnsupportedBaseGenus
@@ -80,13 +80,20 @@ class InvariantDivisor:
 
     # -- character data ------------------------------------------------------
 
+    def a_sets(self, chi: CharLike) -> tuple[tuple[int, ...], ...]:
+        """Per branch class, in order, the indices lying in buckets below u_{chi,C}."""
+        buckets = self.buckets
+        return tuple(
+            tuple(j for j in cls.points if buckets[j] < u)
+            for cls, u in zip(self.cover.branch_classes, self.cover.u_row(chi))
+        )
+
     def a_set(self, chi: CharLike, key: ClassKey) -> tuple[int, ...]:
         """Branch indices of class ``key`` lying in buckets below u_{chi,C}."""
-        u = self.cover.u_value(chi, key)
-        return tuple(j for j in self.cover.branch_class(key).points if self.buckets[j] < u)
+        return self.a_sets(chi)[self.cover.branch_classes.index(self.cover.branch_class(key))]
 
     def a_total(self, chi: CharLike) -> int:
-        return sum(len(self.a_set(chi, cls.key)) for cls in self.cover.branch_classes)
+        return sum(map(len, self.a_sets(chi)))
 
     def _require_genus0(self):
         if self.cover.base_genus != 0:
@@ -105,9 +112,7 @@ class InvariantDivisor:
         self._require_genus0()
         d = self.p + self.a_total(chi) - self.cover.t_chi(chi)
         denominator = tuple(
-            self.cover.branch_points[j].label
-            for cls in self.cover.branch_classes
-            for j in self.a_set(chi, cls.key)
+            self.cover.branch_points[j].label for a in self.a_sets(chi) for j in a
         )
         return BasisDescription(max(-1, d), denominator, chi)
 
@@ -140,25 +145,19 @@ class InvariantDivisor:
         """
         t = self.cover.t_chi(chi)
         if kind == "function":
-            points = [
-                (self.cover.branch_points[j].label, 1)
-                for cls in self.cover.branch_classes
-                for j in self.a_set(chi, cls.key)
-            ]
+            points = [(self.cover.branch_points[j].label, 1) for a in self.a_sets(chi) for j in a]
             points.extend(self.base_part)
             symbols = [] if self.cover.base_genus == 0 else [(f"Y[{chi}]", 1)]
             return SymbolicDivisor(self.p - t, tuple(points), tuple(symbols), "r_of_inverse")
         if kind == "differential":
             conj = self.cover.conjugate_character(chi)
             points = []
-            for cls in self.cover.branch_classes:
-                if self.cover.u_value(chi, cls.key) == 0:
+            rows = zip(self.cover.branch_classes, self.cover.u_row(chi), self.a_sets(conj))
+            for cls, u, a_conj in rows:
+                if u == 0:
                     continue  # class inside ker(chi): no contribution
-                in_a = set(self.a_set(conj, cls.key))
                 points.extend(
-                    (self.cover.branch_points[j].label, -1)
-                    for j in cls.points
-                    if j not in in_a
+                    (self.cover.branch_points[j].label, -1) for j in cls.points if j not in a_conj
                 )
             points.extend(self.base_part)
             symbols = [] if self.cover.base_genus == 0 else [(f"Y[{chi}]", -1)]
@@ -232,7 +231,8 @@ class HChiDivisor:
 def h_chi_divisor(cover: CoverSpec, chi: CharLike) -> HChiDivisor:
     if cover.base_genus != 0:
         raise UnsupportedBaseGenus("the eigenfunction divisor is explicit only over the line")
-    exps = tuple(cover.u_value(chi, cover.point_class(j)) for j in range(len(cover.branch_points)))
+    u = dict(zip((cls.key for cls in cover.branch_classes), cover.u_row(chi)))
+    exps = tuple(u[bp.psi] for bp in cover.branch_points)
     div = HChiDivisor(cover, chi, exps, -cover.t_chi(chi))
     if div.degree() != 0:
         raise AssertionError(f"eigenfunction divisor has degree {div.degree()}, expected 0")
@@ -268,8 +268,8 @@ def _constant_fiber_value(values, expected_len, where) -> int:
 
 def normalize(
     cover: CoverSpec,
-    branch_exponents: Sequence[Union[int, Sequence[int]]],
-    nu_exponents: Union[int, Sequence[int]] = 0,
+    branch_exponents: Sequence[int | Sequence[int]],
+    nu_exponents: int | Sequence[int] = 0,
 ) -> Normalization:
     """Reduce a raw invariant divisor over the line to its normal form.
 

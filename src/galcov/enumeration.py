@@ -65,18 +65,14 @@ def _constraints(cover: CoverSpec, family: str):
     the required equality is sum_c sum_{i < weights[k][c]} |B_{c,i}| ==
     targets[k].
     """
-    classes = cover.branch_classes
     targets = []
     weights = []
     for chi in cover.characters():
-        t = cover.t_chi(chi)
-        if chi.is_trivial:
-            if family == "gm1":
-                targets.append(0)  # empty sum: automatically satisfied
-                weights.append([0] * len(classes))
-            continue
+        if chi.is_trivial and family == "integral":
+            continue  # the integral family constrains nontrivial characters only
+        t = cover.t_chi(chi)  # the trivial row is all zeros, with t = 0
         targets.append(t - 1 if family == "integral" else t)
-        weights.append([cover.u_value(chi, cls.key) for cls in classes])
+        weights.append(cover.u_row(chi))
     return targets, weights
 
 
@@ -86,7 +82,7 @@ class _CardinalitySystem:
     def __init__(self, cover: CoverSpec, family: str):
         self.classes = classes = cover.branch_classes
         targets, weights = _constraints(cover, family)
-        merged = dict.fromkeys(zip(map(tuple, weights), targets))
+        merged = dict.fromkeys(zip(weights, targets))
         self.targets = [t for _, t in merged]
         rows = [w for w, _ in merged]
         # tail[c][k]: the most that classes c.. can still add to constraint k

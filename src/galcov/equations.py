@@ -12,7 +12,7 @@ rejected, since infinity serves as the normalization point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 from .cover import BranchPoint, Coord, CoverSpec
 from .errors import BranchedAtInfinity
@@ -35,7 +35,7 @@ class Infinity:
 
 INF = Infinity()
 
-Point = Union[Coord, Infinity]
+Point = Coord | Infinity
 
 
 @dataclass(frozen=True)

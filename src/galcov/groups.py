@@ -9,6 +9,10 @@ Non-abelian groups are never enumerated.  A ClassTable is trusted input
 carrying exactly the per-conjugacy-class data the dimension formulas consume:
 the element order of each class and, optionally, rows of one-dimensional
 character values.
+
+``GroupSpec.u_value`` is the one u formula for abelian groups; a cover reads
+it once per branch class for the unit characters and assembles every
+character's u-row from those columns (``CoverSpec.u_row``).
 """
 
 from __future__ import annotations
@@ -156,9 +160,6 @@ class GroupSpec:
     def neg(self, x: GroupElement) -> GroupElement:
         return GroupElement(tuple((-a) % m for a, m in zip(x.exponents, self.cyclic_orders)))
 
-    def scale(self, x: GroupElement, k: int) -> GroupElement:
-        return GroupElement(tuple((k * a) % m for a, m in zip(x.exponents, self.cyclic_orders)))
-
     def element_order(self, x: GroupElement) -> int:
         self.check_element(x)
         return math.lcm(*(m // math.gcd(m, a) for a, m in zip(x.exponents, self.cyclic_orders)))
@@ -174,11 +175,6 @@ class GroupSpec:
         return None
 
     # -- character arithmetic --------------------------------------------
-
-    def char_mul(self, a: Character, b: Character) -> Character:
-        return Character(
-            tuple((x + y) % m for x, y, m in zip(a.exponents, b.exponents, self.cyclic_orders))
-        )
 
     def char_pow(self, chi: Character, k: int) -> Character:
         return Character(tuple((k * x) % m for x, m in zip(chi.exponents, self.cyclic_orders)))
@@ -274,10 +270,6 @@ class GenericCharacter:
     u_values: tuple[tuple[str, int], ...]
 
     @property
-    def u_map(self) -> dict[str, int]:
-        return dict(self.u_values)
-
-    @property
     def is_trivial(self) -> bool:
         return not any(u for _, u in self.u_values)
 
@@ -320,12 +312,6 @@ class ClassTable:
             if rec.class_id == class_id:
                 return rec
         raise KeyError(class_id)
-
-    def conjugate(self, chi: GenericCharacter) -> GenericCharacter:
-        row = tuple(
-            (cid, (-u) % self.record(cid).order) for cid, u in chi.u_values
-        )
-        return GenericCharacter(f"~{chi.name}", row)
 
     @classmethod
     def build(

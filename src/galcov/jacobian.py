@@ -82,13 +82,9 @@ class RationalIrrepData:
                 f"Schur index {self.schur_index} does not divide the dimension {self.dim}"
             )
 
-    @property
-    def n0_map(self) -> dict[ClassKey, int]:
-        return dict(self.invariant_dims)
-
     def n0(self, cover: CoverSpec, key: ClassKey) -> int:
         try:
-            value = self.n0_map[key]
+            value = dict(self.invariant_dims)[key]
         except KeyError:
             raise NTableMismatch(f"no invariant dimension supplied for class {key}") from None
         if not 0 <= value <= self.dim:
@@ -107,10 +103,9 @@ class RationalIrrepData:
 
     @classmethod
     def from_character_orbit(cls, cover: CoverSpec, orbit: CharacterOrbit) -> "RationalIrrepData":
-        chi = orbit.representative
         rows = tuple(
-            (bcls.key, 1 if cover.u_value(chi, bcls.key) == 0 else 0)
-            for bcls in cover.branch_classes
+            (bcls.key, 1 if u == 0 else 0)
+            for bcls, u in zip(cover.branch_classes, cover.u_row(orbit.representative))
         )
         return cls(1, orbit.field_degree, 1, rows, trivial=orbit.order == 1)
 
@@ -183,8 +178,8 @@ def _cyclic_quotient(cover: CoverSpec, chi: Character, e: int) -> CoverSpec:
     """
     group = GroupSpec((e,))
     image = {
-        cls.key: group.element([e * cover.u_value(chi, cls.key) // cls.order])
-        for cls in cover.branch_classes
+        cls.key: group.element([e * u // cls.order])
+        for cls, u in zip(cover.branch_classes, cover.u_row(chi))
     }
     points = tuple(
         BranchPoint(bp.label, image[bp.psi])
@@ -204,12 +199,15 @@ def primitive_prym_dims(cover: CoverSpec) -> tuple[PrymPiece, ...]:
     is flagged nontrivial per the quotient-genus criterion: g_Y >= 1, except
     for a nontrivial quotient with g_Y = g_S = 1.
     """
-    if not cover.is_abelian:
-        raise NotAbelian("cyclic quotients are enumerated for abelian deck groups")
+    return _prym_pieces(cover, [(piece.orbit, piece.dim) for piece in cyclic_quotient_dims(cover)])
+
+
+def _prym_pieces(cover: CoverSpec, orbit_dims) -> tuple[PrymPiece, ...]:
+    """The PrymPiece of each (orbit, dim B_W) pair."""
     pieces = []
-    for piece in cyclic_quotient_dims(cover):
-        e = piece.quotient_order
-        quotient = _cyclic_quotient(cover, piece.orbit.representative, e)
+    for orbit, dim in orbit_dims:
+        e = orbit.order
+        quotient = _cyclic_quotient(cover, orbit.representative, e)
         g_y = quotient.genus()
         value = Fraction(euler_phi(e), e) * (g_y - 1) + (1 if e == 1 else 0)
         value += euler_phi(e) * sum(
@@ -218,7 +216,7 @@ def primitive_prym_dims(cover: CoverSpec) -> tuple[PrymPiece, ...]:
         if value.denominator != 1:
             raise NonIntegralDimension(f"quotient-form dim = {value} is not an integer")
         nontrivial = g_y >= 1 and not (e > 1 and g_y == 1 and cover.base_genus == 1)
-        pieces.append(PrymPiece(piece.orbit, e, g_y, piece.dim, int(value), nontrivial))
+        pieces.append(PrymPiece(orbit, e, g_y, dim, int(value), nontrivial))
     return tuple(pieces)
 
 
@@ -263,4 +261,6 @@ def decompose(cover: CoverSpec) -> DecompositionReport:
         raise InternalInconsistency(
             f"isotypical dimensions sum to {total}, expected the genus {genus}"
         )
-    return DecompositionReport(cover, analytic, rational, tuple(orbits), primitive_prym_dims(cover))
+    # dim B_W of each orbit is its cyclic-quotient dimension: one orbit pass feeds both
+    prym = _prym_pieces(cover, [(summary.orbit, summary.dim_B) for summary in orbits])
+    return DecompositionReport(cover, analytic, rational, tuple(orbits), prym)

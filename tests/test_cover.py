@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from galcov import (
     BranchPoint,
+    Character,
     ClassTable,
     Coord,
     CoverSpec,
@@ -244,3 +245,58 @@ class TestGenericMode:
         invariants = cover.character_invariants()
         assert [inv.t for inv in invariants] == [0, 3]
         assert invariants[1].u_row[0][1] == 1
+
+
+@st.composite
+def any_branch_data(draw):
+    """Abelian branch data, not necessarily valid, with factors of order 1 and
+    classes whose order o(x) need not be a multiple of every m_i."""
+    orders = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6]), min_size=1, max_size=3))
+    group = GroupSpec(tuple(orders))
+    exps = draw(
+        st.lists(st.tuples(*(st.integers(0, m - 1) for m in orders)), min_size=1, max_size=6)
+    )
+    classes = [group.element(e) for e in exps if group.element_order(group.element(e)) > 1]
+    return CoverSpec(0, group, tuple(BranchPoint(pt(j + 1), x) for j, x in enumerate(classes)))
+
+
+class TestURow:
+    @given(any_branch_data())
+    @settings(max_examples=60, deadline=None)
+    def test_row_is_the_group_u_value(self, cover):
+        group = cover.group
+        for chi in group.characters():
+            row = cover.u_row(chi)
+            assert len(row) == len(cover.branch_classes)
+            for u, cls in zip(row, cover.branch_classes):
+                assert u == group.u_value(chi, cls.key)
+            assert cover.t_fraction(chi) == sum(
+                (Fraction(cls.count * u, cls.order) for cls, u in zip(cover.branch_classes, row)),
+                Fraction(0),
+            )
+
+    def test_order_one_factor_and_x2_in_z4(self):
+        group = GroupSpec((1, 4))
+        cover = CoverSpec(0, group, (BranchPoint(pt(1), group.element([0, 2])),))
+        # o(x) = 2 while the factor has order 4: u = k mod 2
+        assert [cover.u_row(group.character([0, k])) for k in range(4)] == [(0,), (1,), (0,), (1,)]
+
+    def test_malformed_character_rejected(self):
+        cover = z2_cover(2)
+        with pytest.raises(ValueError):
+            cover.u_row(Character((2,)))
+
+    def test_generic_row_is_the_supplied_row(self):
+        table = ClassTable.build(
+            [("r", 3, 2), ("s", 2, 2)], 6, {"sgn": {"r": 0, "s": 1}, "w": {"r": 2, "s": 0}}
+        )
+        cover = cover_from_class_table(1, table)
+        rows = {chi.name: cover.u_row(chi) for chi in cover.characters()}
+        assert rows == {"sgn": (0, 1), "w": (2, 0)}
+
+    def test_generic_missing_class_raises(self):
+        table = ClassTable.build([("r", 3, 1), ("s", 2, 2)], 6, {"sgn": {"s": 1}})
+        cover = cover_from_class_table(1, table)
+        (sgn,) = cover.characters()
+        with pytest.raises(ValueError, match="character sgn supplies no value on class r"):
+            cover.u_row(sgn)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from galcov import Character, ClassTable, GroupElement, GroupSpec, euler_phi
+from galcov import Character, ClassTable, CoverSpec, GroupElement, GroupSpec, euler_phi
 from galcov.groups import smith_diagonal
 
 
@@ -195,8 +195,8 @@ class TestClassTable:
     def test_conjugate_row(self):
         table = ClassTable.build([("a", 3), ("b", 2)], 6, {"chi": {"a": 1, "b": 1}})
         chi = table.characters[0]
-        conj = table.conjugate(chi)
-        assert conj.u_map == {"a": 2, "b": 1}
+        conj = CoverSpec(1, table).conjugate_character(chi)
+        assert dict(conj.u_values) == {"a": 2, "b": 1}
 
 
 class TestSmithDiagonal:

@@ -287,6 +287,22 @@ class TestDecompose:
             assert len(report.analytic) == cover.degree
             assert len(report.quotients) == len(report.orbits)
 
+    def test_quotients_match_primitive_prym_dims(self):
+        for cover in fixture_covers():
+            assert decompose(cover).quotients == primitive_prym_dims(cover)
+
+    def test_lists_the_orbits_once(self, monkeypatch):
+        calls = []
+        orbits = GroupSpec.rational_character_orbits
+
+        def counted(group):
+            calls.append(group)
+            return orbits(group)
+
+        monkeypatch.setattr(GroupSpec, "rational_character_orbits", counted)
+        decompose(klein_cover())
+        assert len(calls) == 1
+
     def test_klein_report(self):
         report = decompose(klein_cover())
         assert [s.dim_A for s in report.orbits] == [0, 0, 0, 1]

@@ -4,6 +4,9 @@ Each case runs ``cli.main`` in process and compares stdout and the exit code
 with ``tests/golden/<case>.out`` and ``tests/golden/exit_codes.json``.  The
 golden files were produced by the code before the Chevalley-Weil kernel was
 unified, so any change in a reported number, key or ordering shows up here.
+The ``s3.*`` cases cover the generic (class-table) path: four transpositions
+of S3 over the line, with the irrep file ``s3_irreps.json``; their golden
+files were produced before characters were read as integer u-rows.
 """
 
 import contextlib
@@ -26,6 +29,16 @@ COMMANDS = {
     "chevalley-weil-q2": ["chevalley-weil", "--q", "2"],
 }
 
+S3_COMMANDS = {
+    "all": ["all"],
+    "tchi": ["tchi"],
+    "dims": ["dims"],
+    "omega": ["omega"],
+    "hchi": ["hchi"],
+    "chevalley-weil-q2": ["chevalley-weil", "--q", "2"],
+    "chevalley-weil-irreps": ["chevalley-weil", "--irrep-file", str(GOLDEN / "s3_irreps.json")],
+}
+
 
 def cases():
     out = {}
@@ -33,6 +46,8 @@ def cases():
         for name, argv in COMMANDS.items():
             out[f"{config.stem}.{name}"] = (argv, config)
     out["degenerate_equations.validate"] = (["validate"], GOLDEN / "degenerate_equations.json")
+    for name, argv in S3_COMMANDS.items():
+        out[f"s3.{name}"] = (argv, GOLDEN / "s3.json")
     return out
 
 
