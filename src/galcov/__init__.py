@@ -3,20 +3,17 @@
 from .cover import (
     BranchClass,
     BranchPoint,
-    CharacterInvariants,
     Coord,
     CoverSpec,
     ValidationReport,
     cover_from_class_table,
 )
 from .differentials import (
-    AlphaBeta,
     DeltaInfo,
     EichlerTrace,
     FixedPointTerm,
     IrrepClassData,
     OmegaDivisor,
-    alpha_beta,
     cw_multiplicity,
     delta_info,
     dim_omega_chi,
@@ -27,7 +24,7 @@ from .differentials import (
 )
 from .divisors import (
     BasisDescription,
-    HChiDivisor,
+    EigenDivisor,
     InvariantDivisor,
     SymbolicDivisor,
     h_chi_divisor,

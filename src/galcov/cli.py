@@ -62,6 +62,9 @@ COMMANDS = (
     "all",
 )
 
+# the divisor family each enumeration command lists, counts or streams
+FAMILIES = {"nonspecial": "integral", "degree-gm1": "gm1"}
+
 
 def _checked_cover(parsed: ParsedInput) -> CoverSpec:
     parsed.cover.validate().raise_for_status()
@@ -94,6 +97,15 @@ def _divisor_record(div) -> dict:
             {"label": label_to_json(div.cover.branch_points[j].label), "exp": div.exponent(j)}
             for j in range(len(div.buckets))
         ],
+        "degree": div.degree(),
+    }
+
+
+def _eigen_record(div) -> dict:
+    return {
+        "character": character_to_json(div.character),
+        "branch_exponents": list(div.branch_exponents),
+        "infinity_exponent": div.infinity_exponent,
         "degree": div.degree(),
     }
 
@@ -138,17 +150,7 @@ def cmd_tchi(parsed: ParsedInput, args) -> dict:
 
 def cmd_hchi(parsed: ParsedInput, args) -> dict:
     cover = _checked_cover(parsed)
-    rows = []
-    for chi in _characters(cover, args.char):
-        div = h_chi_divisor(cover, chi)
-        rows.append(
-            {
-                "character": character_to_json(chi),
-                "branch_exponents": list(div.branch_exponents),
-                "infinity_exponent": div.infinity_exponent,
-                "degree": div.degree(),
-            }
-        )
+    rows = [_eigen_record(h_chi_divisor(cover, chi)) for chi in _characters(cover, args.char)]
     return {"command": "hchi", "characters": rows}
 
 
@@ -176,20 +178,20 @@ def cmd_dims(parsed: ParsedInput, args) -> dict:
     return out
 
 
-def _cmd_enumerate(parsed: ParsedInput, args, family: str) -> dict:
+def cmd_enumerate(parsed: ParsedInput, args) -> dict:
     cover = _checked_cover(parsed)
+    family = FAMILIES[args.command]
     count = enumeration.count_by_cardinality(cover, family)
-    name = "nonspecial" if family == "integral" else "degree-gm1"
-    out = {"command": name, "count": count}
+    out = {"command": args.command, "count": count}
     if not args.count_only:
         if count > args.cap:
             raise enumeration.SearchSpaceTooLarge(count, args.cap)
-        items = (
+        listed = (
             enumeration.enumerate_nonspecial_integral(cover)
             if family == "integral"
             else enumeration.enumerate_degree_gm1(cover)
         )
-        out["divisors"] = [_divisor_record(d) for d in items]
+        out["divisors"] = [_divisor_record(d) for d in listed]
     return out
 
 
@@ -198,15 +200,7 @@ def cmd_omega(parsed: ParsedInput, args) -> dict:
     rows = []
     for chi in _characters(cover, args.char):
         div = omega_divisor(cover, chi, args.q)
-        rows.append(
-            {
-                "character": character_to_json(chi),
-                "branch_exponents": list(div.branch_exponents),
-                "infinity_exponent": div.infinity_exponent,
-                "degree": div.degree(),
-                "presentation": div.presentation(),
-            }
-        )
+        rows.append({**_eigen_record(div), "presentation": div.presentation()})
     return {"command": "omega", "q": args.q, "characters": rows}
 
 
@@ -372,8 +366,8 @@ HANDLERS = {
     "tchi": cmd_tchi,
     "hchi": cmd_hchi,
     "dims": cmd_dims,
-    "nonspecial": lambda parsed, args: _cmd_enumerate(parsed, args, "integral"),
-    "degree-gm1": lambda parsed, args: _cmd_enumerate(parsed, args, "gm1"),
+    "nonspecial": cmd_enumerate,
+    "degree-gm1": cmd_enumerate,
     "omega": cmd_omega,
     "traces": cmd_traces,
     "chevalley-weil": cmd_chevalley_weil,
@@ -439,16 +433,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _stream_enumeration(parsed: ParsedInput, args, family: str, out) -> int:
+def _stream_enumeration(parsed: ParsedInput, args, out) -> int:
     cover = _checked_cover(parsed)
     items = (
         enumeration.iter_nonspecial_integral(cover)
-        if family == "integral"
+        if FAMILIES[args.command] == "integral"
         else enumeration.iter_degree_gm1(cover)
     )
     for div in items:
         print(json.dumps(_divisor_record(div), sort_keys=True), file=out)
     return 0
+
+
+def _exit_code(report: dict) -> int:
+    """0, or validate's code when the report's validity section is false
+    (``validate`` itself, or the ``validate`` section of ``all``): 3 when the
+    first issue is a non-integral t-invariant, 4 when it is degenerate."""
+    section = report.get("validate", report)
+    if section.get("valid", True):
+        return 0
+    kind = section["issues"][0]["kind"]
+    return EXIT_CODES["non-integral-invariant" if kind == "non-integral" else "degenerate-cover"]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -463,22 +468,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             except OSError as exc:
                 raise ConfigError(str(exc), args.config)
         parsed = parse_config(text)
-        if args.stream and args.command in ("nonspecial", "degree-gm1"):
-            family = "integral" if args.command == "nonspecial" else "gm1"
-            return _stream_enumeration(parsed, args, family, sys.stdout)
+        if args.stream and args.command in FAMILIES:
+            return _stream_enumeration(parsed, args, sys.stdout)
         report = run_command(args.command, parsed, args)
     except GalcovError as exc:
         error = {"error": {"code": exc.code, "message": str(exc)}}
         print(format_report(error, args.format), file=sys.stderr)
         return EXIT_CODES.get(exc.code, 1)
     print(format_report(report, args.format))
-    if args.command == "validate" and not report["valid"]:
-        issues = report["issues"]
-        if issues:
-            kind = issues[0]["kind"]
-            return EXIT_CODES["non-integral-invariant" if kind == "non-integral" else "degenerate-cover"]
-        return EXIT_CODES["degenerate-cover"]
-    return 0
+    return _exit_code(report)
 
 
 if __name__ == "__main__":

@@ -88,15 +88,6 @@ class BranchClass:
 
 
 @dataclass(frozen=True)
-class CharacterInvariants:
-    """Per-character branch summary: the t-invariant and the u-row."""
-
-    character: CharLike
-    t: int
-    u_row: tuple[tuple[ClassKey, int], ...]
-
-
-@dataclass(frozen=True)
 class ValidationIssue:
     kind: str  # "non-integral" or "degenerate"
     character: CharLike
@@ -232,15 +223,6 @@ class CoverSpec:
             for key, points in sorted(grouped.items(), key=lambda kv: _class_sort_key(kv[0]))
         )
 
-    def branch_class(self, key: ClassKey) -> BranchClass:
-        for cls in self.branch_classes:
-            if cls.key == key:
-                return cls
-        raise KeyError(f"no branch values of class {key}")
-
-    def point_class(self, j: int) -> ClassKey:
-        return self.branch_points[j].psi
-
     @cached_property
     def point_orders(self) -> tuple[int, ...]:
         """Order of the class of each branch value, by point index."""
@@ -307,16 +289,6 @@ class CoverSpec:
                 raise NonIntegralInvariant(None, f"genus = {g}")
             g = int(g)
         return g
-
-    def character_invariants(self) -> tuple[CharacterInvariants, ...]:
-        return tuple(
-            CharacterInvariants(
-                chi,
-                self.t_chi(chi),
-                tuple(zip((cls.key for cls in self.branch_classes), self.u_row(chi))),
-            )
-            for chi in self.characters()
-        )
 
     # -- quotients ---------------------------------------------------------
 

@@ -35,6 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cover import CharLike, ClassKey, CoverSpec
+from .divisors import EigenDivisor
 from .errors import (
     AdmissibilityViolation,
     ConfigError,
@@ -58,44 +59,19 @@ def check_admissible(genus_cover: int, q: int):
     raise AdmissibilityViolation(genus_cover, q)
 
 
-@dataclass(frozen=True)
-class AlphaBeta:
-    """Euclidean split q(o(C)-1) - u_{conj chi,C} = alpha * o(C) + beta."""
-
-    alpha: int
-    beta: int
-
-
-def alpha_beta(cover: CoverSpec, chi: CharLike, class_key: ClassKey, q: int) -> AlphaBeta:
-    return _split(q, cover.class_order(class_key), cover.u_value(chi, class_key))
-
-
-def _split(q: int, o: int, u: int) -> AlphaBeta:
-    """alpha_beta from u_{chi,C}: u_{conj chi,C} is (-u) mod o."""
-    return AlphaBeta(*divmod(q * (o - 1) - (-u) % o, o))
+def _split(q: int, o: int, u: int) -> tuple[int, int]:
+    """(alpha, beta) with q(o(C)-1) - u_{conj chi,C} = alpha * o(C) + beta,
+    from u = u_{chi,C}: u_{conj chi,C} is (-u) mod o."""
+    return divmod(q * (o - 1) - (-u) % o, o)
 
 
 @dataclass(frozen=True)
-class OmegaDivisor:
+class OmegaDivisor(EigenDivisor):
     """Divisor of the normalized q-differential generator attached to chi on a
     genus-0 base, plus its symbolic presentation over dz^q."""
 
-    cover: CoverSpec
-    character: CharLike
     q: int
-    branch_exponents: tuple[int, ...]
-    infinity_exponent: int
     linear_factor_powers: tuple[tuple[object, int], ...]  # (label, alpha) per branch value
-
-    def degree(self) -> int:
-        n = self.cover.degree
-        return (
-            sum(
-                n * e // self.cover.point_order(j)
-                for j, e in enumerate(self.branch_exponents)
-            )
-            + n * self.infinity_exponent
-        )
 
     def presentation(self) -> str:
         denom = [f"h[{self.cover.conjugate_character(self.character)}]"]
@@ -113,16 +89,11 @@ def omega_divisor(cover: CoverSpec, chi: CharLike, q: int = 1) -> OmegaDivisor:
     if cover.base_genus != 0:
         raise UnsupportedBaseGenus("explicit generators need a genus-0 base")
     splits = {c.key: _split(q, c.order, u) for c, u in zip(cover.branch_classes, cover.u_row(chi))}
-    branch = tuple(splits[cover.point_class(j)].beta for j in range(len(cover.branch_points)))
+    per_point = [splits[bp.psi] for bp in cover.branch_points]
     conj = cover.conjugate_character(chi)
-    infinity = cover.t_chi(conj) - 2 * q + sum(
-        cls.count * splits[cls.key].alpha for cls in cover.branch_classes
-    )
-    powers = tuple(
-        (cover.branch_points[j].label, splits[cover.point_class(j)].alpha)
-        for j in range(len(cover.branch_points))
-    )
-    return OmegaDivisor(cover, chi, q, branch, infinity, powers)
+    infinity = cover.t_chi(conj) - 2 * q + sum(alpha for alpha, _ in per_point)
+    powers = tuple((bp.label, alpha) for bp, (alpha, _) in zip(cover.branch_points, per_point))
+    return OmegaDivisor(cover, chi, tuple(beta for _, beta in per_point), infinity, q, powers)
 
 
 @dataclass(frozen=True)
@@ -307,22 +278,13 @@ class IrrepClassData:
     class, the multiplicities of the eigenvalues zeta_{o(C)}^alpha of a class
     representative.
 
-    ``character`` identifies one-dimensional representations explicitly; it
-    is filled in when the data is built from a character and is used to
-    detect the corrected character.
+    ``character`` identifies a one-dimensional representation explicitly,
+    when the caller knows it, and is used to detect the corrected character.
     """
 
     dim: int
     n_table: tuple[tuple[ClassKey, tuple[int, ...]], ...]
     character: CharLike | None = None
-
-    @classmethod
-    def from_character(cls, cover: CoverSpec, chi: CharLike) -> "IrrepClassData":
-        rows = tuple(
-            (bcls.key, tuple(1 if alpha == u else 0 for alpha in range(bcls.order)))
-            for bcls, u in zip(cover.branch_classes, cover.u_row(chi))
-        )
-        return cls(1, rows, chi)
 
     def row(self, cover: CoverSpec, key: ClassKey) -> tuple[int, ...]:
         try:

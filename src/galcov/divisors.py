@@ -15,16 +15,29 @@ normalization is fully explicit:
     i_chi = max(0, t_{conj chi} - sum_C |A_{C,conj chi}| - p - 1)
 
 with A_{C,chi} the union of buckets below u_{chi,C}.
+
+These divisors, and the eigendivisors of h_chi and of the q-differential
+generators (``EigenDivisor``), are constant along the fibres of the cover, so
+one formula gives all their degrees: sum_j (n/o_j) e_j + n e_inf.  For an
+invariant divisor e_j = o_j - 1 - i_j and e_inf = p plus the base part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import ge
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .cover import CharLike, ClassKey, CoverSpec, Label
+from .cover import CharLike, CoverSpec, Label
 from .errors import NonInvariantInput, NotAbelian, UnsupportedBaseGenus
+
+
+def _fibre_degree(cover: CoverSpec, branch_exponents: Iterable[int], infinity_exponent: int) -> int:
+    """sum_j (n/o_j) e_j + n e_inf: exponent e_j at each of the n/o_j
+    preimages of branch value j, e_inf at each of the n points over the
+    normalization point."""
+    n = cover.degree
+    return sum(n // o * e for o, e in zip(cover.point_orders, branch_exponents)) + n * infinity_exponent
 
 
 @dataclass(frozen=True)
@@ -59,24 +72,9 @@ class InvariantDivisor:
         """Exponent of every preimage of branch value j."""
         return self.cover.point_order(j) - 1 - self.buckets[j]
 
-    def bucket_sizes(self, key: ClassKey) -> tuple[int, ...]:
-        """Cardinalities |B_{C,i}| for the given class."""
-        cls = self.cover.branch_class(key)
-        sizes = [0] * cls.order
-        for j in cls.points:
-            sizes[self.buckets[j]] += 1
-        return tuple(sizes)
-
     def degree(self) -> int:
-        n = self.cover.degree
-        branch = sum(
-            n * (o - 1 - i) // o for i, o in zip(self.buckets, self.cover.point_orders)
-        )
-        base = sum(e for _, e in self.base_part)
-        return branch + n * self.p + n * base
-
-    def is_integral(self) -> bool:
-        return self.p >= 0 and all(e >= 0 for _, e in self.base_part)
+        exponents = (o - 1 - i for i, o in zip(self.buckets, self.cover.point_orders))
+        return _fibre_degree(self.cover, exponents, self.p + sum(e for _, e in self.base_part))
 
     # -- character data ------------------------------------------------------
 
@@ -87,10 +85,6 @@ class InvariantDivisor:
             tuple(j for j in cls.points if buckets[j] < u)
             for cls, u in zip(self.cover.branch_classes, self.cover.u_row(chi))
         )
-
-    def a_set(self, chi: CharLike, key: ClassKey) -> tuple[int, ...]:
-        """Branch indices of class ``key`` lying in buckets below u_{chi,C}."""
-        return self.a_sets(chi)[self.cover.branch_classes.index(self.cover.branch_class(key))]
 
     def a_total(self, chi: CharLike) -> int:
         return sum(map(len, self.a_sets(chi)))
@@ -207,10 +201,10 @@ class SymbolicDivisor:
 
 
 @dataclass(frozen=True)
-class HChiDivisor:
-    """Divisor of the normalized eigenfunction h_chi on a genus-0 base:
-    exponent u_{chi,C} at every preimage of a branch value, pole of order
-    t_chi at each of the n points over infinity."""
+class EigenDivisor:
+    """Divisor of an eigenfunction or eigendifferential attached to a
+    character on a genus-0 base: one exponent per branch value, the same at
+    each of its preimages, and one at every point over infinity."""
 
     cover: CoverSpec
     character: CharLike
@@ -218,22 +212,18 @@ class HChiDivisor:
     infinity_exponent: int
 
     def degree(self) -> int:
-        n = self.cover.degree
-        return (
-            sum(
-                n * e // self.cover.point_order(j)
-                for j, e in enumerate(self.branch_exponents)
-            )
-            + n * self.infinity_exponent
-        )
+        return _fibre_degree(self.cover, self.branch_exponents, self.infinity_exponent)
 
 
-def h_chi_divisor(cover: CoverSpec, chi: CharLike) -> HChiDivisor:
+def h_chi_divisor(cover: CoverSpec, chi: CharLike) -> EigenDivisor:
+    """Divisor of the normalized eigenfunction h_chi: exponent u_{chi,C} at
+    every preimage of a branch value of class C, pole of order t_chi at each
+    of the n points over infinity."""
     if cover.base_genus != 0:
         raise UnsupportedBaseGenus("the eigenfunction divisor is explicit only over the line")
     u = dict(zip((cls.key for cls in cover.branch_classes), cover.u_row(chi)))
     exps = tuple(u[bp.psi] for bp in cover.branch_points)
-    div = HChiDivisor(cover, chi, exps, -cover.t_chi(chi))
+    div = EigenDivisor(cover, chi, exps, -cover.t_chi(chi))
     if div.degree() != 0:
         raise AssertionError(f"eigenfunction divisor has degree {div.degree()}, expected 0")
     return div

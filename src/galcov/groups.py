@@ -157,9 +157,6 @@ class GroupSpec:
             tuple((a + b) % m for a, b, m in zip(x.exponents, y.exponents, self.cyclic_orders))
         )
 
-    def neg(self, x: GroupElement) -> GroupElement:
-        return GroupElement(tuple((-a) % m for a, m in zip(x.exponents, self.cyclic_orders)))
-
     def element_order(self, x: GroupElement) -> int:
         self.check_element(x)
         return math.lcm(*(m // math.gcd(m, a) for a, m in zip(x.exponents, self.cyclic_orders)))
@@ -202,14 +199,6 @@ class GroupSpec:
         return sum(
             k * (o * a // m) for k, a, m in zip(chi.exponents, x.exponents, self.cyclic_orders)
         ) % o
-
-    def character_of_monomial(self, monomial_exponents: Sequence[int]) -> Character:
-        """Character through which the group acts on the monomial w^E.
-
-        The l-th generator multiplies w_l by a primitive m_l-th root of unity,
-        so it scales w^E by that root raised to E_l.
-        """
-        return self.character(monomial_exponents)
 
     def rational_character_orbits(self) -> tuple[CharacterOrbit, ...]:
         """Partition of the dual group into Galois orbits chi -> chi^a, gcd(a, e) = 1.

@@ -1,4 +1,5 @@
-"""Shared fixture covers and randomized cover/divisor generators.
+"""Shared fixture covers, randomized cover/divisor generators, and the
+one-dimensional eigenvalue table of a character.
 
 Random validated covers over the line are produced by drawing branch classes
 and fixing the last one so the classes sum to zero (integrality of every
@@ -19,6 +20,7 @@ from galcov import (
     CoverSpec,
     GroupSpec,
     InvariantDivisor,
+    IrrepClassData,
     equation_system,
     build_cover,
 )
@@ -111,7 +113,7 @@ def random_validated_cover(rng: random.Random, max_order=36, max_points=8) -> Co
         total = group.identity
         for x in classes:
             total = group.add(total, x)
-        classes.append(group.neg(total))
+        classes.append(group.element([-a for a in total.exponents]))
         classes = [x for x in classes if group.element_order(x) > 1]
         if not classes:
             continue
@@ -124,6 +126,16 @@ def random_validated_cover(rng: random.Random, max_order=36, max_points=8) -> Co
         )
         if cover.validate().ok:
             return cover
+
+
+def irrep_of_character(cover: CoverSpec, chi) -> IrrepClassData:
+    """A character as a one-dimensional eigenvalue table: one 1 per branch
+    class, at alpha = u_{chi,C}, with the character attached."""
+    rows = tuple(
+        (cls.key, tuple(int(alpha == u) for alpha in range(cls.order)))
+        for cls, u in zip(cover.branch_classes, cover.u_row(chi))
+    )
+    return IrrepClassData(1, rows, chi)
 
 
 def random_divisor(rng: random.Random, cover: CoverSpec, p_range=(-3, 3)) -> InvariantDivisor:

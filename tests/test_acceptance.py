@@ -7,7 +7,6 @@ import random
 from contextlib import contextmanager
 
 from galcov import (
-    IrrepClassData,
     RationalIrrepData,
     brute_force_filter,
     cw_multiplicity,
@@ -31,6 +30,7 @@ from covergen import (
     fixture_covers,
     genus1_fixtures,
     hyperelliptic,
+    irrep_of_character,
     klein_cover,
     random_divisor,
     random_validated_cover,
@@ -174,7 +174,7 @@ def test_criterion_8_chevalley_weil_reconciliation():
             for q in window_qs(cover):
                 total = 0
                 for chi in cover.characters():
-                    rho = IrrepClassData.from_character(cover, chi)
+                    rho = irrep_of_character(cover, chi)
                     mult = cw_multiplicity(cover, rho, q, 0)
                     assert mult == dim_omega_chi(cover, chi, q, 0)
                     total += rho.dim * mult

@@ -152,6 +152,18 @@ class TestCli:
         assert report["valid"] is False
         assert report["issues"][0]["kind"] == "non-integral"
 
+    def test_all_exits_with_validate_code(self, tmp_path, capsys):
+        doc = {
+            "mode": "branch-data",
+            "base_genus": 0,
+            "group": {"cyclic_orders": [2]},
+            "branch_points": [{"label": [i, 0], "psi": [1]} for i in range(5)],
+        }
+        assert self.run(tmp_path, doc, "validate", "--format", "json") == 3
+        validate = json.loads(capsys.readouterr().out)
+        assert self.run(tmp_path, doc, "all", "--format", "json") == 3
+        assert json.loads(capsys.readouterr().out) == {"command": "all", "validate": validate}
+
     def test_degenerate_equations_reported(self, tmp_path, capsys):
         doc = {
             "mode": "equations",

@@ -15,7 +15,7 @@ from galcov import (
 )
 from galcov.errors import DegenerateCover, NonIntegralInvariant, NotAbelian
 
-from covergen import covers, fixture_covers, hyperelliptic, klein_cover, pt, random_validated_cover
+from covergen import covers, fixture_covers, klein_cover, pt, random_validated_cover
 
 
 def z2_cover(num_points):
@@ -239,12 +239,6 @@ class TestGenericMode:
         (sgn,) = cover.characters()
         assert cover.t_chi(sgn) == 1
         assert cover.validate().ok
-
-    def test_character_invariants_rows(self):
-        cover = hyperelliptic(6)
-        invariants = cover.character_invariants()
-        assert [inv.t for inv in invariants] == [0, 3]
-        assert invariants[1].u_row[0][1] == 1
 
 
 @st.composite

@@ -11,7 +11,6 @@ from galcov import (
     CoverSpec,
     GroupSpec,
     IrrepClassData,
-    alpha_beta,
     analytic_multiplicity,
     cw_multiplicity,
     delta_info,
@@ -32,6 +31,7 @@ from covergen import (
     fixture_covers,
     genus1_fixtures,
     hyperelliptic,
+    irrep_of_character,
     klein_cover,
     pt,
 )
@@ -48,24 +48,31 @@ def char_value(group, chi, x):
     return cmath.exp(2j * cmath.pi * float(group.pairing(chi, x)))
 
 
+def alpha_beta(cover, chi, cls, q):
+    """The split q(o(C)-1) - u_{conj chi,C} = alpha * o(C) + beta at class
+    ``cls``, read from the q-differential generator: alpha is the power of
+    each linear factor of the class, beta the exponent at its preimages."""
+    div = omega_divisor(cover, chi, q)
+    splits = {(div.linear_factor_powers[j][1], div.branch_exponents[j]) for j in cls.points}
+    assert len(splits) == 1
+    return splits.pop()
+
+
 class TestAlphaBeta:
     def test_trivial_character_q1(self):
         for cover in fixture_covers():
             one = cover.trivial_character
             for cls in cover.branch_classes:
-                split = alpha_beta(cover, one, cls.key, 1)
-                assert (split.alpha, split.beta) == (0, cls.order - 1)
+                assert alpha_beta(cover, one, cls, 1) == (0, cls.order - 1)
 
     def test_hyperelliptic_nontrivial_q1(self):
         cover = hyperelliptic(6)
         chi = cover.group.character([1])
-        split = alpha_beta(cover, chi, cover.branch_classes[0].key, 1)
-        assert (split.alpha, split.beta) == (0, 0)
+        assert alpha_beta(cover, chi, cover.branch_classes[0], 1) == (0, 0)
 
     def test_hyperelliptic_trivial_q2(self):
         cover = hyperelliptic(6)
-        split = alpha_beta(cover, cover.trivial_character, cover.branch_classes[0].key, 2)
-        assert (split.alpha, split.beta) == (1, 0)
+        assert alpha_beta(cover, cover.trivial_character, cover.branch_classes[0], 2) == (1, 0)
 
     def test_fractional_exponent_identity(self):
         # u_conj/o + alpha == (q-1)(1 - 1/o) + frac((q-1-u)/o), exactly
@@ -77,13 +84,13 @@ class TestAlphaBeta:
                     u = cover.u_value(chi, cls.key)
                     u_conj = cover.u_value(conj, cls.key)
                     for q in range(-2, 5):
-                        split = alpha_beta(cover, chi, cls.key, q)
-                        lhs = Fraction(u_conj, o) + split.alpha
+                        alpha, beta = alpha_beta(cover, chi, cls, q)
+                        lhs = Fraction(u_conj, o) + alpha
                         frac = Fraction(q - 1 - u, o)
                         frac -= math.floor(frac)
                         assert lhs == (q - 1) * (1 - Fraction(1, o)) + frac
-                        assert 0 <= split.beta < o
-                        assert split.alpha * o + split.beta == q * (o - 1) - u_conj
+                        assert 0 <= beta < o
+                        assert alpha * o + beta == q * (o - 1) - u_conj
 
 
 class TestOmegaDivisor:
@@ -338,7 +345,7 @@ class TestChevalleyWeil:
         for cover in fixture_covers():
             for q in window_qs(cover):
                 for chi in cover.characters():
-                    rho = IrrepClassData.from_character(cover, chi)
+                    rho = irrep_of_character(cover, chi)
                     base = cw_multiplicity(cover, rho, q, 1)
                     assert cw_multiplicity(cover, rho, q, 2) == base + rho.dim
 

@@ -111,20 +111,20 @@ class TestUValue:
 class TestCharacterOfMonomial:
     def test_zero_exponent_is_trivial(self):
         g = GroupSpec((2, 3))
-        assert g.character_of_monomial([0, 0]).is_trivial
+        assert g.character([0, 0]).is_trivial
 
     def test_z2_flip(self):
         g = GroupSpec((2,))
-        chi = g.character_of_monomial([1])
+        chi = g.character([1])
         assert g.u_value(chi, g.element([1])) == 1
 
     def test_klein_product_function(self):
         g = GroupSpec((2, 2))
-        assert g.character_of_monomial([1, 1]) == g.character([1, 1])
+        assert g.character([1, 1]) == g.character([1, 1])
 
     def test_reduction_mod_orders(self):
         g = GroupSpec((2, 3))
-        assert g.character_of_monomial([3, 5]) == g.character([1, 2])
+        assert g.character([3, 5]) == g.character([1, 2])
 
 
 class TestOrbits:

@@ -18,7 +18,15 @@ from galcov import (
 from galcov.differentials import cw_multiplicity, dim_omega_chi
 from galcov.errors import NonIntegralDimension, NotAbelian, NTableMismatch
 
-from covergen import covers, cyclic_cover, fixture_covers, hyperelliptic, klein_cover, pt
+from covergen import (
+    covers,
+    cyclic_cover,
+    fixture_covers,
+    hyperelliptic,
+    irrep_of_character,
+    klein_cover,
+    pt,
+)
 
 
 def kernel_elements(cover, chi):
@@ -103,7 +111,7 @@ class TestOneKernel:
     @given(covers(max_order=24, max_points=6))
     def test_character_matches_its_table(self, cover):
         for chi in cover.characters():
-            table = IrrepClassData.from_character(cover, chi)
+            table = irrep_of_character(cover, chi)
             anonymous = IrrepClassData(1, table.n_table)
             for rho in (table, anonymous):
                 for q in (1, 2):
