@@ -263,7 +263,15 @@ class CoverSpec:
         positivity at nontrivial characters (failure means the would-be fibered
         product is reducible).  For positive base genus these conditions are
         necessary but not known to be sufficient for existence.
+
+        An abelian cover is tested on its generating vector first, without
+        the dual group: every t is integral iff sum_C r_C psi_C = 0, and on a
+        genus-0 base no nontrivial t vanishes iff the psi_C generate G (one
+        Smith form, the first step of ``quotient``).  Data failing a test, and
+        generic covers, get the character scan, which lists every issue.
         """
+        if self.is_abelian and self._generating_vector_ok():
+            return ValidationReport(True, ())
         issues = []
         for chi in self.characters():
             t = self.t_fraction(chi)
@@ -273,8 +281,21 @@ class CoverSpec:
                 issues.append(ValidationIssue("degenerate", chi))
         return ValidationReport(not issues, tuple(issues))
 
+    def _generating_vector_ok(self) -> bool:
+        """sum_C r_C psi_C = 0 and, on a genus-0 base, the psi_C generate G."""
+        classes = self.branch_classes
+        for i, m in enumerate(self.group.cyclic_orders):
+            if sum(cls.count * cls.key.exponents[i] for cls in classes) % m:
+                return False
+        return self.base_genus != 0 or self._quotient_group([c.key for c in classes])[0].order == 1
+
     def genus(self) -> int:
-        """Genus of the covering surface, by Riemann-Hurwitz."""
+        """Genus of the covering surface, by Riemann-Hurwitz; computed once
+        per cover, in O(#classes)."""
+        return self._genus
+
+    @cached_property
+    def _genus(self) -> int:
         n = self.degree
         g = (
             1
@@ -303,11 +324,22 @@ class CoverSpec:
 
     def quotient_projection(self, subgroup_generators: Sequence[GroupElement]):
         """The quotient cover together with the projection map on elements."""
+        new_group, project = self._quotient_group(subgroup_generators)
+        points = tuple(
+            BranchPoint(bp.label, project(bp.psi))
+            for bp in self.branch_points
+            if new_group.element_order(project(bp.psi)) > 1
+        )
+        return CoverSpec(self.base_genus, new_group, points), project
+
+    def _quotient_group(self, subgroup_generators: Sequence[GroupElement]):
+        """G / <subgroup_generators> in ascending-divisibility form, from one
+        Smith form, and the projection map on elements."""
         group = self._require_abelian()
         gens = [group.check_element(g) for g in subgroup_generators]
         rank = group.rank
         if rank == 0:
-            return CoverSpec(self.base_genus, GroupSpec(()), ()), lambda x: GroupElement(())
+            return GroupSpec(()), lambda x: GroupElement(())
         columns = [
             [m if i == j else 0 for i in range(rank)]
             for j, m in enumerate(group.cyclic_orders)
@@ -320,12 +352,7 @@ class CoverSpec:
             image = [sum(u[i][k] * x.exponents[k] for k in range(rank)) for i in range(rank)]
             return new_group.element([image[i] for i in kept])
 
-        points = tuple(
-            BranchPoint(bp.label, project(bp.psi))
-            for bp in self.branch_points
-            if new_group.element_order(project(bp.psi)) > 1
-        )
-        return CoverSpec(self.base_genus, new_group, points), project
+        return new_group, project
 
 
 def cover_from_class_table(base_genus: int, table: ClassTable) -> CoverSpec:

@@ -24,6 +24,11 @@ Traces of nontrivial deck transformations are evaluated by the fixed-point
 formula and returned as floating-point complex numbers together with the
 exact list of root-of-unity terms; downstream consumers reconstruct exact
 integer multiplicities from them, so no cyclotomic arithmetic is needed.
+
+The genus and ``delta_info`` are computed once per cover, so a dimension,
+multiplicity or trace then costs O(#classes); a trace takes each class's
+exponent from the discrete log ``GroupSpec.power_index``.  Only the delta
+scan on a genus-1 cover of the line walks the dual group.
 """
 
 from __future__ import annotations
@@ -139,11 +144,23 @@ def delta_info(cover: CoverSpec, q: int = 1, gamma_degree: int = 0) -> DeltaInfo
     found by scanning the characters and the trivial one, which a generic
     table may omit; a genus-1 cover of a genus-1 base is unramified, every
     raw value vanishes, and the trivial character is corrected.
+
+    The result is memoized on the cover instance per (q, gamma_degree), so
+    the O(|G|) scan runs once per cover and the memo is freed with it; the
+    other cases cost O(1) once the cover's genus is known.
     """
     if gamma_degree < 0:
         raise ConfigError(
             f"the auxiliary divisor must be integral, got degree {gamma_degree}", "gamma_degree"
         )
+    memo = vars(cover).setdefault("_delta_info_memo", {})
+    key = (q, gamma_degree)
+    if key not in memo:
+        memo[key] = _locate_delta(cover, q, gamma_degree)
+    return memo[key]
+
+
+def _locate_delta(cover: CoverSpec, q: int, gamma_degree: int) -> DeltaInfo:
     g_x = cover.genus()
     check_admissible(g_x, q)
     if gamma_degree != 0 or (g_x != 1 and q != 1):

@@ -45,8 +45,7 @@ from typing import Iterator
 from .cover import CoverSpec
 from .divisors import InvariantDivisor
 from .errors import NotAbelian, SearchSpaceTooLarge, UnsupportedBaseGenus
-
-DEFAULT_CAP = 10**7
+from .groups import DEFAULT_CAP
 
 
 def _require_abelian_line(cover: CoverSpec):

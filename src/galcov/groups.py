@@ -13,6 +13,10 @@ character values.
 ``GroupSpec.u_value`` is the one u formula for abelian groups; a cover reads
 it once per branch class for the unit characters and assembles every
 character's u-row from those columns (``CoverSpec.u_row``).
+
+Only ``elements`` and ``characters`` walk the group, and they refuse a group
+of order above ``DEFAULT_CAP`` with SearchSpaceTooLarge.  Every other question
+(orders, pairings, u-values, discrete logs) is answered per cyclic factor.
 """
 
 from __future__ import annotations
@@ -22,6 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Mapping, Sequence
+
+from .errors import SearchSpaceTooLarge
+
+# the largest group ``elements`` and ``characters`` walk, and the default
+# bound on the assignments ``enumeration.brute_force_filter`` scans
+DEFAULT_CAP = 10**7
 
 
 def euler_phi(n: int) -> int:
@@ -140,14 +150,21 @@ class GroupSpec:
     def trivial_character(self) -> Character:
         return Character((0,) * self.rank)
 
+    def _exponent_vectors(self) -> Iterator[tuple[int, ...]]:
+        """Every exponent vector, lazily; a group above the cap is refused
+        here, on the first ``next`` of ``elements`` or ``characters``."""
+        if self.order > DEFAULT_CAP:
+            raise SearchSpaceTooLarge(self.order, DEFAULT_CAP)
+        return product(*(range(m) for m in self.cyclic_orders))
+
     def elements(self) -> Iterator[GroupElement]:
         """All elements in lexicographic order of exponent vectors."""
-        for exps in product(*(range(m) for m in self.cyclic_orders)):
+        for exps in self._exponent_vectors():
             yield GroupElement(exps)
 
     def characters(self) -> Iterator[Character]:
         """All characters in lexicographic order of exponent vectors."""
-        for exps in product(*(range(m) for m in self.cyclic_orders)):
+        for exps in self._exponent_vectors():
             yield Character(exps)
 
     # -- element arithmetic ----------------------------------------------
@@ -162,14 +179,32 @@ class GroupSpec:
         return math.lcm(*(m // math.gcd(m, a) for a, m in zip(x.exponents, self.cyclic_orders)))
 
     def power_index(self, base: GroupElement, target: GroupElement) -> int | None:
-        """Exponent k with base^k == target inside the cyclic group <base>, or None."""
-        d = self.element_order(base)
-        current = self.identity
-        for k in range(d):
-            if current == target:
-                return k
-            current = self.add(current, base)
-        return None
+        """The least k >= 0 with base^k == target, or None when target is not
+        in the cyclic group <base>.
+
+        A discrete log by the CRT, in O(rank log |G|) integer steps: factor i
+        asks k s_i = t_i (mod m_i), which with g = gcd(s_i, m_i) is solvable
+        iff g | t_i and then fixes k modulo m_i / g; the congruences are
+        merged by the CRT for moduli that need not be coprime.  The merged
+        modulus is o(base), so the result lies in [0, o(base)).
+        """
+        self.check_element(base)
+        self.check_element(target)
+        k, modulus = 0, 1
+        for s, t, m in zip(base.exponents, target.exponents, self.cyclic_orders):
+            g = math.gcd(s, m)
+            if t % g:
+                return None
+            m //= g
+            r = t // g * pow(s // g, -1, m) % m
+            # merge k (mod modulus) with r (mod m)
+            h = math.gcd(modulus, m)
+            if (r - k) % h:
+                return None
+            step = (r - k) // h * pow(modulus // h, -1, m // h) % (m // h)
+            k += modulus * step
+            modulus *= m // h
+        return k
 
     # -- character arithmetic --------------------------------------------
 

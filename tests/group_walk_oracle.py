@@ -1,0 +1,37 @@
+"""Reference answers that walk the group.
+
+These are the routes the library took before it answered the same questions
+per cyclic factor: a discrete log found by stepping through <sigma> one
+element at a time, and validity found by scanning every character's
+t-invariant.  Their cost grows with |G|, so they serve only as oracles on
+small groups: the library must give the same answers, ``None`` and the order
+of the issues included.
+"""
+
+from __future__ import annotations
+
+from galcov.cover import CoverSpec, ValidationIssue, ValidationReport
+from galcov.groups import GroupElement, GroupSpec
+
+
+def power_index(group: GroupSpec, base: GroupElement, target: GroupElement) -> int | None:
+    """The first k in [0, o(base)) with base^k == target, or None."""
+    current = group.identity
+    for k in range(group.element_order(base)):
+        if current == target:
+            return k
+        current = group.add(current, base)
+    return None
+
+
+def validate_by_scan(cover: CoverSpec) -> ValidationReport:
+    """Every character's t, in character order: non-integral ones, and on a
+    genus-0 base the nontrivial characters whose t vanishes."""
+    issues = []
+    for chi in cover.characters():
+        t = cover.t_fraction(chi)
+        if t.denominator != 1:
+            issues.append(ValidationIssue("non-integral", chi, f"t = {t}"))
+        elif cover.base_genus == 0 and t == 0 and not chi.is_trivial:
+            issues.append(ValidationIssue("degenerate", chi))
+    return ValidationReport(not issues, tuple(issues))

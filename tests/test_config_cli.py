@@ -410,6 +410,57 @@ class TestCli:
         assert all(row["degree"] == 4 for row in out["characters"])  # q(2g-2) = 2*2
 
 
+class TestHugeCyclicGroup:
+    """Two branch values on the line with deck group Z_{10^12}: the valid
+    document is answered without walking the group, and the invalid one, whose
+    issues need the character scan, is refused above the cap."""
+
+    ORDER = 10**12
+    COMMANDS = [["genus"], ["validate"], ["tchi", "--char", "5"], ["traces", "--tau", "7"]]
+
+    def run_child(self, tmp_path, psi, argv):
+        doc = {
+            "mode": "branch-data",
+            "base_genus": 0,
+            "group": {"cyclic_orders": [self.ORDER]},
+            "branch_points": [{"label": k + 1, "psi": [a]} for k, a in enumerate(psi)],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        return subprocess.run(
+            [sys.executable, "-m", "galcov.cli", argv[0], str(path), *argv[1:], "--format", "json"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_valid_document_answers(self, tmp_path, argv):
+        result = self.run_child(tmp_path, [1, self.ORDER - 1], argv)
+        assert "Traceback" not in result.stderr
+        assert result.returncode == 0
+        out = json.loads(result.stdout)
+        if argv[0] == "genus":
+            assert out["genus"] == 0
+        elif argv[0] == "validate":
+            assert out["valid"] and out["issues"] == []
+        elif argv[0] == "tchi":
+            assert out["characters"] == [{"character": [5], "t": 1, "u": [5, self.ORDER - 5]}]
+        else:
+            (trace,) = out["traces"]
+            assert [(t["exponent"], t["multiplicity"]) for t in trace["terms"]] == [
+                (7, 1),
+                (self.ORDER - 7, 1),
+            ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_invalid_document_exits_8(self, tmp_path, argv):
+        result = self.run_child(tmp_path, [1, 3], argv)
+        assert "Traceback" not in result.stderr
+        assert result.returncode == EXIT_CODES["search-space-too-large"] == 8
+        assert json.loads(result.stderr)["error"]["code"] == "search-space-too-large"
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize(
         "name,genus",

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,11 +12,13 @@ from galcov import (
     Coord,
     CoverSpec,
     GroupSpec,
+    ValidationReport,
     cover_from_class_table,
 )
 from galcov.errors import DegenerateCover, NonIntegralInvariant, NotAbelian
 
 from covergen import covers, fixture_covers, klein_cover, pt, random_validated_cover
+from group_walk_oracle import validate_by_scan
 
 
 def z2_cover(num_points):
@@ -252,6 +255,50 @@ def any_branch_data(draw):
     )
     classes = [group.element(e) for e in exps if group.element_order(group.element(e)) > 1]
     return CoverSpec(0, group, tuple(BranchPoint(pt(j + 1), x) for j, x in enumerate(classes)))
+
+
+@st.composite
+def branch_data_on_any_base(draw):
+    """Abelian branch data on a base of genus 0, 1 or 2, with classes that
+    sum to zero about half the time, so valid and invalid data both occur."""
+    orders = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 8]), min_size=1, max_size=3))
+    group = GroupSpec(tuple(orders))
+    vectors = draw(
+        st.lists(st.tuples(*(st.integers(0, m - 1) for m in orders)), max_size=5)
+    )
+    classes = [group.element(e) for e in vectors]
+    if vectors and draw(st.booleans()):
+        classes.append(group.element([-sum(col) for col in zip(*vectors)]))
+    classes = [x for x in classes if group.element_order(x) > 1]
+    base_genus = draw(st.sampled_from([0, 0, 1, 2]))
+    return CoverSpec(base_genus, group, tuple(BranchPoint(pt(j + 1), x) for j, x in enumerate(classes)))
+
+
+class TestValidityByGenerators:
+    @given(branch_data_on_any_base())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_character_scan(self, cover):
+        scanned = validate_by_scan(cover)
+        assert cover.validate() == scanned
+        # the two equivalences the report rests on, through the public API
+        group = cover.group
+        total = [
+            sum(cls.count * cls.key.exponents[i] for cls in cover.branch_classes) % m
+            for i, m in enumerate(group.cyclic_orders)
+        ]
+        integral = not any(total)
+        assert integral == all(issue.kind != "non-integral" for issue in scanned.issues)
+        if cover.base_genus == 0 and integral:
+            generated = cover.quotient([cls.key for cls in cover.branch_classes]).degree == 1
+            assert generated == scanned.ok
+
+    @given(branch_data_on_any_base())
+    @settings(max_examples=60, deadline=None)
+    def test_valid_cover_never_walks_the_dual_group(self, cover):
+        if not validate_by_scan(cover).ok:
+            return
+        with mock.patch.object(GroupSpec, "characters", side_effect=AssertionError("walked")):
+            assert cover.validate() == ValidationReport(True, ())
 
 
 class TestURow:

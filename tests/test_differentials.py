@@ -1,6 +1,9 @@
 import cmath
+import gc
+import json
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -22,6 +25,7 @@ from galcov import (
     trace_from_fixed_points,
     FixedPointTerm,
 )
+from galcov import cli, differentials
 from galcov.differentials import raw_dimension_value
 from galcov.errors import AdmissibilityViolation, IdentityElement, NTableMismatch
 
@@ -191,6 +195,66 @@ class TestDeltaInfo:
             delta_info(hyperelliptic(6), 0, 0)
         with pytest.raises(AdmissibilityViolation):
             dim_omega_chi(hyperelliptic(6), hyperelliptic(6).trivial_character, -1, 0)
+
+
+class TestOncePerCover:
+    """The genus and the delta scan are paid once per cover, not per character."""
+
+    Z4_GENUS1 = {
+        "mode": "branch-data",
+        "base_genus": 0,
+        "group": {"cyclic_orders": [4]},
+        "branch_points": [
+            {"label": 1, "psi": [1]},
+            {"label": 2, "psi": [1]},
+            {"label": 3, "psi": [2]},
+        ],
+    }
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"raw": 0, "genus": 0}
+        raw = differentials.raw_dimension_value
+        genus = CoverSpec.__dict__["_genus"].func
+
+        def counting_raw(*args):
+            calls["raw"] += 1
+            return raw(*args)
+
+        def counting_genus(cover):
+            calls["genus"] += 1
+            return genus(cover)
+
+        monkeypatch.setattr(differentials, "raw_dimension_value", counting_raw)
+        monkeypatch.setattr(CoverSpec.__dict__["_genus"], "func", counting_genus)
+        return calls
+
+    @pytest.mark.parametrize("flags", [[], ["--q", "2"]])
+    def test_dims_command(self, tmp_path, capsys, counted, flags):
+        path = tmp_path / "z4.json"
+        path.write_text(json.dumps(self.Z4_GENUS1))
+        assert cli.main(["dims", str(path), "--format", "json", *flags]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["delta"] == 1 and len(report["characters"]) == 4
+        # one scan for the corrected character, then one value per character
+        assert counted == {"raw": 4 + 4, "genus": 1}
+
+    def test_one_scan_per_q_and_gamma(self, counted):
+        cover = cyclic_cover(4, [1, 1, 2])
+        for _ in range(3):
+            for q in (1, 2):
+                delta_info(cover, q, 0)
+                delta_info(cover, q, 1)
+        # degree > 0 needs no scan; q = 1 and q = 2 scan the four characters once each
+        assert counted == {"raw": 2 * 4, "genus": 1}
+
+    def test_memo_dies_with_its_cover(self):
+        cover = cyclic_cover(4, [1, 1, 2])
+        delta_info(cover, 1, 0)
+        ref = weakref.ref(cover)
+        del cover
+        gc.collect()
+        assert ref() is None
 
 
 class TestDimensions:

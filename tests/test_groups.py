@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from galcov import Character, ClassTable, CoverSpec, GroupElement, GroupSpec, euler_phi
-from galcov.groups import smith_diagonal
+from galcov.errors import SearchSpaceTooLarge
+from galcov.groups import DEFAULT_CAP, smith_diagonal
+
+import group_walk_oracle
 
 
 def brute_order(group, x):
@@ -106,6 +109,62 @@ class TestUValue:
         lhs = g.pairing(chi, g.add(x, y))
         rhs = g.pairing(chi, x) + g.pairing(chi, y)
         assert lhs == rhs - math.floor(rhs)
+
+
+@st.composite
+def group_with_base_and_target(draw):
+    """A group with order-1 factors and factors sharing divisors with the
+    exponents, a base, and a target that lies in <base> about half the time."""
+    orders = draw(st.lists(st.sampled_from([1, 1, 2, 4, 6, 8, 9, 12]), min_size=1, max_size=3))
+    g = GroupSpec(tuple(orders))
+    vector = st.tuples(*(st.integers(0, m - 1) for m in orders))
+    base = g.element(draw(vector))
+    if draw(st.booleans()):
+        target = g.element([draw(st.integers(0, 30)) * s for s in base.exponents])
+    else:
+        target = g.element(draw(vector))
+    return g, base, target
+
+
+class TestPowerIndex:
+    @given(group_with_base_and_target())
+    def test_matches_the_walk(self, drawn):
+        g, base, target = drawn
+        assert g.power_index(base, target) == group_walk_oracle.power_index(g, base, target)
+
+    def test_every_pair_in_z1_x_z4_x_z6(self):
+        g = GroupSpec((1, 4, 6))
+        for base in g.elements():
+            for target in g.elements():
+                assert g.power_index(base, target) == group_walk_oracle.power_index(g, base, target)
+
+    def test_needs_the_non_coprime_crt(self):
+        # base (2, 3) in Z4 x Z6: each factor fixes k mod 2, so the moduli
+        # to merge are not coprime; (0, 3) asks k = 0 and k = 1 (mod 2)
+        g = GroupSpec((4, 6))
+        assert g.power_index(g.element([2, 3]), g.element([2, 3])) == 1
+        assert g.power_index(g.element([2, 3]), g.element([0, 3])) is None
+        assert g.power_index(g.element([2, 2]), g.element([2, 4])) == 5
+
+    def test_large_cyclic_group(self):
+        g = GroupSpec((10**12,))
+        assert g.power_index(g.element([7]), g.element([7 * 123456789])) == 123456789
+        assert g.power_index(g.element([2]), g.element([3])) is None
+
+
+class TestEnumerationCap:
+    def test_above_the_cap_raises_on_first_use(self):
+        g = GroupSpec((DEFAULT_CAP + 1,))
+        characters, elements = g.characters(), g.elements()
+        with pytest.raises(SearchSpaceTooLarge):
+            next(characters)
+        with pytest.raises(SearchSpaceTooLarge):
+            next(elements)
+
+    def test_at_the_cap_walks(self):
+        g = GroupSpec((2, DEFAULT_CAP // 2))
+        assert next(g.characters()) == g.trivial_character
+        assert next(g.elements()) == g.identity
 
 
 class TestCharacterOfMonomial:
