@@ -137,14 +137,10 @@ def cmd_tchi(parsed: ParsedInput, args) -> dict:
         {"psi": class_key_to_json(cls.key), "order": cls.order, "count": cls.count}
         for cls in cover.branch_classes
     ]
-    rows = [
-        {
-            "character": character_to_json(chi),
-            "t": cover.t_chi(chi),
-            "u": list(cover.u_row(chi)),
-        }
-        for chi in _characters(cover, args.char)
-    ]
+    rows = []
+    for chi in _characters(cover, args.char):
+        row, t = cover.row_and_t(chi)
+        rows.append({"character": character_to_json(chi), "t": t, "u": list(row)})
     return {"command": "tchi", "classes": classes, "characters": rows}
 
 

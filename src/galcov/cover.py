@@ -10,7 +10,13 @@ Every formula sees a character only through its u-row, ``CoverSpec.u_row``:
 the integers u_{chi,C}, one per branch class in ``branch_classes`` order,
 with chi(x) = zeta_{o(C)}^u for x in C.  On an abelian cover u is additive in
 chi, so the row is one dot product per class with the unit characters'
-columns, built once per cover; a generic cover reads the supplied row.
+columns, built once per cover; a generic cover reads the supplied row.  A
+caller reads each character's row once per visit: ``row_and_t`` returns it
+with t_chi, and the conjugate's row is (-u) mod o(C).
+
+Every invariant is one integer numerator over a known denominator: t_chi
+over L = lcm o(C) (``class_weights``), twice the genus over 2.  A
+``Fraction`` is built only to report a value that is not an integer.
 
 The distinguished base point used for normalization (infinity when the base
 has genus 0) is implicit and never allowed to be a branch value.
@@ -31,6 +37,7 @@ from .groups import (
     ClassTable,
     GenericCharacter,
     GroupElement,
+    DEFAULT_CAP,
     GroupSpec,
     smith_diagonal,
 )
@@ -238,23 +245,42 @@ class CoverSpec:
     # -- invariants -----------------------------------------------------------
 
     @cached_property
-    def _t_weights(self) -> tuple[int, tuple[int, ...]]:
-        """L = lcm of the class orders, and r_C * L / o(C) per branch class."""
+    def class_weights(self) -> tuple[int, tuple[int, ...]]:
+        """L = lcm of the class orders, and w_C = r_C * L / o(C) per branch
+        class: sum_C r_C x_C / o(C) is the integer sum_C w_C x_C over L."""
         lcm = math.lcm(*(cls.order for cls in self.branch_classes))
         return lcm, tuple(cls.count * (lcm // cls.order) for cls in self.branch_classes)
 
     def t_fraction(self, chi: CharLike) -> Fraction:
-        """sum_C r_C u_{chi,C} / o(C), in integers over the common denominator."""
-        lcm, weights = self._t_weights
+        """sum_C r_C u_{chi,C} / o(C) as a Fraction: the validate scan's
+        reporter, which must word non-integral values."""
+        lcm, weights = self.class_weights
         return Fraction(sum(map(mul, weights, self.u_row(chi))), lcm)
 
     def t_chi(self, chi: CharLike) -> int:
         """The t-invariant: pole order at the base point of the normalized
-        eigenfunction attached to chi.  Raises if the branch data is bad."""
-        t = self.t_fraction(chi)
-        if t.denominator != 1:
-            raise NonIntegralInvariant(chi, f"t = {t}")
-        return int(t)
+        eigenfunction attached to chi.  t = sum_C r_C u_{chi,C} / o(C) is one
+        integer numerator over L = lcm o(C) (``row_and_t``).  Raises if the
+        branch data is bad."""
+        return self.row_and_t(chi)[1]
+
+    def row_and_t(self, chi: CharLike, conjugate: bool = False) -> tuple[tuple[int, ...], int]:
+        """chi's u-row and t_chi from one ``u_row`` call; with ``conjugate``,
+        the row (-u) mod o(C) and t of conj chi.
+
+        t = sum_C w_C u_C // L (``class_weights``), one integer numerator
+        over L; a nonzero remainder raises NonIntegralInvariant at the
+        character whose t it is.
+        """
+        row = self.u_row(chi)
+        if conjugate:
+            row = tuple((-u) % cls.order for cls, u in zip(self.branch_classes, row))
+        lcm, weights = self.class_weights
+        t, rem = divmod(sum(map(mul, weights, row)), lcm)
+        if rem:
+            named = self.conjugate_character(chi) if conjugate else chi
+            raise NonIntegralInvariant(named, f"t = {t + Fraction(rem, lcm)}")
+        return row, t
 
     def validate(self) -> ValidationReport:
         """Necessary conditions on the branch data.
@@ -268,12 +294,16 @@ class CoverSpec:
         the dual group: every t is integral iff sum_C r_C psi_C = 0, and on a
         genus-0 base no nontrivial t vanishes iff the psi_C generate G (one
         Smith form, the first step of ``quotient``).  Data failing a test, and
-        generic covers, get the character scan, which lists every issue.
+        generic covers, get the character scan, which lists every issue; above
+        ``DEFAULT_CAP``, where the dual group is not walked, the scan checks
+        only one witness character that the failed test yields.
         """
-        if self.is_abelian and self._generating_vector_ok():
+        witness = self._generating_vector_witness() if self.is_abelian else None
+        if self.is_abelian and witness is None:
             return ValidationReport(True, ())
+        above_cap = self.is_abelian and self.group.order > DEFAULT_CAP
         issues = []
-        for chi in self.characters():
+        for chi in (witness,) if above_cap else self.characters():
             t = self.t_fraction(chi)
             if t.denominator != 1:
                 issues.append(ValidationIssue("non-integral", chi, f"t = {t}"))
@@ -281,34 +311,43 @@ class CoverSpec:
                 issues.append(ValidationIssue("degenerate", chi))
         return ValidationReport(not issues, tuple(issues))
 
-    def _generating_vector_ok(self) -> bool:
-        """sum_C r_C psi_C = 0 and, on a genus-0 base, the psi_C generate G."""
-        classes = self.branch_classes
-        for i, m in enumerate(self.group.cyclic_orders):
+    def _generating_vector_witness(self) -> Character | None:
+        """None when sum_C r_C psi_C = 0 and, on a genus-0 base, the psi_C
+        generate G.  Otherwise a character that fails validation: the unit
+        character e_i of the first factor where the sum is nonzero, whose t
+        has fractional part pairing(e_i, sum) != 0; or a nontrivial character
+        trivial on every psi_C, so t = 0, pulled back from the first factor
+        Z_d of G / <psi_C>."""
+        group, classes = self.group, self.branch_classes
+        for i, m in enumerate(group.cyclic_orders):
             if sum(cls.count * cls.key.exponents[i] for cls in classes) % m:
-                return False
-        return self.base_genus != 0 or self._quotient_group([c.key for c in classes])[0].order == 1
+                return group.character([int(i == j) for j in range(group.rank)])
+        if self.base_genus:
+            return None
+        quotient, project = self._quotient_group([cls.key for cls in classes])
+        if quotient.order == 1:
+            return None
+        # x -> y_1 / d with y = project(x), in G's exponents: m_j y_1(e_j) / d is an integer
+        d = quotient.cyclic_orders[0]
+        units = (group.element([int(i == j) for j in range(group.rank)]) for i in range(group.rank))
+        images = (project(e).exponents[0] for e in units)
+        return group.character([m * y // d for y, m in zip(images, group.cyclic_orders)])
 
     def genus(self) -> int:
-        """Genus of the covering surface, by Riemann-Hurwitz; computed once
+        """Genus of the covering surface, by Riemann-Hurwitz, from the integer
+        2g = 2 + 2n(g_S - 1) + sum_C (n / o(C)) r_C (o(C) - 1); computed once
         per cover, in O(#classes)."""
         return self._genus
 
     @cached_property
     def _genus(self) -> int:
         n = self.degree
-        g = (
-            1
-            + n * (self.base_genus - 1)
-            + sum(
-                Fraction(n * cls.count, 2 * cls.order) * (cls.order - 1)
-                for cls in self.branch_classes
-            )
+        twice = 2 + 2 * n * (self.base_genus - 1) + sum(
+            n // cls.order * cls.count * (cls.order - 1) for cls in self.branch_classes
         )
-        if isinstance(g, Fraction):
-            if g.denominator != 1:
-                raise NonIntegralInvariant(None, f"genus = {g}")
-            g = int(g)
+        g, odd = divmod(twice, 2)
+        if odd:
+            raise NonIntegralInvariant(None, f"genus = {Fraction(twice, 2)}")
         return g
 
     # -- quotients ---------------------------------------------------------

@@ -18,7 +18,9 @@ representation enters as its dimension and, per branch class, the nonzero
 multiplicities N_alpha of the eigenvalues zeta_{o(C)}^alpha (a character is
 the single pair (u_{chi,C}, 1)).  ``cw_value`` serves all four
 multiplicities: ``raw_dimension_value`` and ``cw_multiplicity`` here, and
-the analytic and rational multiplicities in the jacobian module.
+the analytic and rational multiplicities in the jacobian module.  It sums
+one integer numerator over L = lcm o(C); so does the infinity exponent of
+``omega_divisor``, which reads the conjugate's row once.
 
 Traces of nontrivial deck transformations are evaluated by the fixed-point
 formula and returned as floating-point complex numbers together with the
@@ -34,7 +36,6 @@ scan on a genus-1 cover of the line walks the dual group.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -64,12 +65,6 @@ def check_admissible(genus_cover: int, q: int):
     raise AdmissibilityViolation(genus_cover, q)
 
 
-def _split(q: int, o: int, u: int) -> tuple[int, int]:
-    """(alpha, beta) with q(o(C)-1) - u_{conj chi,C} = alpha * o(C) + beta,
-    from u = u_{chi,C}: u_{conj chi,C} is (-u) mod o."""
-    return divmod(q * (o - 1) - (-u) % o, o)
-
-
 @dataclass(frozen=True)
 class OmegaDivisor(EigenDivisor):
     """Divisor of the normalized q-differential generator attached to chi on a
@@ -93,10 +88,11 @@ def omega_divisor(cover: CoverSpec, chi: CharLike, q: int = 1) -> OmegaDivisor:
     branch preimage, and t_{conj chi} - 2q + sum_C r_C alpha at infinity."""
     if cover.base_genus != 0:
         raise UnsupportedBaseGenus("explicit generators need a genus-0 base")
-    splits = {c.key: _split(q, c.order, u) for c, u in zip(cover.branch_classes, cover.u_row(chi))}
+    row_conj, t_conj = cover.row_and_t(chi, conjugate=True)
+    # (alpha, beta) with q(o(C) - 1) - u_{conj chi,C} = alpha o(C) + beta
+    splits = {c.key: divmod(q * (c.order - 1) - u, c.order) for c, u in zip(cover.branch_classes, row_conj)}
     per_point = [splits[bp.psi] for bp in cover.branch_points]
-    conj = cover.conjugate_character(chi)
-    infinity = cover.t_chi(conj) - 2 * q + sum(alpha for alpha, _ in per_point)
+    infinity = t_conj - 2 * q + sum(alpha for alpha, _ in per_point)
     powers = tuple((bp.label, alpha) for bp, (alpha, _) in zip(cover.branch_points, per_point))
     return OmegaDivisor(cover, chi, tuple(beta for _, beta in per_point), infinity, q, powers)
 
@@ -180,9 +176,7 @@ def _locate_delta(cover: CoverSpec, q: int, gamma_degree: int) -> DeltaInfo:
             f"expected exactly one character with raw value -1, found {len(candidates)}"
         )
     chi_delta = candidates[0]
-    branching_orders = [cls.order for cls in cover.branch_classes]
-    expected_trivial = (q - 1) % math.lcm(*branching_orders) == 0 if branching_orders else True
-    if chi_delta.is_trivial != expected_trivial:
+    if chi_delta.is_trivial != ((q - 1) % cover.class_weights[0] == 0):  # L = lcm o(C)
         raise InternalInconsistency(
             "corrected character fails the congruence criterion for triviality"
         )
@@ -342,23 +336,29 @@ def eigen_rows(cover: CoverSpec, rho: IrrepClassData | CharLike) -> tuple[int, E
     return 1, tuple(((u, 1),) for u in cover.u_row(rho))
 
 
-def cw_value(cover: CoverSpec, dim: int, rows: EigenRows, q: int, gamma_degree: int) -> Fraction:
+def cw_value(cover: CoverSpec, dim: int, rows: EigenRows, q: int, gamma_degree: int) -> int | Fraction:
     """The Chevalley-Weil sum without the delta correction:
 
         dim ((2q-1)(g_S - 1) + deg Gamma)
             + sum_C r_C sum_alpha N_alpha [ (q-1)(1 - 1/o(C)) + frac((q - 1 - alpha) / o(C)) ]
 
+    as one integer numerator over L = lcm o(C), with the weights w_C = r_C
+    L / o(C) of ``CoverSpec.class_weights``: dim ((2q-1)(g_S-1) + deg Gamma) L
+    + sum_C w_C sum_alpha N_alpha [(q-1)(o-1) + (q-1-alpha) mod o].  Returns
+    the quotient as an int when L divides it, else the Fraction, whose
+    ``denominator`` the callers check.
+
     This one sum serves the q-differential dimensions, the Chevalley-Weil
     multiplicities and, at q = 1, the analytic and rational multiplicities
     on the Jacobian.
     """
-    value = Fraction(dim * ((2 * q - 1) * (cover.base_genus - 1) + gamma_degree))
-    for cls, row in zip(cover.branch_classes, rows):
+    lcm, weights = cover.class_weights
+    num = dim * ((2 * q - 1) * (cover.base_genus - 1) + gamma_degree) * lcm
+    for w, cls, row in zip(weights, cover.branch_classes, rows):
         o = cls.order
-        value += Fraction(
-            cls.count * sum(n * ((q - 1) * (o - 1) + (q - 1 - alpha) % o) for alpha, n in row), o
-        )
-    return value
+        num += w * sum(n * ((q - 1) * (o - 1) + (q - 1 - alpha) % o) for alpha, n in row)
+    value, rem = divmod(num, lcm)
+    return Fraction(num, lcm) if rem else value
 
 
 def representation_character(rho: IrrepClassData | CharLike) -> CharLike | None:

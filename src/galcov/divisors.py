@@ -14,7 +14,10 @@ normalization is fully explicit:
     r_chi = max(0, p + 1 + sum_C |A_{C,chi}| - t_chi)
     i_chi = max(0, t_{conj chi} - sum_C |A_{C,conj chi}| - p - 1)
 
-with A_{C,chi} the union of buckets below u_{chi,C}.
+with A_{C,chi} the union of buckets below u_{chi,C}.  Each is an integer
+read from one u-row: ``CoverSpec.row_and_t`` gives the row and t_chi (an
+integer numerator over lcm o(C)), |A_{C,chi}| is counted from the row, and
+conj chi's row is (-u) mod o(C).  The totals visit each character once.
 
 These divisors, and the eigendivisors of h_chi and of the q-differential
 generators (``EigenDivisor``), are constant along the fibres of the cover, so
@@ -78,16 +81,20 @@ class InvariantDivisor:
 
     # -- character data ------------------------------------------------------
 
-    def a_sets(self, chi: CharLike) -> tuple[tuple[int, ...], ...]:
-        """Per branch class, in order, the indices lying in buckets below u_{chi,C}."""
-        buckets = self.buckets
-        return tuple(
-            tuple(j for j in cls.points if buckets[j] < u)
-            for cls, u in zip(self.cover.branch_classes, self.cover.u_row(chi))
-        )
-
     def a_total(self, chi: CharLike) -> int:
-        return sum(map(len, self.a_sets(chi)))
+        """sum_C |A_{C,chi}|, counted from chi's u-row; no A-sets are built."""
+        return len(self._a_points(self.cover.u_row(chi)))
+
+    def _a_points(self, row: Sequence[int]) -> list[int]:
+        """The indices of the A-sets read from a u-row: j in C with bucket_j < u_C."""
+        buckets = self.buckets
+        return [j for cls, u in zip(self.cover.branch_classes, row) for j in cls.points if buckets[j] < u]
+
+    def _excess(self, chi: CharLike, conjugate: bool = False) -> int:
+        """p + 1 + a_chi - t_chi from one row (of conj chi with ``conjugate``):
+        r_chi is max(0, excess(chi)) and i_chi is max(0, -excess(conj chi))."""
+        row, t = self.cover.row_and_t(chi, conjugate)
+        return self.p + 1 + len(self._a_points(row)) - t
 
     def _require_genus0(self):
         if self.cover.base_genus != 0:
@@ -98,35 +105,40 @@ class InvariantDivisor:
     def r_chi(self, chi: CharLike) -> int:
         """Dimension of the chi-part of the function space of 1/divisor."""
         self._require_genus0()
-        return max(0, self.p + 1 + self.a_total(chi) - self.cover.t_chi(chi))
+        return max(0, self._excess(chi))
 
     def basis_description(self, chi: CharLike) -> "BasisDescription":
         """The chi-part as h_chi times polynomials over the linear factors
         picked out by the A-sets."""
         self._require_genus0()
-        d = self.p + self.a_total(chi) - self.cover.t_chi(chi)
-        denominator = tuple(
-            self.cover.branch_points[j].label for a in self.a_sets(chi) for j in a
-        )
-        return BasisDescription(max(-1, d), denominator, chi)
+        row, t = self.cover.row_and_t(chi)
+        a_points = self._a_points(row)
+        denominator = tuple(self.cover.branch_points[j].label for j in a_points)
+        return BasisDescription(max(-1, self.p + len(a_points) - t), denominator, chi)
 
     def r_total(self) -> int:
+        """sum_chi r_chi = sum_chi max(0, p + 1 + a_chi - t_chi): one u-row
+        per character, with its t an integer numerator over lcm o(C)."""
         self._require_genus0()
         if not self.cover.is_abelian:
             raise NotAbelian("total dimension sums over the full dual group")
-        return sum(self.r_chi(chi) for chi in self.cover.characters())
+        return sum(max(0, self._excess(chi)) for chi in self.cover.characters())
 
     def i_chi(self, chi: CharLike) -> int:
         """Dimension of the chi-part of differentials bounded below by the divisor."""
         self._require_genus0()
-        conj = self.cover.conjugate_character(chi)
-        return max(0, self.cover.t_chi(conj) - self.a_total(conj) - self.p - 1)
+        return max(0, -self._excess(chi, conjugate=True))
 
     def i_total(self) -> int:
+        """sum_chi i_chi = sum_chi max(0, t_chi - a_chi - p - 1), since
+        chi -> conj chi permutes the dual group: one u-row per character,
+        with its t an integer numerator over lcm o(C), and none conjugated.
+        On non-integral branch data the error names the first non-integral
+        character, where i_chi would name its conjugate."""
         self._require_genus0()
         if not self.cover.is_abelian:
             raise NotAbelian("total dimension sums over the full dual group")
-        return sum(self.i_chi(chi) for chi in self.cover.characters())
+        return sum(max(0, -self._excess(chi)) for chi in self.cover.characters())
 
     def reduced_base_divisor(self, chi: CharLike, kind: str = "function") -> "SymbolicDivisor":
         """Divisor on the base computing the chi-dimension, for any base genus.
@@ -137,22 +149,21 @@ class InvariantDivisor:
         chi enters as the opaque degree-zero symbol Y[chi] (the integral
         divisor times the matching inverse power of the base point).
         """
-        t = self.cover.t_chi(chi)
+        row, t = self.cover.row_and_t(chi)
+        labels = [bp.label for bp in self.cover.branch_points]
         if kind == "function":
-            points = [(self.cover.branch_points[j].label, 1) for a in self.a_sets(chi) for j in a]
+            points = [(labels[j], 1) for j in self._a_points(row)]
             points.extend(self.base_part)
             symbols = [] if self.cover.base_genus == 0 else [(f"Y[{chi}]", 1)]
             return SymbolicDivisor(self.p - t, tuple(points), tuple(symbols), "r_of_inverse")
         if kind == "differential":
-            conj = self.cover.conjugate_character(chi)
-            points = []
-            rows = zip(self.cover.branch_classes, self.cover.u_row(chi), self.a_sets(conj))
-            for cls, u, a_conj in rows:
-                if u == 0:
-                    continue  # class inside ker(chi): no contribution
-                points.extend(
-                    (self.cover.branch_points[j].label, -1) for j in cls.points if j not in a_conj
-                )
+            # the points outside A_{C,conj chi}, where conj chi has u = o - u
+            # for u != 0; a class inside ker(chi) (u = 0) contributes none
+            points = [
+                (labels[j], -1)
+                for cls, u in zip(self.cover.branch_classes, row) if u
+                for j in cls.points if self.buckets[j] >= cls.order - u
+            ]
             points.extend(self.base_part)
             symbols = [] if self.cover.base_genus == 0 else [(f"Y[{chi}]", -1)]
             return SymbolicDivisor(self.p + t, tuple(points), tuple(symbols), "i_of")
@@ -221,9 +232,10 @@ def h_chi_divisor(cover: CoverSpec, chi: CharLike) -> EigenDivisor:
     of the n points over infinity."""
     if cover.base_genus != 0:
         raise UnsupportedBaseGenus("the eigenfunction divisor is explicit only over the line")
-    u = dict(zip((cls.key for cls in cover.branch_classes), cover.u_row(chi)))
+    row, t = cover.row_and_t(chi)
+    u = dict(zip((cls.key for cls in cover.branch_classes), row))
     exps = tuple(u[bp.psi] for bp in cover.branch_points)
-    div = EigenDivisor(cover, chi, exps, -cover.t_chi(chi))
+    div = EigenDivisor(cover, chi, exps, -t)
     if div.degree() != 0:
         raise AssertionError(f"eigenfunction divisor has degree {div.degree()}, expected 0")
     return div

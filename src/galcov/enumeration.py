@@ -69,9 +69,9 @@ def _constraints(cover: CoverSpec, family: str):
     for chi in cover.characters():
         if chi.is_trivial and family == "integral":
             continue  # the integral family constrains nontrivial characters only
-        t = cover.t_chi(chi)  # the trivial row is all zeros, with t = 0
+        row, t = cover.row_and_t(chi)  # the trivial row is all zeros, with t = 0
         targets.append(t - 1 if family == "integral" else t)
-        weights.append(cover.u_row(chi))
+        weights.append(row)
     return targets, weights
 
 

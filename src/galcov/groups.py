@@ -169,11 +169,6 @@ class GroupSpec:
 
     # -- element arithmetic ----------------------------------------------
 
-    def add(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        return GroupElement(
-            tuple((a + b) % m for a, b, m in zip(x.exponents, y.exponents, self.cyclic_orders))
-        )
-
     def element_order(self, x: GroupElement) -> int:
         self.check_element(x)
         return math.lcm(*(m // math.gcd(m, a) for a, m in zip(x.exponents, self.cyclic_orders)))

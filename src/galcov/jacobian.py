@@ -8,8 +8,10 @@ the corresponding cyclic quotient cover.  The multiplicities read the
 Chevalley-Weil kernel of the differentials module.  Each quotient cover is
 built directly from branch data: a character of order e maps the deck group
 onto Z_e, so the group is never enumerated and no Smith form is taken.
-Only integers are computed here; no period matrices, polarizations, or
-isogenies are constructed.
+Only integers are computed here, each dimension as one integer numerator
+over a known denominator (2 for the isotypical dimensions, 2e for a Z_e
+quotient's cross-check); no period matrices, polarizations, or isogenies
+are constructed.
 """
 
 from __future__ import annotations
@@ -82,14 +84,16 @@ class RationalIrrepData:
                 f"Schur index {self.schur_index} does not divide the dimension {self.dim}"
             )
 
-    def n0(self, cover: CoverSpec, key: ClassKey) -> int:
-        try:
-            value = dict(self.invariant_dims)[key]
-        except KeyError:
-            raise NTableMismatch(f"no invariant dimension supplied for class {key}") from None
-        if not 0 <= value <= self.dim:
-            raise NTableMismatch(f"invariant dimension {value} at class {key} out of range")
-        return value
+    def n0_row(self, cover: CoverSpec) -> tuple[int, ...]:
+        """N_{C,0} for every branch class, in ``branch_classes`` order; the
+        first class missing or out of range raises NTableMismatch."""
+        supplied = dict(self.invariant_dims)
+        for key in (cls.key for cls in cover.branch_classes):
+            if key not in supplied:
+                raise NTableMismatch(f"no invariant dimension supplied for class {key}")
+            if not 0 <= supplied[key] <= self.dim:
+                raise NTableMismatch(f"invariant dimension {supplied[key]} at class {key} out of range")
+        return tuple(supplied[cls.key] for cls in cover.branch_classes)
 
     def is_trivial(self, cover: CoverSpec) -> bool:
         if self.trivial is not None:
@@ -98,7 +102,7 @@ class RationalIrrepData:
             self.dim == 1
             and self.field_degree == 1
             and self.schur_index == 1
-            and all(self.n0(cover, cls.key) == 1 for cls in cover.branch_classes)
+            and all(n0 == 1 for n0 in self.n0_row(cover))
         )
 
     @classmethod
@@ -111,14 +115,15 @@ class RationalIrrepData:
 
 
 def _isotypical_dim(cover: CoverSpec, w: RationalIrrepData, factor: int, name: str) -> int:
-    """k f (d (g_S - 1) + sum_C r_C (d - N_{C,0}) / 2) + [W trivial]."""
+    """k f (d (g_S - 1) + sum_C r_C (d - N_{C,0}) / 2) + [W trivial], from
+    the integer twice its value."""
     k, d = w.field_degree, w.dim
-    value = Fraction(k * factor * d * (cover.base_genus - 1)) + w.is_trivial(cover)
-    for cls in cover.branch_classes:
-        value += Fraction(k * factor, 2) * cls.count * (d - w.n0(cover, cls.key))
-    if value.denominator != 1:
-        raise NonIntegralDimension(f"{name} = {value} is not an integer")
-    return int(value)
+    twice = 2 * k * factor * d * (cover.base_genus - 1) + 2 * w.is_trivial(cover)
+    twice += k * factor * sum(c.count * (d - n0) for c, n0 in zip(cover.branch_classes, w.n0_row(cover)))
+    value, odd = divmod(twice, 2)
+    if odd:
+        raise NonIntegralDimension(f"{name} = {Fraction(twice, 2)} is not an integer")
+    return value
 
 
 def dim_A_W(cover: CoverSpec, w: RationalIrrepData) -> int:
@@ -209,14 +214,15 @@ def _prym_pieces(cover: CoverSpec, orbit_dims) -> tuple[PrymPiece, ...]:
         e = orbit.order
         quotient = _cyclic_quotient(cover, orbit.representative, e)
         g_y = quotient.genus()
-        value = Fraction(euler_phi(e), e) * (g_y - 1) + (1 if e == 1 else 0)
-        value += euler_phi(e) * sum(
-            Fraction(cls.count, 2 * cls.order) for cls in quotient.branch_classes
-        )
-        if value.denominator != 1:
-            raise NonIntegralDimension(f"quotient-form dim = {value} is not an integer")
+        phi = euler_phi(e)
+        # 2e times the quotient form: every class order of the Z_e quotient divides e
+        num = 2 * phi * (g_y - 1) + 2 * (e == 1)
+        num += phi * sum(c.count * e // c.order for c in quotient.branch_classes)
+        value, rem = divmod(num, 2 * e)
+        if rem:
+            raise NonIntegralDimension(f"quotient-form dim = {Fraction(num, 2 * e)} is not an integer")
         nontrivial = g_y >= 1 and not (e > 1 and g_y == 1 and cover.base_genus == 1)
-        pieces.append(PrymPiece(orbit, e, g_y, dim, int(value), nontrivial))
+        pieces.append(PrymPiece(orbit, e, g_y, dim, value, nontrivial))
     return tuple(pieces)
 
 

@@ -25,6 +25,8 @@ from galcov import (
     build_cover,
 )
 
+from group_walk_oracle import add
+
 
 def pt(x, y=0):
     return Coord(Fraction(x), Fraction(y))
@@ -112,7 +114,7 @@ def random_validated_cover(rng: random.Random, max_order=36, max_points=8) -> Co
         ]
         total = group.identity
         for x in classes:
-            total = group.add(total, x)
+            total = add(group, total, x)
         classes.append(group.element([-a for a in total.exponents]))
         classes = [x for x in classes if group.element_order(x) > 1]
         if not classes:

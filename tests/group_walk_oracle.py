@@ -2,8 +2,8 @@
 
 These are the routes the library took before it answered the same questions
 per cyclic factor: a discrete log found by stepping through <sigma> one
-element at a time, and validity found by scanning every character's
-t-invariant.  Their cost grows with |G|, so they serve only as oracles on
+element at a time with ``add``, and validity found by scanning every
+character's t-invariant.  Their cost grows with |G|, so they serve only as oracles on
 small groups: the library must give the same answers, ``None`` and the order
 of the issues included.
 """
@@ -14,13 +14,20 @@ from galcov.cover import CoverSpec, ValidationIssue, ValidationReport
 from galcov.groups import GroupElement, GroupSpec
 
 
+def add(group: GroupSpec, x: GroupElement, y: GroupElement) -> GroupElement:
+    """x + y, factor by factor."""
+    return GroupElement(
+        tuple((a + b) % m for a, b, m in zip(x.exponents, y.exponents, group.cyclic_orders))
+    )
+
+
 def power_index(group: GroupSpec, base: GroupElement, target: GroupElement) -> int | None:
     """The first k in [0, o(base)) with base^k == target, or None."""
     current = group.identity
     for k in range(group.element_order(base)):
         if current == target:
             return k
-        current = group.add(current, base)
+        current = add(group, current, base)
     return None
 
 

@@ -412,8 +412,9 @@ class TestCli:
 
 class TestHugeCyclicGroup:
     """Two branch values on the line with deck group Z_{10^12}: the valid
-    document is answered without walking the group, and the invalid one, whose
-    issues need the character scan, is refused above the cap."""
+    document is answered without walking the group, and an invalid one is
+    reported by one witness character instead of the scan that the cap
+    refuses."""
 
     ORDER = 10**12
     COMMANDS = [["genus"], ["validate"], ["tchi", "--char", "5"], ["traces", "--tau", "7"]]
@@ -454,11 +455,39 @@ class TestHugeCyclicGroup:
             ]
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
-    def test_invalid_document_exits_8(self, tmp_path, argv):
+    def test_invalid_document_exits_3(self, tmp_path, argv):
+        # 1 + 3 != 0: the unit character's t is 4 / 10^12
         result = self.run_child(tmp_path, [1, 3], argv)
         assert "Traceback" not in result.stderr
-        assert result.returncode == EXIT_CODES["search-space-too-large"] == 8
-        assert json.loads(result.stderr)["error"]["code"] == "search-space-too-large"
+        assert result.returncode == EXIT_CODES["non-integral-invariant"] == 3
+        if argv[0] == "validate":
+            out = json.loads(result.stdout)
+            assert out["issues"] == [
+                {"kind": "non-integral", "character": [1], "detail": "t = 1/250000000000"}
+            ]
+        else:
+            error = json.loads(result.stderr)["error"]
+            assert error["code"] == "non-integral-invariant"
+            assert error["message"].endswith("at character chi(1)): t = 1/250000000000")
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_degenerate_document_exits_4(self, tmp_path, argv):
+        # psi = 2 and -2 generate the index-2 subgroup: the character of
+        # order 2 is trivial on both, so its t vanishes
+        result = self.run_child(tmp_path, [2, self.ORDER - 2], argv)
+        assert "Traceback" not in result.stderr
+        assert result.returncode == EXIT_CODES["degenerate-cover"] == 4
+        witness = [self.ORDER // 2]
+        if argv[0] == "validate":
+            assert json.loads(result.stdout)["issues"] == [
+                {"kind": "degenerate", "character": witness, "detail": ""}
+            ]
+        else:
+            error = json.loads(result.stderr)["error"]
+            assert error == {
+                "code": "degenerate-cover",
+                "message": f"degenerate cover: t vanishes at nontrivial character chi({witness[0]})",
+            }
 
 
 class TestShippedConfigs:

@@ -1,0 +1,260 @@
+"""The integer kernels against the Fraction formulas of ``fraction_oracle``.
+
+t, the Chevalley-Weil sum, the genus, the isotypical and quotient-form
+dimensions and the divisor totals are each one integer numerator over a
+known denominator in the library.  On random abelian covers (valid or not)
+and on generic class-table covers, at q in {1, 2, 3} and deg Gamma in {0, 1},
+they must equal the Fraction formulas, and raise the same exception with the
+same text where a value is not an integer.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from galcov import (
+    BranchPoint,
+    ClassTable,
+    CoverSpec,
+    GroupSpec,
+    InvariantDivisor,
+    IrrepClassData,
+    RationalIrrepData,
+    cover_from_class_table,
+)
+from galcov.differentials import (
+    cw_multiplicity,
+    cw_value,
+    delta_info,
+    eigen_rows,
+    omega_divisor,
+    raw_dimension_value,
+)
+from galcov.errors import GalcovError, NonIntegralInvariant, NTableMismatch
+from galcov.jacobian import analytic_multiplicity, dim_A_W, dim_B_W, primitive_prym_dims
+
+import fraction_oracle as oracle
+from covergen import covers, covers_with_divisors, pt, random_divisor
+
+QS = (1, 2, 3)
+GAMMAS = (0, 1)
+
+
+def outcome(fn, *args):
+    """The value, or the class and text of the library error raised."""
+    try:
+        return fn(*args)
+    except GalcovError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def branch_data(draw):
+    """Abelian branch data on the line, valid or not: the classes sum to zero
+    about half the time."""
+    orders = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6]), min_size=1, max_size=3))
+    group = GroupSpec(tuple(orders))
+    vectors = draw(st.lists(st.tuples(*(st.integers(0, m - 1) for m in orders)), max_size=5))
+    classes = [group.element(v) for v in vectors]
+    if vectors and draw(st.booleans()):
+        classes.append(group.element([-sum(col) for col in zip(*vectors)]))
+    classes = [x for x in classes if group.element_order(x) > 1]
+    return CoverSpec(0, group, tuple(BranchPoint(pt(j + 1), x) for j, x in enumerate(classes)))
+
+
+@st.composite
+def class_table_covers(draw):
+    """A generic cover from a class table: class orders dividing the group
+    order, branch counts, and u-rows that need not give integral t."""
+    n = draw(st.sampled_from([2, 4, 6, 8, 12]))
+    divisors = [d for d in range(2, n + 1) if n % d == 0]
+    specs = draw(st.lists(st.tuples(st.sampled_from(divisors), st.integers(1, 4)), min_size=1, max_size=3))
+    classes = [(f"c{k}", o, r) for k, (o, r) in enumerate(specs)]
+    u_table = {
+        f"x{k}": {cid: draw(st.integers(0, o - 1)) for cid, o, _ in classes}
+        for k in range(draw(st.integers(1, 3)))
+    }
+    base_genus = draw(st.sampled_from([0, 1, 2]))
+    return cover_from_class_table(base_genus, ClassTable.build(classes, n, u_table))
+
+
+@st.composite
+def irreps(draw, cover):
+    """An eigenvalue table for each branch class: rows of one dimension,
+    whose Chevalley-Weil sum need not be an integer."""
+    dim = draw(st.integers(1, 3))
+    table = []
+    for cls in cover.branch_classes:
+        row = [0] * cls.order
+        for _ in range(dim):
+            row[draw(st.integers(0, cls.order - 1))] += 1
+        table.append((cls.key, tuple(row)))
+    return IrrepClassData(dim, tuple(table))
+
+
+def check_character_kernels(cover, chi):
+    row = cover.u_row(chi)
+    t = outcome(oracle.t_chi, cover, chi)
+    assert outcome(cover.t_chi, chi) == t
+    assert outcome(cover.row_and_t, chi) == (t if isinstance(t, tuple) else (row, t))
+    conj = cover.conjugate_character(chi)
+    t_conj = outcome(oracle.t_chi, cover, conj)
+    expected = t_conj if isinstance(t_conj, tuple) else (cover.u_row(conj), t_conj)
+    assert outcome(cover.row_and_t, chi, True) == expected
+    for q in QS:
+        for gamma in GAMMAS:
+            rows = eigen_rows(cover, chi)
+            value = cw_value(cover, *rows, q, gamma)
+            assert value == oracle.cw_value(cover, *rows, q, gamma)
+            assert type(value) is (int if Fraction(value).denominator == 1 else Fraction)
+            assert outcome(raw_dimension_value, cover, chi, q, gamma) == outcome(
+                _raw_dimension_oracle, cover, chi, q, gamma
+            )
+
+
+def _raw_dimension_oracle(cover, chi, q, gamma):
+    value = oracle.cw_value(cover, *eigen_rows(cover, chi), q, gamma)
+    if value.denominator != 1:
+        raise NonIntegralInvariant(chi, f"dimension value {value}")
+    return int(value)
+
+
+class TestAbelian:
+    @given(branch_data())
+    @settings(max_examples=60, deadline=None)
+    def test_t_cw_and_genus(self, cover):
+        assert outcome(cover.genus) == outcome(oracle.genus, cover)
+        for chi in cover.characters():
+            check_character_kernels(cover, chi)
+
+    @given(branch_data(), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_divisor_dimensions(self, cover, seed):
+        div = random_divisor(random.Random(seed), cover)
+        assert outcome(div.r_total) == outcome(oracle.r_total, div)
+        for chi in cover.characters():
+            assert outcome(div.r_chi, chi) == outcome(oracle.r_chi, div, chi)
+            assert outcome(div.i_chi, chi) == outcome(oracle.i_chi, div, chi)
+            assert div.a_total(chi) == oracle.a_total(div, chi)
+        total = outcome(div.i_total)
+        expected = outcome(oracle.i_total, div)
+        if isinstance(expected, tuple):
+            # i_total names the first non-integral character, the oracle its conjugate
+            assert total[0] is expected[0] is NonIntegralInvariant
+        else:
+            assert total == expected
+
+    @given(covers_with_divisors())
+    @settings(max_examples=40, deadline=None)
+    def test_valid_divisor_totals(self, div):
+        assert div.r_total() == oracle.r_total(div)
+        assert div.i_total() == oracle.i_total(div)
+
+    @given(covers(max_order=24, max_points=6))
+    @settings(max_examples=30, deadline=None)
+    def test_omega_infinity_exponent_reads_the_conjugate_t(self, cover):
+        for chi in cover.characters():
+            for q in QS:
+                div = omega_divisor(cover, chi, q)
+                alphas = sum(alpha for _, alpha in div.linear_factor_powers)
+                t_conj = oracle.t_chi(cover, cover.conjugate_character(chi))
+                assert div.infinity_exponent == t_conj - 2 * q + alphas
+
+    @given(covers(max_order=24, max_points=6))
+    @settings(max_examples=30, deadline=None)
+    def test_isotypical_and_quotient_form_dims(self, cover):
+        group = cover.group
+        for orbit in group.rational_character_orbits():
+            w = RationalIrrepData.from_character_orbit(cover, orbit)
+            assert dim_A_W(cover, w) == oracle.isotypical_dim(cover, w, w.dim, "dim A_W")
+            assert dim_B_W(cover, w) == oracle.isotypical_dim(cover, w, w.schur_index, "dim B_W")
+        for piece in primitive_prym_dims(cover):
+            # the quotient by ker chi through the Smith form, an independent route to Z_e
+            chi = piece.orbit.representative
+            kernel = [x for x in group.elements() if group.pairing(chi, x) == 0]
+            quotient = cover.quotient(kernel)
+            assert quotient.degree == piece.quotient_order
+            assert piece.dim_from_quotient == oracle.quotient_form_dim(quotient, piece.quotient_order)
+
+
+class TestGeneric:
+    @given(class_table_covers())
+    @settings(max_examples=80, deadline=None)
+    def test_t_cw_and_genus(self, cover):
+        assert outcome(cover.genus) == outcome(oracle.genus, cover)
+        for chi in cover.characters():
+            check_character_kernels(cover, chi)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_eigenvalue_tables(self, data):
+        cover = data.draw(class_table_covers())
+        rho = data.draw(irreps(cover))
+        for q in QS:
+            for gamma in GAMMAS:
+                rows = eigen_rows(cover, rho)
+                expected = oracle.cw_value(cover, *rows, q, gamma)
+                assert cw_value(cover, *rows, q, gamma) == expected
+                try:
+                    info = delta_info(cover, q, gamma)
+                except GalcovError:
+                    continue  # outside the window cw_multiplicity raises before the sum
+                got = outcome(cw_multiplicity, cover, rho, q, gamma)
+                if expected.denominator != 1:
+                    message = f"multiplicity {expected} is not an integer; eigenvalue table inconsistent"
+                    assert got == (NTableMismatch, message)
+                else:
+                    assert got - int(expected) in ((0, 1) if info.delta else (0,))
+        rows = eigen_rows(cover, rho)[1]
+        conjugate = tuple(
+            tuple(((-alpha) % cls.order, n) for alpha, n in row)
+            for cls, row in zip(cover.branch_classes, rows)
+        )
+        trivial = rho.dim == 1 and all((0, 1) in row for row in rows)
+        expected = oracle.cw_value(cover, rho.dim, conjugate, 1, 0) + trivial
+        got = outcome(analytic_multiplicity, cover, rho)
+        if expected.denominator == 1:
+            assert got == int(expected)
+        else:
+            assert got[1].endswith(f"analytic multiplicity {expected} is not an integer")
+
+    @given(class_table_covers(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_invariant_dimension_tables(self, cover, data):
+        classes = cover.branch_classes
+        dim = data.draw(st.integers(1, 3))
+        kept = data.draw(st.lists(st.booleans(), min_size=len(classes), max_size=len(classes)))
+        table = tuple(
+            (cls.key, data.draw(st.integers(-1, dim + 1))) for cls, keep in zip(classes, kept) if keep
+        )
+        w = RationalIrrepData(
+            dim,
+            data.draw(st.integers(1, 3)),
+            1,
+            table,
+            data.draw(st.sampled_from([None, True, False])),
+        )
+        for factor, name, fn in ((w.dim, "dim A_W", dim_A_W), (w.schur_index, "dim B_W", dim_B_W)):
+            assert outcome(fn, cover, w) == outcome(oracle.isotypical_dim, cover, w, factor, name)
+
+
+@pytest.mark.parametrize(
+    "orders,psi,detail",
+    [((3,), [(1,), (1,)], "t = 2/3"), ((4,), [(1,), (2,)], "t = 3/4"), ((2, 2), [(1, 0)], "t = 1/2")],
+)
+def test_non_integral_messages_are_unchanged(orders, psi, detail):
+    group = GroupSpec(orders)
+    cover = CoverSpec(0, group, tuple(BranchPoint(pt(j + 1), group.element(x)) for j, x in enumerate(psi)))
+    chi = group.character([1] + [0] * (len(orders) - 1))
+    expected = f"branch data admits no cover (fractional invariant at character {chi}): {detail}"
+    with pytest.raises(NonIntegralInvariant) as raised:
+        cover.t_chi(chi)
+    assert str(raised.value) == expected
+    div = InvariantDivisor(cover, tuple(o - 1 for o in cover.point_orders))
+    with pytest.raises(NonIntegralInvariant) as raised:
+        div.r_chi(chi)
+    assert str(raised.value) == expected
