@@ -62,10 +62,8 @@ from .groups import (
 from .jacobian import (
     DecompositionReport,
     PrymPiece,
-    QuotientPiece,
     RationalIrrepData,
     analytic_multiplicity,
-    cyclic_quotient_dims,
     decompose,
     dim_A_W,
     dim_B_W,

@@ -47,21 +47,6 @@ EXIT_CODES = {
     "internal-inconsistency": 14,
 }
 
-COMMANDS = (
-    "validate",
-    "genus",
-    "tchi",
-    "hchi",
-    "dims",
-    "nonspecial",
-    "degree-gm1",
-    "omega",
-    "traces",
-    "chevalley-weil",
-    "jacobian",
-    "all",
-)
-
 # the divisor family each enumeration command lists, counts or streams
 FAMILIES = {"nonspecial": "integral", "degree-gm1": "gm1"}
 
@@ -371,9 +356,7 @@ HANDLERS = {
     "all": cmd_all,
 }
 
-
-def run_command(name: str, parsed: ParsedInput, args) -> dict:
-    return HANDLERS[name](parsed, args)
+COMMANDS = tuple(HANDLERS)
 
 
 # -- formatting ----------------------------------------------------------------
@@ -466,7 +449,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         parsed = parse_config(text)
         if args.stream and args.command in FAMILIES:
             return _stream_enumeration(parsed, args, sys.stdout)
-        report = run_command(args.command, parsed, args)
+        report = HANDLERS[args.command](parsed, args)
     except GalcovError as exc:
         error = {"error": {"code": exc.code, "message": str(exc)}}
         print(format_report(error, args.format), file=sys.stderr)

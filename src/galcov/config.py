@@ -169,7 +169,10 @@ def _parse_branch_mode(document) -> ParsedInput:
     group = _parse_group(_expect(document, "group", dict, ""), "group")
     abelian = isinstance(group, GroupSpec)
     points = []
-    for k, bp in enumerate(document.get("branch_points") or []):
+    point_docs = document.get("branch_points") or []
+    if not isinstance(point_docs, list):
+        _fail("branch_points must be a list", "branch_points")
+    for k, bp in enumerate(point_docs):
         path = f"branch_points[{k}]"
         if not isinstance(bp, dict):
             _fail("branch points are objects", path)

@@ -16,11 +16,14 @@ not compute dimensions and callers get a hard error rather than a number.
 One kernel evaluates this sum, the generalized Chevalley-Weil formula: a
 representation enters as its dimension and, per branch class, the nonzero
 multiplicities N_alpha of the eigenvalues zeta_{o(C)}^alpha (a character is
-the single pair (u_{chi,C}, 1)).  ``cw_value`` serves all four
-multiplicities: ``raw_dimension_value`` and ``cw_multiplicity`` here, and
-the analytic and rational multiplicities in the jacobian module.  It sums
-one integer numerator over L = lcm o(C); so does the infinity exponent of
-``omega_divisor``, which reads the conjugate's row once.
+the single pair (u_{chi,C}, 1)).  A dimension is the Chevalley-Weil
+multiplicity of a character, so one route leads from the kernel to a
+number: ``cw_multiplicity`` takes ``raw_dimension_value``, adds the delta
+correction and carries the one guard against a negative value, and
+``dim_omega_chi`` is that route at a character.  ``cw_value`` sums one
+integer numerator over L = lcm o(C); the analytic multiplicity of the
+jacobian module reads it at q = 1, and the infinity exponent of
+``omega_divisor`` sums the same way over the conjugate's row.
 
 Traces of nontrivial deck transformations are evaluated by the fixed-point
 formula and returned as floating-point complex numbers together with the
@@ -105,22 +108,33 @@ class DeltaInfo:
     character: CharLike | None
 
 
-def raw_dimension_value(cover: CoverSpec, chi: CharLike, q: int, gamma_degree: int) -> int:
-    """The uncorrected dimension formula; an integer for consistent branch data."""
-    value = cw_value(cover, *eigen_rows(cover, chi), q, gamma_degree)
+def raw_dimension_value(cover: CoverSpec, rho: IrrepClassData | CharLike, q: int, gamma_degree: int) -> int:
+    """The Chevalley-Weil sum without the delta correction; an integer for
+    consistent branch data and a consistent eigenvalue table."""
+    value = cw_value(cover, *eigen_rows(cover, rho), q, gamma_degree)
     if value.denominator != 1:
-        raise NonIntegralInvariant(chi, f"dimension value {value}")
+        if isinstance(rho, IrrepClassData):
+            raise NTableMismatch(f"multiplicity {value} is not an integer; eigenvalue table inconsistent")
+        raise NonIntegralInvariant(rho, f"dimension value {value}")
     return int(value)
 
 
-def same_character(cover: CoverSpec, a: CharLike, b: CharLike) -> bool:
+def same_character(cover: CoverSpec, a: IrrepClassData | CharLike, b: CharLike) -> bool:
     """Equality of characters as the formulas see them.
 
     Abelian characters compare exactly.  Generic characters compare by their
     values on the branch classes, which determine them whenever the branch
     classes generate the group; an unramified generic cover carries no such
-    data, so there the supplied names decide.
+    data, so there the supplied names decide.  A table is b when it is
+    one-dimensional and either names b or, anonymous, has the eigenvalue
+    u_{b,C} at every branch class C.
     """
+    if isinstance(a, IrrepClassData):
+        if a.dim != 1:
+            return False
+        if a.character is None:
+            return all(a.row(cover, c.key)[u] for c, u in zip(cover.branch_classes, cover.u_row(b)))
+        a = a.character
     if isinstance(a, Character) and isinstance(b, Character):
         return a == b
     if isinstance(a, Character) or isinstance(b, Character):
@@ -185,14 +199,9 @@ def _locate_delta(cover: CoverSpec, q: int, gamma_degree: int) -> DeltaInfo:
 
 def dim_omega_chi(cover: CoverSpec, chi: CharLike, q: int = 1, gamma_degree: int = 0) -> int:
     """Dimension of the chi-part of q-differentials bounded by the pullback of
-    an integral degree-``gamma_degree`` divisor on the base."""
-    info = delta_info(cover, q, gamma_degree)
-    value = raw_dimension_value(cover, chi, q, gamma_degree)
-    if info.delta and same_character(cover, chi, info.character):
-        value += 1
-    if value < 0:
-        raise InternalInconsistency(f"negative dimension {value} at {chi}")
-    return value
+    an integral degree-``gamma_degree`` divisor on the base: the
+    Chevalley-Weil multiplicity of chi."""
+    return cw_multiplicity(cover, chi, q, gamma_degree)
 
 
 def total_dim_omega(cover: CoverSpec, q: int = 1, gamma_degree: int = 0) -> int:
@@ -214,7 +223,8 @@ class FixedPointTerm:
 
     def value(self, q: int) -> complex:
         zeta = cmath.exp(2j * cmath.pi * self.exponent / self.order)
-        return self.multiplicity * zeta**q / (1 - zeta)
+        # zeta^order = 1, so the reduced power is exact and never overflows
+        return self.multiplicity * zeta ** (q % self.order) / (1 - zeta)
 
 
 @dataclass(frozen=True)
@@ -361,32 +371,18 @@ def cw_value(cover: CoverSpec, dim: int, rows: EigenRows, q: int, gamma_degree: 
     return Fraction(num, lcm) if rem else value
 
 
-def representation_character(rho: IrrepClassData | CharLike) -> CharLike | None:
-    """The character a representation is known to be, if any."""
-    return rho.character if isinstance(rho, IrrepClassData) else rho
-
-
-def _matches_delta_character(
-    cover: CoverSpec, rho: IrrepClassData | CharLike, dim: int, rows: EigenRows, chi_delta: CharLike
-) -> bool:
-    if dim != 1:
-        return False
-    character = representation_character(rho)
-    if character is not None:
-        return same_character(cover, character, chi_delta)
-    # fall back to comparing eigenvalue rows on the branch classes
-    return all((u, 1) in row for u, row in zip(cover.u_row(chi_delta), rows))
-
-
 def cw_multiplicity(cover: CoverSpec, rho: IrrepClassData | CharLike, q: int = 1, gamma_degree: int = 0) -> int:
     """Multiplicity of an irreducible representation in the deck action on
-    q-differentials bounded by a pullback divisor."""
+    q-differentials bounded by a pullback divisor: the raw value, plus one
+    at the corrected character.  A multiplicity is never negative; a
+    negative one is an inconsistent table, or an internal fault for a
+    character."""
     info = delta_info(cover, q, gamma_degree)
-    dim, rows = eigen_rows(cover, rho)
-    value = cw_value(cover, dim, rows, q, gamma_degree)
-    if value.denominator != 1:
-        raise NTableMismatch(f"multiplicity {value} is not an integer; eigenvalue table inconsistent")
-    result = int(value)
-    if info.delta and _matches_delta_character(cover, rho, dim, rows, info.character):
-        result += 1
-    return result
+    value = raw_dimension_value(cover, rho, q, gamma_degree)
+    if info.delta and same_character(cover, rho, info.character):
+        value += 1
+    if value < 0:
+        if isinstance(rho, IrrepClassData):
+            raise NTableMismatch(f"multiplicity {value} is negative; eigenvalue table inconsistent")
+        raise InternalInconsistency(f"negative dimension {value} at {rho}")
+    return value

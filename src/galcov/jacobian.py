@@ -2,9 +2,10 @@
 
 Multiplicities of irreducibles in the analytic and rational representations
 of the deck group on the Jacobian, dimensions of the isotypical abelian
-subvarieties, and, for abelian deck groups, the cyclic-quotient pieces: one
-per Galois orbit of characters, realized as the primitive Prym variety of
-the corresponding cyclic quotient cover.  The multiplicities read the
+subvarieties, and, for abelian deck groups, the cyclic-quotient pieces:
+one ``PrymPiece`` per Galois orbit of characters, built by one per-orbit
+function, giving dim B_Q of the primitive Prym variety of the
+corresponding cyclic quotient cover.  The multiplicities read the
 Chevalley-Weil kernel of the differentials module.  Each quotient cover is
 built directly from branch data: a character of order e maps the deck group
 onto Z_e, so the group is never enumerated and no Smith form is taken.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cover import BranchPoint, CharLike, ClassKey, CoverSpec
-from .differentials import EigenRows, IrrepClassData, cw_value, eigen_rows, representation_character
+from .differentials import EigenRows, IrrepClassData, cw_value, eigen_rows
 from .errors import InternalInconsistency, NonIntegralDimension, NotAbelian, NTableMismatch
 from .groups import Character, CharacterOrbit, GroupSpec, euler_phi
 
@@ -28,7 +29,7 @@ from .groups import Character, CharacterOrbit, GroupSpec, euler_phi
 def _is_trivial_rep(rho: IrrepClassData | CharLike, dim: int, rows: EigenRows) -> bool:
     if dim != 1:
         return False
-    character = representation_character(rho)
+    character = rho.character if isinstance(rho, IrrepClassData) else rho
     if character is not None:
         return character.is_trivial
     return all((0, 1) in row for row in rows)
@@ -139,18 +140,10 @@ def dim_B_W(cover: CoverSpec, w: RationalIrrepData) -> int:
 
 
 @dataclass(frozen=True)
-class QuotientPiece:
-    """One cyclic quotient of the deck group and its subvariety dimension."""
-
-    orbit: CharacterOrbit
-    quotient_order: int
-    dim: int
-
-
-@dataclass(frozen=True)
 class PrymPiece:
-    """A cyclic quotient cover and its primitive Prym dimension, computed both
-    from the kernel sum and from the quotient cover's own branch data."""
+    """A cyclic quotient Q of the deck group, its quotient cover, and the
+    primitive Prym dimension dim B_Q, computed both from the kernel sum
+    (``dim``) and from the quotient cover's own branch data."""
 
     orbit: CharacterOrbit
     quotient_order: int
@@ -158,21 +151,6 @@ class PrymPiece:
     dim: int
     dim_from_quotient: int
     nontrivial: bool
-
-
-def cyclic_quotient_dims(cover: CoverSpec) -> tuple[QuotientPiece, ...]:
-    """One entry per cyclic quotient of an abelian deck group (equivalently
-    per Galois orbit of characters): dim B_Q = phi(|Q|) (g_S - 1 + delta +
-    sum over classes outside the kernel of r_C / 2), which is dim B_W of the
-    orbit's rational irreducible."""
-    if not cover.is_abelian:
-        raise NotAbelian("cyclic quotients are enumerated for abelian deck groups")
-    return tuple(
-        QuotientPiece(
-            orbit, orbit.order, dim_B_W(cover, RationalIrrepData.from_character_orbit(cover, orbit))
-        )
-        for orbit in cover.group.rational_character_orbits()
-    )
 
 
 def _cyclic_quotient(cover: CoverSpec, chi: Character, e: int) -> CoverSpec:
@@ -195,35 +173,40 @@ def _cyclic_quotient(cover: CoverSpec, chi: Character, e: int) -> CoverSpec:
 
 
 def primitive_prym_dims(cover: CoverSpec) -> tuple[PrymPiece, ...]:
-    """Primitive Prym dimensions of the cyclic quotient covers.
+    """One piece per cyclic quotient Q of an abelian deck group, equivalently
+    per Galois orbit of characters: dim B_Q = phi(|Q|) (g_S - 1 + delta +
+    sum over classes outside the kernel of r_C / 2), which is dim B_W of the
+    orbit's rational irreducible.
 
-    For each Galois orbit the quotient cover by the kernel of a representative
+    For each orbit the quotient cover by the kernel of a representative
     character is built directly as a Z_e-cover; its genus feeds the
     cross-check formula phi(|Q|)/|Q| * (g_Y - 1) + delta + phi(|Q|) * sum_y
     r_y / (2 o(y)), which must agree with the kernel-sum dimension.  A piece
     is flagged nontrivial per the quotient-genus criterion: g_Y >= 1, except
     for a nontrivial quotient with g_Y = g_S = 1.
     """
-    return _prym_pieces(cover, [(piece.orbit, piece.dim) for piece in cyclic_quotient_dims(cover)])
+    if not cover.is_abelian:
+        raise NotAbelian("cyclic quotients are enumerated for abelian deck groups")
+    return tuple(
+        _prym_piece(cover, orbit, dim_B_W(cover, RationalIrrepData.from_character_orbit(cover, orbit)))
+        for orbit in cover.group.rational_character_orbits()
+    )
 
 
-def _prym_pieces(cover: CoverSpec, orbit_dims) -> tuple[PrymPiece, ...]:
-    """The PrymPiece of each (orbit, dim B_W) pair."""
-    pieces = []
-    for orbit, dim in orbit_dims:
-        e = orbit.order
-        quotient = _cyclic_quotient(cover, orbit.representative, e)
-        g_y = quotient.genus()
-        phi = euler_phi(e)
-        # 2e times the quotient form: every class order of the Z_e quotient divides e
-        num = 2 * phi * (g_y - 1) + 2 * (e == 1)
-        num += phi * sum(c.count * e // c.order for c in quotient.branch_classes)
-        value, rem = divmod(num, 2 * e)
-        if rem:
-            raise NonIntegralDimension(f"quotient-form dim = {Fraction(num, 2 * e)} is not an integer")
-        nontrivial = g_y >= 1 and not (e > 1 and g_y == 1 and cover.base_genus == 1)
-        pieces.append(PrymPiece(orbit, e, g_y, dim, value, nontrivial))
-    return tuple(pieces)
+def _prym_piece(cover: CoverSpec, orbit: CharacterOrbit, dim: int) -> PrymPiece:
+    """The PrymPiece of one orbit whose kernel-sum dimension dim B_W is dim."""
+    e = orbit.order
+    quotient = _cyclic_quotient(cover, orbit.representative, e)
+    g_y = quotient.genus()
+    phi = euler_phi(e)
+    # 2e times the quotient form: every class order of the Z_e quotient divides e
+    num = 2 * phi * (g_y - 1) + 2 * (e == 1)
+    num += phi * sum(c.count * e // c.order for c in quotient.branch_classes)
+    value, rem = divmod(num, 2 * e)
+    if rem:
+        raise NonIntegralDimension(f"quotient-form dim = {Fraction(num, 2 * e)} is not an integer")
+    nontrivial = g_y >= 1 and not (e > 1 and g_y == 1 and cover.base_genus == 1)
+    return PrymPiece(orbit, e, g_y, dim, value, nontrivial)
 
 
 @dataclass(frozen=True)
@@ -268,5 +251,5 @@ def decompose(cover: CoverSpec) -> DecompositionReport:
             f"isotypical dimensions sum to {total}, expected the genus {genus}"
         )
     # dim B_W of each orbit is its cyclic-quotient dimension: one orbit pass feeds both
-    prym = _prym_pieces(cover, [(summary.orbit, summary.dim_B) for summary in orbits])
+    prym = tuple(_prym_piece(cover, summary.orbit, summary.dim_B) for summary in orbits)
     return DecompositionReport(cover, analytic, rational, tuple(orbits), prym)

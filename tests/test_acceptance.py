@@ -10,9 +10,9 @@ from galcov import (
     RationalIrrepData,
     brute_force_filter,
     cw_multiplicity,
-    cyclic_quotient_dims,
     delta_info,
     dim_A_W,
+    dim_B_W,
     dim_omega_chi,
     eichler_trace,
     enumerate_degree_gm1,
@@ -208,9 +208,8 @@ def test_criterion_10_jacobian_decomposition():
             assert total == cover.genus()
             for piece in primitive_prym_dims(cover):
                 assert piece.dim == piece.dim_from_quotient
-            kernel_sums = {p.orbit.representative: p.dim for p in cyclic_quotient_dims(cover)}
-            for piece in primitive_prym_dims(cover):
-                assert kernel_sums[piece.orbit.representative] == piece.dim
+                w = RationalIrrepData.from_character_orbit(cover, piece.orbit)
+                assert piece.dim == dim_B_W(cover, w)
         klein = klein_cover()
         pieces = primitive_prym_dims(klein)[1:]
         assert [p.dim for p in pieces] == [0, 0, 1]

@@ -91,6 +91,14 @@ class TestParse:
             parse_config({"mode": "orbits"})
         assert "mode" in str(err.value)
 
+    @pytest.mark.parametrize("points", [True, 7, {"label": [1, 0]}, "ab"])
+    def test_branch_points_must_be_a_list(self, points):
+        doc = branch_doc()
+        doc["branch_points"] = points
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert "branch_points" in str(err.value)
+
     def test_generic_group_document(self):
         doc = {
             "mode": "branch-data",
@@ -278,6 +286,33 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["multiplicities"] == [{"irrep": "std", "dim": 2, "multiplicity": 2}]
+
+    def test_chevalley_weil_negative_multiplicity_rejected(self, tmp_path, capsys):
+        # a two-dimensional table with both eigenvalues 1 at the involution sums to -2
+        irreps = {"irreps": [{"name": "y", "dim": 2, "classes": {"[1]": [2, 0]}}]}
+        irrep_path = tmp_path / "irreps.json"
+        irrep_path.write_text(json.dumps(irreps))
+        config = str(CONFIG_DIR / "hyperelliptic6.json")
+        code = main(["chevalley-weil", config, "--irrep-file", str(irrep_path), "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CODES["n-table-mismatch"] == 10
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error == {
+            "code": "n-table-mismatch",
+            "message": "multiplicity -2 is negative; eigenvalue table inconsistent",
+        }
+
+    @pytest.mark.parametrize("q", ["11111111111111111111", str(10**400)], ids=["1x20", "10^400"])
+    @pytest.mark.parametrize("name", ["klein4.json", "hyperelliptic6.json"])
+    def test_traces_at_a_huge_q(self, capsys, name, q):
+        # every class order is 2, so the traces read q mod 2: a huge q answers as 2 or 3 does
+        small = str(2 + (int(q) - 2) % 2)
+        reports = []
+        for value in (q, small):
+            assert main(["traces", str(CONFIG_DIR / name), "--q", value, "--format", "json"]) == 0
+            reports.append(json.loads(capsys.readouterr().out)["traces"])
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize(
         "record",

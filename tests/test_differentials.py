@@ -357,6 +357,15 @@ class TestEichlerTrace:
         assert trace.terms == ()
         assert abs(trace.value - 1) < 1e-12  # delta term only
 
+    def test_fixed_point_term_is_periodic_in_q(self):
+        # zeta^order = 1: the value reads q mod the order, exactly, at any size of q
+        for order in range(2, 8):
+            for k in range(1, order):
+                term = FixedPointTerm(order, k, 3)
+                for q in range(-order, 2 * order):
+                    assert term.value(q) == term.value(q + order)
+                assert term.value(10**400) == term.value(10**400 % order)
+
     def test_trace_from_fixed_points_requires_angle(self):
         with pytest.raises(ValueError):
             trace_from_fixed_points((), 1, delta=1)

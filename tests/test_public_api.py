@@ -38,7 +38,6 @@ PUBLIC = [
     "IrrepClassData",
     "OmegaDivisor",
     "PrymPiece",
-    "QuotientPiece",
     "RationalIrrepData",
     "SymbolicDivisor",
     "ValidationReport",
@@ -49,7 +48,6 @@ PUBLIC = [
     "cover",
     "cover_from_class_table",
     "cw_multiplicity",
-    "cyclic_quotient_dims",
     "decompose",
     "delta_info",
     "differentials",
@@ -103,6 +101,23 @@ BENCHMARK_FUNCTIONS = {
     "jacobian": ("decompose",),
 }
 
+# the functions and methods whose calls the benchmark's per-layer counters
+# read (``COUNTS`` in perfbench/run.py): the tracer names each one
+# ``<module>.<name>``, and a counter whose name no longer resolves reads 0
+# instead of failing
+COUNTED = {
+    galcov.groups: ("smith_diagonal",),
+    galcov.GroupSpec: ("u_value",),
+    galcov.CoverSpec: ("t_fraction", "validate", "quotient"),
+    galcov.jacobian: ("decompose",),
+    galcov.differentials: ("delta_info", "raw_dimension_value", "eichler_trace", "cw_multiplicity"),
+    galcov.enumeration: ("count_by_cardinality",),
+    galcov.InvariantDivisor: ("r_chi",),
+    galcov.equations: ("build_cover",),
+    galcov.config: ("parse_config",),
+    galcov.cli: ("format_report",),
+}
+
 # class -> methods the benchmark calls on its instances
 BENCHMARK_METHODS = {
     galcov.CoverSpec: ("characters", "genus", "t_chi", "u_value", "validate"),
@@ -131,6 +146,16 @@ def test_benchmark_methods_resolve():
     assert galcov.divisors.InvariantDivisor is galcov.InvariantDivisor
     # the tracer counts divisors built through InvariantDivisor's own __post_init__
     assert "__post_init__" in vars(galcov.InvariantDivisor)
+
+
+def test_counted_names_resolve():
+    for owner, names in COUNTED.items():
+        module = owner if inspect.ismodule(owner) else inspect.getmodule(owner)
+        for name in names:
+            fn = vars(owner)[name]
+            assert inspect.isfunction(fn), f"{owner.__name__}.{name}"
+            # the tracer wraps only what the module itself defines
+            assert fn.__module__ == module.__name__, f"{owner.__name__}.{name}"
 
 
 def test_group_iterators_are_generators():
