@@ -69,6 +69,14 @@ class InvariantDivisor:
         if self.cover.base_genus == 0 and self.base_part:
             raise ValueError("genus-0 base: extra base divisor must be empty")
 
+    @classmethod
+    def _from_checked(cls, cover: CoverSpec, buckets: tuple[int, ...], p: int) -> "InvariantDivisor":
+        """The divisor with no base part, skipping ``__post_init__``: ``buckets``
+        is a tuple of ints with 0 <= i_j < o_j at every branch value j."""
+        div = object.__new__(cls)
+        div.__dict__.update(cover=cover, buckets=buckets, p=p, base_part=())
+        return div
+
     # -- structure ---------------------------------------------------------
 
     def exponent(self, j: int) -> int:

@@ -8,9 +8,8 @@ family consists of the divisors of degree genus - 1 with no nonzero section
 (p = -1 and the analogous sums equal t_chi for every character).
 
 Both constraints depend only on the bucket cardinalities, so enumeration
-first solves the integer cardinality system and then expands every solution
-into concrete bucket assignments.  A brute-force filter over the full
-assignment space doubles as the reference implementation.
+first solves the integer cardinality system.  A brute-force filter over the
+full assignment space doubles as the reference implementation.
 
 The cardinality system.  A solution gives each branch class C a composition
 |B_{C,0}|, ..., |B_{C,o(C)-1}| of its count; a constraint whose weight in C
@@ -31,18 +30,21 @@ class can meet them jointly.
 
 ``count_by_cardinality`` runs the same search as a walk over states (class
 index, residual targets), memoized, with each composition weighted by its
-multinomial coefficient; it builds no solution list.
+multinomial coefficient; it builds no solution list.  A stream expands a
+solution per class: each class's table of bucket rows is built once and
+checked once for the row length and bucket range ``InvariantDivisor``
+checks, and each row of the tables' product, in index order, becomes a
+divisor by ``InvariantDivisor._from_checked``, which checks nothing.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, repeat
 from operator import itemgetter
 from typing import Iterator
 
-from .cover import CoverSpec
+from .cover import BranchClass, CoverSpec
 from .divisors import InvariantDivisor
 from .errors import NotAbelian, SearchSpaceTooLarge, UnsupportedBaseGenus
 from .groups import DEFAULT_CAP
@@ -206,55 +208,52 @@ def _cardinality_solutions(cover: CoverSpec, family: str) -> Iterator[tuple[tupl
     return _CardinalitySystem(cover, family).solutions()
 
 
-def _class_assignments(count: int, sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _class_assignments(sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The bucket of each of a class's points, by position in the class, for
     every placement with the given bucket sizes: bucket 0's points are chosen
     first, in the order of ``combinations``, then bucket 1's among the rest,
-    and so on."""
-    *head, (last, _) = [(i, s) for i, s in enumerate(sizes) if s]
-    # points no earlier bucket takes sit in the last nonempty one
-    values = [last] * count
-    out = []
-
-    def place(free: tuple[int, ...], level: int):
-        bucket, size = head[level]
-        for chosen in combinations(free, size):
-            for pos in chosen:
-                values[pos] = bucket
-            if level + 1 == len(head):
-                out.append(tuple(values))
-            else:
-                taken = set(chosen)
-                place(tuple(pos for pos in free if pos not in taken), level + 1)
-            for pos in chosen:
-                values[pos] = last
-
-    if head:
-        place(tuple(range(count)), 0)
-    else:
-        out.append(tuple(values))
-    return out
+    and so on.  Built up from the last two nonempty buckets, one row per
+    choice of the first one's points: an earlier bucket choosing among f
+    positions fills the rest with each row so far, by one ``itemgetter``."""
+    # an empty bucket in front makes a lone nonempty bucket the last of a pair
+    *head, (low, n_low), (last, free) = [(0, 0), *((i, s) for i, s in enumerate(sizes) if s)]
+    free += n_low
+    table = []
+    for chosen in combinations(range(free), n_low):
+        row = [last] * free
+        for pos in chosen:
+            row[pos] = low
+        table.append(tuple(row))
+    for bucket, size in reversed(head[1:]):
+        free += size
+        rows = []
+        for chosen in combinations(range(free), size):
+            rank = iter(range(1, free))
+            getter = itemgetter(*[0 if pos in chosen else next(rank) for pos in range(free)])
+            rows.extend(map(getter, map((bucket,).__add__, table)))
+        table = rows
+    return table
 
 
-def _expand(cover: CoverSpec, solution) -> Iterator[tuple[int, ...]]:
-    """Concrete bucket tuples realizing the given per-class cardinalities."""
-    classes = cover.branch_classes
-    per_class = [_class_assignments(cls.count, sizes) for cls, sizes in zip(classes, solution)]
-    rows = map(tuple, map(chain.from_iterable, product(*per_class)))
-    # rows list the points class by class; put them back in index order
-    slots = [j for cls in classes for j in cls.points]
-    if slots == sorted(slots):
-        return rows
-    position = [0] * len(slots)
-    for pos, j in enumerate(slots):
-        position[j] = pos
-    return map(itemgetter(*position), rows)
+def _checked_table(table: list[tuple[int, ...]], cls: BranchClass) -> list[tuple[int, ...]]:
+    """The table, once checked for what ``InvariantDivisor`` checks per divisor."""
+    if set(map(len, table)) != {cls.count} or not set().union(*table) <= set(range(cls.order)):
+        raise ValueError(f"a bucket row of class {cls.key} is not {cls.count} entries in [0, {cls.order})")
+    return table
 
 
 def _iter_family(cover: CoverSpec, family: str) -> Iterator[InvariantDivisor]:
-    divisor = partial(InvariantDivisor, cover, p=0 if family == "integral" else -1)
+    classes = cover.branch_classes
+    slots = [j for cls in classes for j in cls.points]
+    if sorted(slots) != list(range(len(cover.branch_points))):
+        raise ValueError("the branch classes do not partition the branch values")
+    # rows list the points class by class; put them back in index order
+    reorder = None if slots == sorted(slots) else itemgetter(*sorted(range(len(slots)), key=slots.__getitem__))
+    build, p = InvariantDivisor._from_checked, 0 if family == "integral" else -1
     for solution in _cardinality_solutions(cover, family):
-        yield from map(divisor, _expand(cover, solution))
+        tables = [_checked_table(_class_assignments(sizes), cls) for cls, sizes in zip(classes, solution)]
+        rows = tables[0] if len(tables) == 1 else map(tuple, map(chain.from_iterable, product(*tables)))
+        yield from map(build, repeat(cover), map(reorder, rows) if reorder else rows, repeat(p))
 
 
 def iter_nonspecial_integral(cover: CoverSpec) -> Iterator[InvariantDivisor]:

@@ -39,6 +39,7 @@ from covergen import (
     klein_cover,
     pt,
 )
+import fraction_oracle
 
 
 def window_qs(cover, lo=-2, hi=4):
@@ -398,14 +399,21 @@ class TestChevalleyWeil:
         assert cw_multiplicity(cover, cover.trivial_character, 1, 0) == 1
         assert cw_multiplicity(hyperelliptic(6), hyperelliptic(6).trivial_character, 1, 0) == 0
 
-    def test_character_multiplicities_match_dimensions(self):
+    def test_character_multiplicities_match_the_fraction_sum(self):
+        """The integer route against the per-class Fraction sum of
+        ``fraction_oracle.cw_value`` on the character's one-dimensional
+        eigenvalue rows (u_{chi,C} with multiplicity 1), plus 1 at the
+        character ``delta_info`` corrects."""
         for cover in fixture_covers():
             for q in window_qs(cover):
                 for gamma in (0, 1):
+                    info = delta_info(cover, q, gamma)
                     for chi in cover.characters():
-                        assert cw_multiplicity(cover, chi, q, gamma) == dim_omega_chi(
-                            cover, chi, q, gamma
-                        )
+                        rows = tuple(((u, 1),) for u in cover.u_row(chi))
+                        expected = fraction_oracle.cw_value(cover, 1, rows, q, gamma)
+                        assert expected.denominator == 1
+                        expected += 1 if info.delta and chi == info.character else 0
+                        assert cw_multiplicity(cover, chi, q, gamma) == expected
 
     def test_sum_weighted_by_dimension_is_total(self):
         for cover in fixture_covers():

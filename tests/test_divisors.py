@@ -64,6 +64,36 @@ class TestDegree:
             InvariantDivisor(hyp6, (2, 0, 0, 0, 0, 0), 0)
 
 
+class TestConstructorChecks:
+    """Each check of the public constructor, with its message."""
+
+    @pytest.mark.parametrize("buckets", [(0, 0, 1, 1, 1), (0, 0, 1, 1, 1, 1, 1), ()])
+    def test_wrong_number_of_entries(self, hyp6, buckets):
+        with pytest.raises(ValueError, match=rf"^{len(buckets)} bucket entries for 6 branch values$"):
+            InvariantDivisor(hyp6, buckets, 0)
+
+    def test_bucket_at_the_class_order(self, hyp6):
+        with pytest.raises(ValueError, match=r"^bucket 2 out of range \[0, 2\) at branch value 4$"):
+            InvariantDivisor(hyp6, (0, 0, 1, 1, 2, 1), 0)
+
+    def test_negative_bucket(self, z3):
+        with pytest.raises(ValueError, match=r"^bucket -1 out of range \[0, 3\) at branch value 1$"):
+            InvariantDivisor(z3, (2, -1, 0), 0)
+
+    def test_base_part_on_a_genus0_base(self, hyp6):
+        with pytest.raises(ValueError, match=r"^genus-0 base: extra base divisor must be empty$"):
+            InvariantDivisor(hyp6, (0, 0, 1, 1, 1, 1), 0, (("s", 1),))
+
+    def test_lists_are_stored_as_hashable_tuples(self, hyp6):
+        g = GroupSpec((2,))
+        cover = CoverSpec(1, g, (BranchPoint("x", g.element([1])), BranchPoint("y", g.element([1]))))
+        for cov, buckets, base in ((hyp6, [0, 0, 1, 1, 1, 1], []), (cover, [0, 1], [("s", 2)])):
+            div = InvariantDivisor(cov, buckets, 0, base)
+            assert type(div.buckets) is tuple and type(div.base_part) is tuple
+            assert div == InvariantDivisor(cov, tuple(buckets), 0, tuple(base))
+            assert hash(div) == hash(InvariantDivisor(cov, tuple(buckets), 0, tuple(base)))
+
+
 class TestNormalize:
     def test_already_normalized_is_unchanged(self, hyp6):
         result = normalize(hyp6, [1, 1, 0, 0, 0, 0], 0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from galcov import (
+    InvariantDivisor,
     brute_force_filter,
     count_by_cardinality,
     enumerate_degree_gm1,
@@ -14,7 +15,8 @@ from galcov import (
     search_space_size,
     trivial_divisor,
 )
-from galcov.enumeration import _cardinality_solutions
+from galcov.cover import BranchClass
+from galcov.enumeration import _cardinality_solutions, _checked_table, _class_assignments
 from galcov.errors import NotAbelian, SearchSpaceTooLarge, UnsupportedBaseGenus
 
 import enumeration_oracle as oracle
@@ -192,8 +194,13 @@ class TestAgainstUnprunedSearch:
             count = count_by_cardinality(cover, family)
             assert count == oracle.count_by_cardinality(cover, family)
             if count <= 5000:  # keeps the materialized streams small
-                streamed = [d.buckets for d in STREAMS[family](cover)]
-                assert streamed == list(oracle.stream(cover, family))
+                streamed = list(STREAMS[family](cover))
+                assert [d.buckets for d in streamed] == list(oracle.stream(cover, family))
+                for d in streamed:
+                    checked = InvariantDivisor(cover, d.buckets, d.p)
+                    assert d == checked and hash(d) == hash(checked) and repr(d) == repr(checked)
+                    assert type(d.buckets) is tuple and all(type(i) is int for i in d.buckets)
+                    assert d.base_part == ()
 
     def test_fixtures(self):
         for cover in fixture_covers():
@@ -212,6 +219,34 @@ class TestAgainstUnprunedSearch:
             expected = sorted(d.buckets for d in brute_force_filter(cover, p, degree, r))
             assert sorted(d.buckets for d in STREAMS[family](cover)) == expected
             assert count_by_cardinality(cover, family) == len(expected)
+
+
+class TestClassTables:
+    """The per-table check that stands in for the per-divisor one."""
+
+    def test_built_tables_pass(self):
+        table = _class_assignments((1, 0, 2))
+        assert table == [(0, 2, 2), (2, 0, 2), (2, 2, 0)]
+        assert _checked_table(table, BranchClass((1,), 3, (0, 4, 5))) is table
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_every_composition_matches_the_oracle(self, m):
+        cover = cyclic_cover(m, [1] * m)  # one class of m points, of order m
+        for sizes in oracle.compositions(m, m):
+            assert _class_assignments(sizes) == list(oracle.expand(cover, (sizes,)))
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [(0, 2, 2), (2, 3, 2)],  # a bucket equal to the class order
+            [(0, 2, 2), (2, -1, 2)],  # a negative bucket
+            [(0, 2, 2), (2, 0)],  # a short row
+            [(0, 2, 2), (2, 0, 2, 2)],  # a long row
+        ],
+    )
+    def test_bad_rows_raise(self, table):
+        with pytest.raises(ValueError, match=r"bucket row of class \(1,\) is not 3 entries in \[0, 3\)"):
+            _checked_table(table, BranchClass((1,), 3, (0, 4, 5)))
 
 
 class TestLargeCounts:
