@@ -47,13 +47,16 @@ EXIT_CODES = {
     "internal-inconsistency": 14,
 }
 
-# the divisor family each enumeration command lists, counts or streams
-FAMILIES = {"nonspecial": "integral", "degree-gm1": "gm1"}
-
-
-def _checked_cover(parsed: ParsedInput) -> CoverSpec:
-    parsed.cover.validate().raise_for_status()
-    return parsed.cover
+# each enumeration command's divisor family: the name it is counted by, the
+# sorted list and the stream
+FAMILIES = {
+    "nonspecial": (
+        "integral",
+        enumeration.enumerate_nonspecial_integral,
+        enumeration.iter_nonspecial_integral,
+    ),
+    "degree-gm1": ("gm1", enumeration.enumerate_degree_gm1, enumeration.iter_degree_gm1),
+}
 
 
 def _parse_character(cover: CoverSpec, text: str):
@@ -62,7 +65,8 @@ def _parse_character(cover: CoverSpec, text: str):
             return cover.group.character([int(k) for k in text.split(",")])
         except ValueError as exc:
             raise ConfigError(str(exc), "--char") from None
-    for chi in cover.characters():
+    # a report names the trivial character even where the table omits its row
+    for chi in (*cover.characters(), cover.trivial_character):
         if chi.name == text:
             return chi
     raise ConfigError(f"unknown character {text!r}", "--char")
@@ -113,11 +117,11 @@ def cmd_validate(parsed: ParsedInput, args) -> dict:
 
 
 def cmd_genus(parsed: ParsedInput, args) -> dict:
-    return {"command": "genus", "genus": _checked_cover(parsed).genus()}
+    return {"command": "genus", "genus": parsed.cover.genus()}
 
 
 def cmd_tchi(parsed: ParsedInput, args) -> dict:
-    cover = _checked_cover(parsed)
+    cover = parsed.cover
     classes = [
         {"psi": class_key_to_json(cls.key), "order": cls.order, "count": cls.count}
         for cls in cover.branch_classes
@@ -130,13 +134,13 @@ def cmd_tchi(parsed: ParsedInput, args) -> dict:
 
 
 def cmd_hchi(parsed: ParsedInput, args) -> dict:
-    cover = _checked_cover(parsed)
+    cover = parsed.cover
     rows = [_eigen_record(h_chi_divisor(cover, chi)) for chi in _characters(cover, args.char)]
     return {"command": "hchi", "characters": rows}
 
 
 def cmd_dims(parsed: ParsedInput, args) -> dict:
-    cover = _checked_cover(parsed)
+    cover = parsed.cover
     info = delta_info(cover, args.q, args.gamma_degree)
     rows = [
         {
@@ -160,24 +164,19 @@ def cmd_dims(parsed: ParsedInput, args) -> dict:
 
 
 def cmd_enumerate(parsed: ParsedInput, args) -> dict:
-    cover = _checked_cover(parsed)
-    family = FAMILIES[args.command]
+    cover = parsed.cover
+    family, listing, _ = FAMILIES[args.command]
     count = enumeration.count_by_cardinality(cover, family)
     out = {"command": args.command, "count": count}
     if not args.count_only:
         if count > args.cap:
             raise enumeration.SearchSpaceTooLarge(count, args.cap)
-        listed = (
-            enumeration.enumerate_nonspecial_integral(cover)
-            if family == "integral"
-            else enumeration.enumerate_degree_gm1(cover)
-        )
-        out["divisors"] = [_divisor_record(d) for d in listed]
+        out["divisors"] = [_divisor_record(d) for d in listing(cover)]
     return out
 
 
 def cmd_omega(parsed: ParsedInput, args) -> dict:
-    cover = _checked_cover(parsed)
+    cover = parsed.cover
     rows = []
     for chi in _characters(cover, args.char):
         div = omega_divisor(cover, chi, args.q)
@@ -186,7 +185,7 @@ def cmd_omega(parsed: ParsedInput, args) -> dict:
 
 
 def cmd_traces(parsed: ParsedInput, args) -> dict:
-    cover = _checked_cover(parsed)
+    cover = parsed.cover
     if not cover.is_abelian:
         raise NotAbelian("traces need an abelian deck group on the command line")
     group = cover.group
@@ -255,26 +254,19 @@ def _load_irreps(cover: CoverSpec, path: str) -> list[tuple[str, IrrepClassData]
 
 
 def cmd_chevalley_weil(parsed: ParsedInput, args) -> dict:
-    cover = _checked_cover(parsed)
-    rows = []
+    cover = parsed.cover
     if args.irrep_file:
-        for name, rho in _load_irreps(cover, args.irrep_file):
-            rows.append(
-                {
-                    "irrep": name,
-                    "dim": rho.dim,
-                    "multiplicity": cw_multiplicity(cover, rho, args.q, args.gamma_degree),
-                }
-            )
+        irreps = [(name, rho.dim, rho) for name, rho in _load_irreps(cover, args.irrep_file)]
     else:
-        for chi in _characters(cover, args.char):
-            rows.append(
-                {
-                    "irrep": character_to_json(chi),
-                    "dim": 1,
-                    "multiplicity": cw_multiplicity(cover, chi, args.q, args.gamma_degree),
-                }
-            )
+        irreps = [(character_to_json(chi), 1, chi) for chi in _characters(cover, args.char)]
+    rows = [
+        {
+            "irrep": name,
+            "dim": dim,
+            "multiplicity": cw_multiplicity(cover, rho, args.q, args.gamma_degree),
+        }
+        for name, dim, rho in irreps
+    ]
     out = {
         "command": "chevalley-weil",
         "q": args.q,
@@ -287,7 +279,7 @@ def cmd_chevalley_weil(parsed: ParsedInput, args) -> dict:
 
 
 def cmd_jacobian(parsed: ParsedInput, args) -> dict:
-    cover = _checked_cover(parsed)
+    cover = parsed.cover
     report = decompose(cover)
     return {
         "command": "jacobian",
@@ -380,8 +372,6 @@ def _format_table(value, indent=0) -> list[str]:
                 lines.extend(_format_table(item, indent + 1))
             else:
                 lines.append(f"{pad}- {item}")
-    else:
-        lines.append(f"{pad}{value}")
     return lines
 
 
@@ -413,13 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _stream_enumeration(parsed: ParsedInput, args, out) -> int:
-    cover = _checked_cover(parsed)
-    items = (
-        enumeration.iter_nonspecial_integral(cover)
-        if FAMILIES[args.command] == "integral"
-        else enumeration.iter_degree_gm1(cover)
-    )
-    for div in items:
+    _, _, stream = FAMILIES[args.command]
+    for div in stream(parsed.cover):
         print(json.dumps(_divisor_record(div), sort_keys=True), file=out)
     return 0
 
@@ -447,6 +432,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             except OSError as exc:
                 raise ConfigError(str(exc), args.config)
         parsed = parse_config(text)
+        # validate and all report invalid data; every other command refuses it
+        if args.command not in ("validate", "all"):
+            parsed.cover.validate().raise_for_status()
         if args.stream and args.command in FAMILIES:
             return _stream_enumeration(parsed, args, sys.stdout)
         report = HANDLERS[args.command](parsed, args)

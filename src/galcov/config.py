@@ -150,15 +150,11 @@ def _parse_equations_mode(document) -> ParsedInput:
             factors.append((point, exp))
         try:
             equations.append(Equation(m, FactoredRational(tuple(factors))))
-        except BranchedAtInfinity:
-            raise
         except ValueError as exc:
             _fail(str(exc), path)
     try:
         system = EquationSystem(tuple(equations))
         cover = build_cover(system)
-    except BranchedAtInfinity:
-        raise
     except ValueError as exc:
         _fail(str(exc), "equations")
     return ParsedInput(cover, system)

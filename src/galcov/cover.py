@@ -16,7 +16,8 @@ with t_chi, and the conjugate's row is (-u) mod o(C).
 
 Every invariant is one integer numerator over a known denominator: t_chi
 over L = lcm o(C) (``class_weights``), twice the genus over 2.  A
-``Fraction`` is built only to report a value that is not an integer.
+``Fraction`` is built to report a value that is not an integer, and once
+per character in ``validate``'s character scan (by ``t_fraction``).
 
 The distinguished base point used for normalization (infinity when the base
 has genus 0) is implicit and never allowed to be a branch value.
@@ -204,7 +205,7 @@ class CoverSpec:
         Generic: the supplied row; a missing class raises ValueError.
         """
         if isinstance(chi, Character):
-            k = self._require_abelian().check_character(chi).exponents
+            k = self._require_abelian().check_element(chi).exponents
             return tuple(sum(map(mul, k, col)) % o for col, o in self._unit_u_columns)
         return tuple(self.u_value(chi, cls.key) for cls in self.branch_classes)
 

@@ -124,13 +124,17 @@ class InvariantDivisor:
         denominator = tuple(self.cover.branch_points[j].label for j in a_points)
         return BasisDescription(max(-1, self.p + len(a_points) - t), denominator, chi)
 
-    def r_total(self) -> int:
-        """sum_chi r_chi = sum_chi max(0, p + 1 + a_chi - t_chi): one u-row
+    def _total(self, sign: int) -> int:
+        """sum_chi max(0, sign * excess(chi)) over the dual group: one u-row
         per character, with its t an integer numerator over lcm o(C)."""
         self._require_genus0()
         if not self.cover.is_abelian:
             raise NotAbelian("total dimension sums over the full dual group")
-        return sum(max(0, self._excess(chi)) for chi in self.cover.characters())
+        return sum(max(0, sign * self._excess(chi)) for chi in self.cover.characters())
+
+    def r_total(self) -> int:
+        """sum_chi r_chi = sum_chi max(0, p + 1 + a_chi - t_chi)."""
+        return self._total(1)
 
     def i_chi(self, chi: CharLike) -> int:
         """Dimension of the chi-part of differentials bounded below by the divisor."""
@@ -139,14 +143,10 @@ class InvariantDivisor:
 
     def i_total(self) -> int:
         """sum_chi i_chi = sum_chi max(0, t_chi - a_chi - p - 1), since
-        chi -> conj chi permutes the dual group: one u-row per character,
-        with its t an integer numerator over lcm o(C), and none conjugated.
+        chi -> conj chi permutes the dual group: no row is conjugated.
         On non-integral branch data the error names the first non-integral
         character, where i_chi would name its conjugate."""
-        self._require_genus0()
-        if not self.cover.is_abelian:
-            raise NotAbelian("total dimension sums over the full dual group")
-        return sum(max(0, -self._excess(chi)) for chi in self.cover.characters())
+        return self._total(-1)
 
     def reduced_base_divisor(self, chi: CharLike, kind: str = "function") -> "SymbolicDivisor":
         """Divisor on the base computing the chi-dimension, for any base genus.

@@ -30,11 +30,12 @@ class can meet them jointly.
 
 ``count_by_cardinality`` runs the same search as a walk over states (class
 index, residual targets), memoized, with each composition weighted by its
-multinomial coefficient; it builds no solution list.  A stream expands a
-solution per class: each class's table of bucket rows is built once and
-checked once for the row length and bucket range ``InvariantDivisor``
-checks, and each row of the tables' product, in index order, becomes a
-divisor by ``InvariantDivisor._from_checked``, which checks nothing.
+multinomial coefficient; it builds no solution list.  A stream walks the
+search's solutions one at a time and expands each per class: each class's
+table of bucket rows is built once and checked once for the row length and
+bucket range ``InvariantDivisor`` checks, and each row of the tables'
+product, in index order, becomes a divisor by
+``InvariantDivisor._from_checked``, which checks nothing.
 """
 
 from __future__ import annotations
@@ -204,10 +205,6 @@ def _multinomial(sizes: tuple[int, ...]) -> int:
     return ways
 
 
-def _cardinality_solutions(cover: CoverSpec, family: str) -> Iterator[tuple[tuple[int, ...], ...]]:
-    return _CardinalitySystem(cover, family).solutions()
-
-
 def _class_assignments(sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The bucket of each of a class's points, by position in the class, for
     every placement with the given bucket sizes: bucket 0's points are chosen
@@ -250,7 +247,7 @@ def _iter_family(cover: CoverSpec, family: str) -> Iterator[InvariantDivisor]:
     # rows list the points class by class; put them back in index order
     reorder = None if slots == sorted(slots) else itemgetter(*sorted(range(len(slots)), key=slots.__getitem__))
     build, p = InvariantDivisor._from_checked, 0 if family == "integral" else -1
-    for solution in _cardinality_solutions(cover, family):
+    for solution in _CardinalitySystem(cover, family).solutions():
         tables = [_checked_table(_class_assignments(sizes), cls) for cls, sizes in zip(classes, solution)]
         rows = tables[0] if len(tables) == 1 else map(tuple, map(chain.from_iterable, product(*tables)))
         yield from map(build, repeat(cover), map(reorder, rows) if reorder else rows, repeat(p))

@@ -128,19 +128,13 @@ class GroupSpec:
             )
         return tuple(e % m for e, m in zip(exponents, self.cyclic_orders))
 
-    def check_element(self, x: GroupElement) -> GroupElement:
+    def check_element(self, x: GroupElement | Character) -> GroupElement | Character:
+        """x, an element or a character: both are exponent vectors reduced mod the orders."""
         if len(x.exponents) != self.rank or any(
             not 0 <= a < m for a, m in zip(x.exponents, self.cyclic_orders)
         ):
             raise ValueError(f"malformed exponent vector {x.exponents} for orders {self.cyclic_orders}")
         return x
-
-    def check_character(self, chi: Character) -> Character:
-        if len(chi.exponents) != self.rank or any(
-            not 0 <= k < m for k, m in zip(chi.exponents, self.cyclic_orders)
-        ):
-            raise ValueError(f"malformed exponent vector {chi.exponents} for orders {self.cyclic_orders}")
-        return chi
 
     @property
     def identity(self) -> GroupElement:
@@ -210,7 +204,7 @@ class GroupSpec:
         return Character(tuple((-x) % m for x, m in zip(chi.exponents, self.cyclic_orders)))
 
     def character_order(self, chi: Character) -> int:
-        self.check_character(chi)
+        self.check_element(chi)
         return math.lcm(*(m // math.gcd(m, k) for k, m in zip(chi.exponents, self.cyclic_orders)))
 
     def pairing(self, chi: Character, x: GroupElement) -> Fraction:
@@ -224,7 +218,7 @@ class GroupSpec:
         Returns the unique u with 0 <= u < o(x) and chi(x) = zeta_{o(x)}^u,
         in integers: o * a_i is a multiple of m_i because o * x = 0.
         """
-        self.check_character(chi)
+        self.check_element(chi)
         o = self.element_order(x)
         return sum(
             k * (o * a // m) for k, a, m in zip(chi.exponents, x.exponents, self.cyclic_orders)

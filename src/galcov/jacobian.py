@@ -5,8 +5,9 @@ of the deck group on the Jacobian, dimensions of the isotypical abelian
 subvarieties, and, for abelian deck groups, the cyclic-quotient pieces:
 one ``PrymPiece`` per Galois orbit of characters, built by one per-orbit
 function, giving dim B_Q of the primitive Prym variety of the
-corresponding cyclic quotient cover.  The multiplicities read the
-Chevalley-Weil kernel of the differentials module.  Each quotient cover is
+corresponding cyclic quotient cover; ``decompose`` reads its orbit rows
+from these pieces.  The multiplicities read the Chevalley-Weil kernel of
+the differentials module.  Each quotient cover is
 built directly from branch data: a character of order e maps the deck group
 onto Z_e, so the group is never enumerated and no Smith form is taken.
 Only integers are computed here, each dimension as one integer numerator
@@ -187,14 +188,12 @@ def primitive_prym_dims(cover: CoverSpec) -> tuple[PrymPiece, ...]:
     """
     if not cover.is_abelian:
         raise NotAbelian("cyclic quotients are enumerated for abelian deck groups")
-    return tuple(
-        _prym_piece(cover, orbit, dim_B_W(cover, RationalIrrepData.from_character_orbit(cover, orbit)))
-        for orbit in cover.group.rational_character_orbits()
-    )
+    return tuple(_prym_piece(cover, orbit) for orbit in cover.group.rational_character_orbits())
 
 
-def _prym_piece(cover: CoverSpec, orbit: CharacterOrbit, dim: int) -> PrymPiece:
-    """The PrymPiece of one orbit whose kernel-sum dimension dim B_W is dim."""
+def _prym_piece(cover: CoverSpec, orbit: CharacterOrbit) -> PrymPiece:
+    """The PrymPiece of one orbit, with its kernel-sum dimension dim B_W."""
+    dim = dim_B_W(cover, RationalIrrepData.from_character_orbit(cover, orbit))
     e = orbit.order
     quotient = _cyclic_quotient(cover, orbit.representative, e)
     g_y = quotient.genus()
@@ -240,16 +239,13 @@ def decompose(cover: CoverSpec) -> DecompositionReport:
     chars = tuple(cover.characters())
     analytic = tuple((chi, analytic_multiplicity(cover, chi)) for chi in chars)
     rational = tuple((chi, rational_multiplicity(cover, chi)) for chi in chars)
-    orbits = []
-    for orbit in cover.group.rational_character_orbits():
-        w = RationalIrrepData.from_character_orbit(cover, orbit)
-        orbits.append(OrbitSummary(orbit, dim_A_W(cover, w), dim_B_W(cover, w)))
+    prym = primitive_prym_dims(cover)
+    # a character orbit's irreducible has d = m = 1, so dim A_W = dim B_W = dim B_Q
+    orbits = tuple(OrbitSummary(piece.orbit, piece.dim, piece.dim) for piece in prym)
     total = sum(summary.dim_A for summary in orbits)
     genus = cover.genus()
     if total != genus:
         raise InternalInconsistency(
             f"isotypical dimensions sum to {total}, expected the genus {genus}"
         )
-    # dim B_W of each orbit is its cyclic-quotient dimension: one orbit pass feeds both
-    prym = tuple(_prym_piece(cover, summary.orbit, summary.dim_B) for summary in orbits)
-    return DecompositionReport(cover, analytic, rational, tuple(orbits), prym)
+    return DecompositionReport(cover, analytic, rational, orbits, prym)

@@ -6,14 +6,24 @@ from pathlib import Path
 
 import pytest
 
-from galcov.cli import EXIT_CODES, main
+from galcov import (
+    count_by_cardinality,
+    enumerate_degree_gm1,
+    enumerate_nonspecial_integral,
+    iter_degree_gm1,
+    iter_nonspecial_integral,
+)
+from galcov.cli import COMMANDS, EXIT_CODES, FAMILIES, main
 from galcov.config import parse_config, to_document
-from galcov.cover import Coord
+from galcov.cover import Coord, CoverSpec
 from galcov.errors import BranchedAtInfinity, ConfigError
 
 from covergen import hyperelliptic
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# S3 over the line with four transpositions; the u_table lists only sgn
+S3_DOC = str(Path(__file__).resolve().parent / "golden" / "s3.json")
+HYPER6 = str(CONFIG_DIR / "hyperelliptic6.json")
 
 
 def hyper6_doc():
@@ -543,3 +553,122 @@ class TestShippedConfigs:
         )
         assert result.returncode == 0
         assert "genus: 1" in result.stdout
+
+
+def run_json(capsys, *argv):
+    """main(argv) in JSON format: the exit code, the report and the error."""
+    code = main([*argv, "--format", "json"])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out) if captured.out else None
+    err = json.loads(captured.err)["error"] if captured.err else None
+    return code, out, err
+
+
+class TestGenericCharFlag:
+    """--char on a generic cover takes every character name a report prints,
+    the trivial character "1" included where the u_table omits its row."""
+
+    def test_dims_at_the_trivial_character(self, capsys):
+        code, out, _ = run_json(capsys, "dims", S3_DOC, "--char", "1")
+        assert code == 0
+        assert out["delta_character"] == "1"
+        assert out["characters"] == [{"character": "1", "dim": 0}]
+
+    def test_chevalley_weil_at_the_trivial_character(self, capsys):
+        code, out, _ = run_json(capsys, "chevalley-weil", S3_DOC, "--char", "1", "--q", "2")
+        assert code == 0
+        assert out["multiplicities"] == [{"irrep": "1", "dim": 1, "multiplicity": 1}]
+
+    def test_table_name_still_selected(self, capsys):
+        code, out, _ = run_json(capsys, "dims", S3_DOC, "--char", "sgn")
+        assert code == 0
+        assert out["characters"] == [{"character": "sgn", "dim": 1}]
+
+    def test_unknown_name_rejected(self, capsys):
+        code, out, err = run_json(capsys, "dims", S3_DOC, "--char", "nope")
+        assert code == EXIT_CODES["config"] == 2
+        assert out is None
+        assert err == {"code": "config", "message": "--char: unknown character 'nope'"}
+
+
+class TestErrorPaths:
+    """Exit codes of inputs the CLI refuses before any computation."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            None,  # no such file
+            "{not json",
+            "[]",
+            json.dumps({"irreps": {}}),
+            json.dumps({"irreps": [5]}),
+            json.dumps({"irreps": [{"dim": 1, "classes": {"[7]": [1, 0]}}]}),
+            json.dumps({"irreps": [{"dim": 1, "classes": {"[oops": [1, 0]}}]}),
+        ],
+        ids=["missing", "not-json", "list", "irreps-not-list", "record-not-object", "unknown-key", "bad-key"],
+    )
+    def test_bad_irrep_file(self, tmp_path, capsys, text):
+        path = tmp_path / "irreps.json"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run_json(capsys, "chevalley-weil", HYPER6, "--irrep-file", str(path))
+        assert code == EXIT_CODES["config"] == 2
+        assert out is None
+        assert err["code"] == "config"
+        assert str(path) in err["message"]
+
+    def test_unreadable_config(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        code, out, err = run_json(capsys, "genus", path)
+        assert code == EXIT_CODES["config"] == 2
+        assert out is None
+        assert err["code"] == "config"
+        assert path in err["message"]
+
+    def test_traces_on_a_generic_group(self, capsys):
+        code, out, err = run_json(capsys, "traces", S3_DOC)
+        assert code == EXIT_CODES["not-abelian"] == 7
+        assert out is None
+        assert err["code"] == "not-abelian"
+
+
+class TestValidatesOnce:
+    """main validates the cover once; only the library's own gates validate
+    again."""
+
+    def validations(self, monkeypatch, capsys, *argv):
+        calls = []
+        validate = CoverSpec.validate
+
+        def counted(cover):
+            calls.append(cover)
+            return validate(cover)
+
+        monkeypatch.setattr(CoverSpec, "validate", counted)
+        code, _, _ = run_json(capsys, *argv)
+        assert code == 0
+        return len(calls)
+
+    def test_all_on_an_abelian_cover(self, monkeypatch, capsys):
+        # once in main, once in each of count_by_cardinality's two gates
+        assert self.validations(monkeypatch, capsys, "all", HYPER6) == 3
+
+    def test_all_on_a_generic_cover(self, monkeypatch, capsys):
+        assert self.validations(monkeypatch, capsys, "all", S3_DOC, "--q", "2") == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [c for c in COMMANDS if c not in ("validate", "all", "nonspecial", "degree-gm1")],
+    )
+    def test_other_commands(self, monkeypatch, capsys, command):
+        assert self.validations(monkeypatch, capsys, command, HYPER6) == 1
+
+
+def test_family_table_holds_the_public_functions():
+    assert FAMILIES == {
+        "nonspecial": ("integral", enumerate_nonspecial_integral, iter_nonspecial_integral),
+        "degree-gm1": ("gm1", enumerate_degree_gm1, iter_degree_gm1),
+    }
+    cover = hyperelliptic(6)
+    for family, listing, stream in FAMILIES.values():
+        assert count_by_cardinality(cover, family) == len(listing(cover)) == sum(1 for _ in stream(cover))

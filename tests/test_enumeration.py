@@ -16,7 +16,7 @@ from galcov import (
     trivial_divisor,
 )
 from galcov.cover import BranchClass
-from galcov.enumeration import _cardinality_solutions, _checked_table, _class_assignments
+from galcov.enumeration import _CardinalitySystem, _checked_table, _class_assignments
 from galcov.errors import NotAbelian, SearchSpaceTooLarge, UnsupportedBaseGenus
 
 import enumeration_oracle as oracle
@@ -189,7 +189,7 @@ class TestAgainstUnprunedSearch:
 
     def check(self, cover):
         for family in FAMILIES:
-            solutions = list(_cardinality_solutions(cover, family))
+            solutions = list(_CardinalitySystem(cover, family).solutions())
             assert solutions == list(oracle.cardinality_solutions(cover, family))
             count = count_by_cardinality(cover, family)
             assert count == oracle.count_by_cardinality(cover, family)

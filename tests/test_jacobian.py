@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 
@@ -14,6 +16,7 @@ from galcov import (
     primitive_prym_dims,
     rational_multiplicity,
 )
+from galcov.config import parse_config
 from galcov.differentials import cw_multiplicity, dim_omega_chi
 from galcov.errors import NonIntegralDimension, NotAbelian, NTableMismatch
 
@@ -26,6 +29,8 @@ from covergen import (
     klein_cover,
     pt,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def kernel_elements(cover, chi):
@@ -313,6 +318,25 @@ class TestDecompose:
         monkeypatch.setattr(GroupSpec, "rational_character_orbits", counted)
         decompose(klein_cover())
         assert len(calls) == 1
+
+    @staticmethod
+    def check_orbit_rows(cover):
+        report = decompose(cover)
+        assert len(report.orbits) == len(report.quotients) == len(orbit_data(cover))
+        for summary, piece, (orbit, w) in zip(report.orbits, report.quotients, orbit_data(cover)):
+            assert summary.orbit == piece.orbit == orbit
+            assert summary.dim_A == summary.dim_B == piece.dim
+            # the isotypical formulas, which decompose does not run, agree
+            assert (summary.dim_A, summary.dim_B) == (dim_A_W(cover, w), dim_B_W(cover, w))
+
+    def test_orbit_rows_are_the_prym_dims_on_configs(self):
+        for path in sorted(CONFIG_DIR.glob("*.json")):
+            self.check_orbit_rows(parse_config(path.read_text()).cover)
+
+    @settings(max_examples=25, deadline=None)
+    @given(covers(max_order=24, max_points=6))
+    def test_orbit_rows_are_the_prym_dims_random(self, cover):
+        self.check_orbit_rows(cover)
 
     def test_klein_report(self):
         report = decompose(klein_cover())
