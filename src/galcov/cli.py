@@ -6,9 +6,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from . import enumeration
 from .config import (
     ParsedInput,
     character_to_json,
@@ -17,18 +16,10 @@ from .config import (
     parse_config,
 )
 from .cover import CoverSpec
-from .differentials import (
-    IrrepClassData,
-    cw_multiplicity,
-    delta_info,
-    dim_omega_chi,
-    eichler_trace,
-    omega_divisor,
-    total_dim_omega,
-)
-from .divisors import h_chi_divisor
 from .errors import ConfigError, GalcovError, NotAbelian
-from .jacobian import decompose
+
+if TYPE_CHECKING:
+    from .differentials import IrrepClassData
 
 EXIT_CODES = {
     "error": 1,
@@ -47,15 +38,12 @@ EXIT_CODES = {
     "internal-inconsistency": 14,
 }
 
-# each enumeration command's divisor family: the name it is counted by, the
-# sorted list and the stream
+# each enumeration command's divisor family: the name it is counted by, and
+# the names in ``galcov.enumeration`` of the sorted list and the stream.  Each
+# command imports the modules it computes with, so that a run loads only those.
 FAMILIES = {
-    "nonspecial": (
-        "integral",
-        enumeration.enumerate_nonspecial_integral,
-        enumeration.iter_nonspecial_integral,
-    ),
-    "degree-gm1": ("gm1", enumeration.enumerate_degree_gm1, enumeration.iter_degree_gm1),
+    "nonspecial": ("integral", "enumerate_nonspecial_integral", "iter_nonspecial_integral"),
+    "degree-gm1": ("gm1", "enumerate_degree_gm1", "iter_degree_gm1"),
 }
 
 
@@ -134,12 +122,16 @@ def cmd_tchi(parsed: ParsedInput, args) -> dict:
 
 
 def cmd_hchi(parsed: ParsedInput, args) -> dict:
+    from .divisors import h_chi_divisor
+
     cover = parsed.cover
     rows = [_eigen_record(h_chi_divisor(cover, chi)) for chi in _characters(cover, args.char)]
     return {"command": "hchi", "characters": rows}
 
 
 def cmd_dims(parsed: ParsedInput, args) -> dict:
+    from .differentials import delta_info, dim_omega_chi, total_dim_omega
+
     cover = parsed.cover
     info = delta_info(cover, args.q, args.gamma_degree)
     rows = [
@@ -164,6 +156,8 @@ def cmd_dims(parsed: ParsedInput, args) -> dict:
 
 
 def cmd_enumerate(parsed: ParsedInput, args) -> dict:
+    from . import enumeration
+
     cover = parsed.cover
     family, listing, _ = FAMILIES[args.command]
     count = enumeration.count_by_cardinality(cover, family)
@@ -171,11 +165,13 @@ def cmd_enumerate(parsed: ParsedInput, args) -> dict:
     if not args.count_only:
         if count > args.cap:
             raise enumeration.SearchSpaceTooLarge(count, args.cap)
-        out["divisors"] = [_divisor_record(d) for d in listing(cover)]
+        out["divisors"] = [_divisor_record(d) for d in getattr(enumeration, listing)(cover)]
     return out
 
 
 def cmd_omega(parsed: ParsedInput, args) -> dict:
+    from .differentials import omega_divisor
+
     cover = parsed.cover
     rows = []
     for chi in _characters(cover, args.char):
@@ -188,6 +184,8 @@ def cmd_traces(parsed: ParsedInput, args) -> dict:
     cover = parsed.cover
     if not cover.is_abelian:
         raise NotAbelian("traces need an abelian deck group on the command line")
+    from .differentials import eichler_trace
+
     group = cover.group
     if args.tau is not None:
         try:
@@ -218,6 +216,8 @@ def _is_count(value) -> bool:
 
 
 def _load_irreps(cover: CoverSpec, path: str) -> list[tuple[str, IrrepClassData]]:
+    from .differentials import IrrepClassData
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
@@ -225,9 +225,11 @@ def _load_irreps(cover: CoverSpec, path: str) -> list[tuple[str, IrrepClassData]
         raise ConfigError(f"cannot read irrep table: {exc}", path)
     if not isinstance(document, dict) or not isinstance(document.get("irreps"), list):
         raise ConfigError("irrep table must be {'irreps': [...]}", path)
-    by_key = {}
-    for cls in cover.branch_classes:
-        by_key[json.dumps(class_key_to_json(cls.key))] = cls.key
+    if cover.is_abelian:
+        keys = [c.key for c in cover.branch_classes]
+    else:  # every class of the table, branch class or not
+        keys = [c.class_id for c in cover.group.classes]
+    by_key = {json.dumps(class_key_to_json(key)): key for key in keys}
     out = []
     for k, rec in enumerate(document["irreps"]):
         where = f"{path}:irreps[{k}]"
@@ -238,22 +240,26 @@ def _load_irreps(cover: CoverSpec, path: str) -> list[tuple[str, IrrepClassData]
         rows = rec.get("classes")
         if not isinstance(rows, dict) or not _is_count(dim) or dim < 1:
             raise ConfigError("irrep records need a positive integer 'dim' and 'classes'", where)
-        table = []
+        table = {}
         for raw_key, row in sorted(rows.items()):
             try:
-                key = by_key[json.dumps(json.loads(raw_key))] if raw_key.startswith("[") else raw_key
+                key = by_key[json.dumps(json.loads(raw_key) if raw_key.startswith("[") else raw_key)]
             except (json.JSONDecodeError, KeyError):
                 raise ConfigError(f"unknown class {raw_key!r}", where)
+            if key in table:
+                raise ConfigError(f"class {raw_key!r} is named twice", where)
             if not isinstance(row, list) or not all(_is_count(v) for v in row):
                 raise ConfigError(
                     f"multiplicity row for {raw_key!r} must be a list of nonnegative integers", where
                 )
-            table.append((key, tuple(row)))
-        out.append((str(name), IrrepClassData(dim, tuple(table))))
+            table[key] = tuple(row)
+        out.append((str(name), IrrepClassData(dim, tuple(table.items()))))
     return out
 
 
 def cmd_chevalley_weil(parsed: ParsedInput, args) -> dict:
+    from .differentials import cw_multiplicity, total_dim_omega
+
     cover = parsed.cover
     if args.irrep_file:
         irreps = [(name, rho.dim, rho) for name, rho in _load_irreps(cover, args.irrep_file)]
@@ -279,6 +285,8 @@ def cmd_chevalley_weil(parsed: ParsedInput, args) -> dict:
 
 
 def cmd_jacobian(parsed: ParsedInput, args) -> dict:
+    from .jacobian import decompose
+
     cover = parsed.cover
     report = decompose(cover)
     return {
@@ -324,6 +332,8 @@ def cmd_all(parsed: ParsedInput, args) -> dict:
     out["tchi"] = cmd_tchi(parsed, args)["characters"]
     out["dims"] = cmd_dims(parsed, args)
     if cover.is_abelian and cover.base_genus == 0:
+        from . import enumeration
+
         out["counts"] = {
             "nonspecial": enumeration.count_by_cardinality(cover, "integral"),
             "degree_gm1": enumeration.count_by_cardinality(cover, "gm1"),
@@ -386,25 +396,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="galcov",
         description="Exact invariants of Galois covers of Riemann surfaces.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("config", help="path to a JSON configuration document, or - for stdin")
-        cmd.add_argument("--format", choices=("table", "json"), default="table")
-        cmd.add_argument("--stream", action="store_true", help="emit NDJSON for enumerations")
-        cmd.add_argument("--cap", type=int, default=100_000, help="bound on returned list sizes")
-        cmd.add_argument("--q", type=int, default=1)
-        cmd.add_argument("--gamma-degree", type=int, default=0, dest="gamma_degree")
-        cmd.add_argument("--char", default=None, help="character: k1,k2,... or a name")
-        cmd.add_argument("--tau", default=None, help="group element: a1,a2,...")
-        cmd.add_argument("--irrep-file", default=None, dest="irrep_file")
-        cmd.add_argument("--count-only", action="store_true", dest="count_only")
+    # every command takes the same flags, so one parser serves them all
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("config", help="path to a JSON configuration document, or - for stdin")
+    parser.add_argument("--format", choices=("table", "json"), default="table")
+    parser.add_argument("--stream", action="store_true", help="emit NDJSON for enumerations")
+    parser.add_argument("--cap", type=int, default=100_000, help="bound on returned list sizes")
+    parser.add_argument("--q", type=int, default=1)
+    parser.add_argument("--gamma-degree", type=int, default=0, dest="gamma_degree")
+    parser.add_argument("--char", default=None, help="character: k1,k2,... or a name")
+    parser.add_argument("--tau", default=None, help="group element: a1,a2,...")
+    parser.add_argument("--irrep-file", default=None, dest="irrep_file")
+    parser.add_argument("--count-only", action="store_true", dest="count_only")
     return parser
 
 
 def _stream_enumeration(parsed: ParsedInput, args, out) -> int:
+    from . import enumeration
+
     _, _, stream = FAMILIES[args.command]
-    for div in stream(parsed.cover):
+    for div in getattr(enumeration, stream)(parsed.cover):
         print(json.dumps(_divisor_record(div), sort_keys=True), file=out)
     return 0
 

@@ -22,12 +22,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .cover import BranchPoint, Coord, CoverSpec
 from .errors import BranchedAtInfinity, ConfigError
-from .equations import INF, Equation, EquationSystem, FactoredRational, build_cover
 from .groups import ClassTable, Character, GroupElement, GroupSpec
+
+if TYPE_CHECKING:
+    from .equations import EquationSystem
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,9 @@ def parse_config(document: Mapping[str, Any] | str) -> ParsedInput:
 
 
 def _parse_equations_mode(document) -> ParsedInput:
+    # only equations documents load the equations layer
+    from .equations import INF, Equation, EquationSystem, FactoredRational, build_cover
+
     eq_docs = _expect(document, "equations", list, "")
     equations = []
     for l, eq in enumerate(eq_docs):

@@ -185,6 +185,8 @@ class CoverSpec:
         if isinstance(chi, Character):
             self._require_abelian()
             return self.group.conjugate(chi)
+        if not any(u for _, u in chi.u_values):
+            return chi  # the trivial character is its own conjugate, under its own name
         row = tuple((key, (-u) % self.class_order(key)) for key, u in chi.u_values)
         return GenericCharacter(f"~{chi.name}", row)
 

@@ -10,6 +10,7 @@ from galcov import (
     count_by_cardinality,
     enumerate_degree_gm1,
     enumerate_nonspecial_integral,
+    enumeration,
     iter_degree_gm1,
     iter_nonspecial_integral,
 )
@@ -590,6 +591,17 @@ class TestGenericCharFlag:
         assert out is None
         assert err == {"code": "config", "message": "--char: unknown character 'nope'"}
 
+    def test_trivial_character_conjugate_keeps_its_name(self, capsys):
+        # the omega presentation names the conjugate; "~1" would match no --char value
+        code, out, _ = run_json(capsys, "omega", S3_DOC, "--char", "1")
+        assert code == 0
+        assert out["characters"][0]["presentation"] == "(dz)^1 / (h[1])"
+        cover = parse_config(Path(S3_DOC).read_text()).cover
+        trivial = cover.trivial_character
+        assert cover.conjugate_character(trivial) is trivial
+        (sgn,) = cover.characters()
+        assert cover.conjugate_character(sgn).name == "~sgn"
+
 
 class TestErrorPaths:
     """Exit codes of inputs the CLI refuses before any computation."""
@@ -616,6 +628,23 @@ class TestErrorPaths:
         assert out is None
         assert err["code"] == "config"
         assert str(path) in err["message"]
+
+    @pytest.mark.parametrize(
+        "config, classes, problem",
+        [
+            (S3_DOC, {"t": [1, 0], "zz": [1]}, "unknown class 'zz'"),
+            (HYPER6, {"[1]": [1, 0], "x": [1]}, "unknown class 'x'"),
+            (HYPER6, {"[1]": [1, 0], "[1] ": [0, 1]}, "class '[1] ' is named twice"),
+        ],
+        ids=["generic-unknown", "abelian-non-bracket", "abelian-twice"],
+    )
+    def test_irrep_keys_name_each_class_once(self, tmp_path, capsys, config, classes, problem):
+        path = tmp_path / "irreps.json"
+        path.write_text(json.dumps({"irreps": [{"dim": 1, "classes": classes}]}))
+        code, out, err = run_json(capsys, "chevalley-weil", config, "--q", "2", "--irrep-file", str(path))
+        assert code == EXIT_CODES["config"] == 2
+        assert out is None
+        assert err == {"code": "config", "message": f"{path}:irreps[0]: {problem}"}
 
     def test_unreadable_config(self, tmp_path, capsys):
         path = str(tmp_path / "missing.json")
@@ -665,10 +694,15 @@ class TestValidatesOnce:
 
 
 def test_family_table_holds_the_public_functions():
-    assert FAMILIES == {
+    # the table holds names, looked up on galcov.enumeration when a command runs
+    resolved = {
+        command: (family, getattr(enumeration, listing), getattr(enumeration, stream))
+        for command, (family, listing, stream) in FAMILIES.items()
+    }
+    assert resolved == {
         "nonspecial": ("integral", enumerate_nonspecial_integral, iter_nonspecial_integral),
         "degree-gm1": ("gm1", enumerate_degree_gm1, iter_degree_gm1),
     }
     cover = hyperelliptic(6)
-    for family, listing, stream in FAMILIES.values():
+    for family, listing, stream in resolved.values():
         assert count_by_cardinality(cover, family) == len(listing(cover)) == sum(1 for _ in stream(cover))
