@@ -12,7 +12,15 @@ with chi(x) = zeta_{o(C)}^u for x in C.  On an abelian cover u is additive in
 chi, so the row is one dot product per class with the unit characters'
 columns, built once per cover; a generic cover reads the supplied row.  A
 caller reads each character's row once per visit: ``row_and_t`` returns it
-with t_chi, and the conjugate's row is (-u) mod o(C).
+with t_chi, and the conjugate's row is (-u) mod o(C).  One method,
+``_t_of_row``, turns a row into t_chi and words the error for a
+non-integral one.
+
+A walk over the dual group reads the u-table, ``CoverSpec.u_table``: every
+character's row in ``characters()`` order, streamed factor by factor as
+zips of integer ranges, so no ``Character`` is built and no row is checked.
+A walk that must name a character, for an error, rebuilds it from its
+index in that order.
 
 Every invariant is one integer numerator over a known denominator: t_chi
 over L = lcm o(C) (``class_weights``), twice the genus over 2.  A
@@ -28,11 +36,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
+from functools import cached_property, partial
+from itertools import chain, repeat
+from operator import mod, mul
 from typing import Iterator, Sequence
 
-from .errors import DegenerateCover, NonIntegralInvariant, NotAbelian
+from .errors import DegenerateCover, NonIntegralInvariant, NotAbelian, SearchSpaceTooLarge
 from .groups import (
     Character,
     ClassTable,
@@ -208,7 +217,7 @@ class CoverSpec:
         """
         if isinstance(chi, Character):
             k = self._require_abelian().check_element(chi).exponents
-            return tuple(sum(map(mul, k, col)) % o for col, o in self._unit_u_columns)
+            return tuple([sum(map(mul, k, col)) % o for col, o in self._unit_u_columns])
         return tuple(self.u_value(chi, cls.key) for cls in self.branch_classes)
 
     @cached_property
@@ -219,6 +228,43 @@ class CoverSpec:
         return tuple(
             (tuple(g.u_value(e, c.key) for e in units), c.order) for c in self.branch_classes
         )
+
+    def u_table(self) -> Iterator[tuple[int, ...]]:
+        """The u-row of every character, in ``characters()`` order.
+
+        Abelian: the rows are streamed one cyclic factor at a time, the last
+        factor fastest as in ``characters()``.  Given a row p of the earlier
+        factors, factor i contributes k u_{e_i,C} for k = 0, ..., m_i - 1, so
+        its m_i rows are a zip, over the classes, of the integer ranges
+        p_C + k u_{e_i,C} reduced mod o(C): no ``Character`` is built, no row
+        is checked, and a cyclic group's one factor is never held as a list.
+        A group above ``DEFAULT_CAP`` is refused as ``characters()`` refuses
+        it.  Generic: the rows of the supplied characters.
+        """
+        if not self.is_abelian:
+            return map(self.u_row, self.group.characters)
+        group = self.group
+        if group.order > DEFAULT_CAP:
+            raise SearchSpaceTooLarge(group.order, DEFAULT_CAP)
+        columns = self._unit_u_columns
+        if not columns:
+            # zip() of no classes yields nothing: every character has the empty row
+            return repeat((), group.order)
+        orders = tuple(o for _, o in columns)
+        rows = iter(((0,) * len(columns),))
+        for i, m in enumerate(group.cyclic_orders):
+            factor = partial(_factor_rows, steps=tuple(col[i] for col, _ in columns), m=m, orders=orders)
+            rows = chain.from_iterable(map(factor, rows))
+        return rows
+
+    def _character_at(self, index: int) -> Character:
+        """The character at ``index`` in ``characters()`` order on an abelian
+        cover, which a u-table walk names when one of its rows raises."""
+        exponents = []
+        for m in reversed(self.group.cyclic_orders):
+            index, k = divmod(index, m)
+            exponents.append(k)
+        return Character(tuple(reversed(exponents)))
 
     # -- branch bookkeeping -------------------------------------------------
 
@@ -271,19 +317,27 @@ class CoverSpec:
         """chi's u-row and t_chi from one ``u_row`` call; with ``conjugate``,
         the row (-u) mod o(C) and t of conj chi.
 
-        t = sum_C w_C u_C // L (``class_weights``), one integer numerator
-        over L; a nonzero remainder raises NonIntegralInvariant at the
-        character whose t it is.
+        t is one integer numerator over L (``_t_of_row``); a nonzero
+        remainder raises NonIntegralInvariant at the character whose t it is.
         """
         row = self.u_row(chi)
         if conjugate:
             row = tuple((-u) % cls.order for cls, u in zip(self.branch_classes, row))
+        return row, self._t_of_row(row, chi, conjugate)
+
+    def _t_of_row(self, row: tuple[int, ...], chi: CharLike | int, conjugate: bool = False) -> int:
+        """t = sum_C w_C u_C // L of a u-row (``class_weights``).  A nonzero
+        remainder raises NonIntegralInvariant at chi, at its conjugate with
+        ``conjugate``, or, for an int, at the character with that index in
+        ``characters()`` order, as a u-table walk knows it."""
         lcm, weights = self.class_weights
         t, rem = divmod(sum(map(mul, weights, row)), lcm)
         if rem:
+            if isinstance(chi, int):
+                chi = self._character_at(chi)
             named = self.conjugate_character(chi) if conjugate else chi
             raise NonIntegralInvariant(named, f"t = {t + Fraction(rem, lcm)}")
-        return row, t
+        return t
 
     def validate(self) -> ValidationReport:
         """Necessary conditions on the branch data.
@@ -395,6 +449,15 @@ class CoverSpec:
             return new_group.element([image[i] for i in kept])
 
         return new_group, project
+
+
+def _factor_rows(prefix: tuple[int, ...], steps: tuple[int, ...], m: int, orders: tuple[int, ...]):
+    """The m rows (prefix_C + k steps_C) mod orders_C, k = 0, ..., m - 1, as a
+    zip of one integer range per class; a zero step repeats the prefix."""
+    return zip(*(
+        map(mod, range(u, u + m * c, c), repeat(o)) if c else repeat(u, m)
+        for u, c, o in zip(prefix, steps, orders)
+    ))
 
 
 def cover_from_class_table(base_genus: int, table: ClassTable) -> CoverSpec:

@@ -15,15 +15,31 @@ not compute dimensions and callers get a hard error rather than a number.
 
 One kernel evaluates this sum, the generalized Chevalley-Weil formula: a
 representation enters as its dimension and, per branch class, the nonzero
-multiplicities N_alpha of the eigenvalues zeta_{o(C)}^alpha (a character is
-the single pair (u_{chi,C}, 1)).  A dimension is the Chevalley-Weil
-multiplicity of a character, so one route leads from the kernel to a
-number: ``cw_multiplicity`` takes ``raw_dimension_value``, adds the delta
-correction and carries the one guard against a negative value, and
-``dim_omega_chi`` is that route at a character.  ``cw_value`` sums one
-integer numerator over L = lcm o(C); the analytic multiplicity of the
-jacobian module reads it at q = 1, and the infinity exponent of
-``omega_divisor`` sums the same way over the conjugate's row.
+multiplicities N_alpha of the eigenvalues zeta_{o(C)}^alpha; a character
+enters as its u-row, N = 1 at alpha = u_{chi,C}.  A dimension is the
+Chevalley-Weil multiplicity of a character, so one route leads from the
+kernel to a number: ``cw_multiplicity`` takes ``raw_dimension_value``, adds
+the delta correction and carries the one guard against a negative value,
+and ``dim_omega_chi`` is that route at a character.  The analytic
+multiplicity of the jacobian module reads the kernel at q = 1, and the
+infinity exponent of ``omega_divisor`` sums the same way over the
+conjugate's row.
+
+``cw_value`` is one integer numerator over L = lcm o(C), in closed form.
+With rho_C = (q - 1) mod o(C), every 0 <= alpha < o(C) has
+
+    (q - 1 - alpha) mod o(C) = rho_C - alpha + o(C) [alpha > rho_C],
+
+and w_C o(C) = r_C L for the weights w_C = r_C L / o(C), so, as the N_alpha
+of a class sum to the dimension, the numerator is
+
+    dim A_q - sum_C w_C sum_alpha N_alpha alpha
+            + L sum_C r_C sum_{alpha > rho_C} N_alpha,
+    A_q = ((2q-1)(g_S - 1) + deg Gamma) L + sum_C w_C ((q-1)(o(C)-1) + rho_C).
+
+A_q depends only on (cover, q, Gamma) and is memoized on the cover.  For a
+character the numerator is A_q - sum_C w_C u_C + L sum_{u_C > rho_C} r_C:
+one dot product, the one ``row_and_t`` takes, and one count.
 
 Traces of nontrivial deck transformations are evaluated by the fixed-point
 formula and returned as floating-point complex numbers together with the
@@ -41,6 +57,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import gt, mul
 from typing import Sequence
 
 from .cover import CharLike, ClassKey, CoverSpec
@@ -327,23 +345,37 @@ class IrrepClassData:
         return row
 
 
-EigenRows = tuple[tuple[tuple[int, int], ...], ...]
+# a character's u-row, or per branch class a table's (alpha, N_alpha) pairs
+EigenRows = tuple[int, ...] | tuple[tuple[tuple[int, int], ...], ...]
 
 
 def eigen_rows(cover: CoverSpec, rho: IrrepClassData | CharLike) -> tuple[int, EigenRows]:
-    """The dimension of a representation and, for each branch class in
-    order, its (alpha, N_alpha) pairs with N_alpha > 0.
-
-    A character has the single pair (u_{chi,C}, 1) at each class; a table
-    gives its checked rows.
-    """
+    """The dimension of a representation and its eigenvalue data per branch
+    class, in order: a character's u-row (N = 1 at alpha = u_{chi,C}), or a
+    table's checked (alpha, N_alpha) pairs with N_alpha > 0."""
     if isinstance(rho, IrrepClassData):
         rows = tuple(
             tuple((alpha, n) for alpha, n in enumerate(rho.row(cover, cls.key)) if n)
             for cls in cover.branch_classes
         )
         return rho.dim, rows
-    return 1, tuple(((u, 1),) for u in cover.u_row(rho))
+    return 1, cover.u_row(rho)
+
+
+def _cw_constants(cover: CoverSpec, q: int, gamma_degree: int):
+    """A_q, rho_C = (q - 1) mod o(C) and r_C per branch class, memoized on
+    the cover per (q, gamma_degree) as ``delta_info`` is; O(#classes) once."""
+    memo = vars(cover).setdefault("_cw_constants_memo", {})
+    key = (q, gamma_degree)
+    if key not in memo:
+        lcm, weights = cover.class_weights
+        classes = cover.branch_classes
+        rhos = tuple((q - 1) % cls.order for cls in classes)
+        a_q = ((2 * q - 1) * (cover.base_genus - 1) + gamma_degree) * lcm + sum(
+            w * ((q - 1) * (cls.order - 1) + rho) for w, cls, rho in zip(weights, classes, rhos)
+        )
+        memo[key] = a_q, rhos, tuple(cls.count for cls in classes)
+    return memo[key]
 
 
 def cw_value(cover: CoverSpec, dim: int, rows: EigenRows, q: int, gamma_degree: int) -> int | Fraction:
@@ -352,21 +384,29 @@ def cw_value(cover: CoverSpec, dim: int, rows: EigenRows, q: int, gamma_degree: 
         dim ((2q-1)(g_S - 1) + deg Gamma)
             + sum_C r_C sum_alpha N_alpha [ (q-1)(1 - 1/o(C)) + frac((q - 1 - alpha) / o(C)) ]
 
-    as one integer numerator over L = lcm o(C), with the weights w_C = r_C
-    L / o(C) of ``CoverSpec.class_weights``: dim ((2q-1)(g_S-1) + deg Gamma) L
-    + sum_C w_C sum_alpha N_alpha [(q-1)(o-1) + (q-1-alpha) mod o].  Returns
-    the quotient as an int when L divides it, else the Fraction, whose
-    ``denominator`` the callers check.
+    as one integer numerator over L = lcm o(C), in the closed form of the
+    module docstring: dim A_q - sum_C w_C sum_alpha N_alpha alpha + L sum_C
+    r_C sum_{alpha > rho_C} N_alpha, with the weights w_C = r_C L / o(C) of
+    ``CoverSpec.class_weights``.  ``rows`` is a character's u-row (dim 1) or
+    a table's pairs (``eigen_rows``).  Returns the quotient as an int when L
+    divides it, else the Fraction, whose ``denominator`` the callers check.
 
     This one sum serves the q-differential dimensions, the Chevalley-Weil
     multiplicities and, at q = 1, the analytic and rational multiplicities
     on the Jacobian.
     """
     lcm, weights = cover.class_weights
-    num = dim * ((2 * q - 1) * (cover.base_genus - 1) + gamma_degree) * lcm
-    for w, cls, row in zip(weights, cover.branch_classes, rows):
-        o = cls.order
-        num += w * sum(n * ((q - 1) * (o - 1) + (q - 1 - alpha) % o) for alpha, n in row)
+    a_q, rhos, counts = _cw_constants(cover, q, gamma_degree)
+    if rows and not isinstance(rows[0], int):
+        # a table: per class, sum_alpha N_alpha alpha and sum_{alpha > rho_C} N_alpha
+        firsts = [sum(n * alpha for alpha, n in row) for row in rows]
+        above = sum(
+            r * sum(n for alpha, n in row if alpha > rho) for r, row, rho in zip(counts, rows, rhos)
+        )
+    else:
+        firsts = rows
+        above = sum(compress(counts, map(gt, rows, rhos)))
+    num = dim * a_q - sum(map(mul, weights, firsts)) + lcm * above
     value, rem = divmod(num, lcm)
     return Fraction(num, lcm) if rem else value
 

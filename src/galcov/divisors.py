@@ -17,7 +17,9 @@ normalization is fully explicit:
 with A_{C,chi} the union of buckets below u_{chi,C}.  Each is an integer
 read from one u-row: ``CoverSpec.row_and_t`` gives the row and t_chi (an
 integer numerator over lcm o(C)), |A_{C,chi}| is counted from the row, and
-conj chi's row is (-u) mod o(C).  The totals visit each character once.
+conj chi's row is (-u) mod o(C).  The totals read the u-table
+(``CoverSpec.u_table``), one row per character and no ``Character``; there
+|A_{C,chi}| is ``bisect_left`` of u_{chi,C} in the class's sorted buckets.
 
 These divisors, and the eigendivisors of h_chi and of the q-differential
 generators (``EigenDivisor``), are constant along the fibres of the cover, so
@@ -27,6 +29,7 @@ invariant divisor e_j = o_j - 1 - i_j and e_inf = p plus the base part.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import ge
 from typing import Iterable, Sequence
@@ -125,12 +128,23 @@ class InvariantDivisor:
         return BasisDescription(max(-1, self.p + len(a_points) - t), denominator, chi)
 
     def _total(self, sign: int) -> int:
-        """sum_chi max(0, sign * excess(chi)) over the dual group: one u-row
-        per character, with its t an integer numerator over lcm o(C)."""
+        """sum_chi max(0, sign * excess(chi)) over the dual group, from the
+        u-table: per row, t is an integer numerator over lcm o(C) and
+        |A_{C,chi}| the number of the class's buckets below u_{chi,C}.  A
+        non-integral t raises at the character of its row."""
         self._require_genus0()
-        if not self.cover.is_abelian:
+        cover = self.cover
+        if not cover.is_abelian:
             raise NotAbelian("total dimension sums over the full dual group")
-        return sum(max(0, sign * self._excess(chi)) for chi in self.cover.characters())
+        t_of_row = cover._t_of_row
+        sorted_buckets = [sorted(self.buckets[j] for j in cls.points) for cls in cover.branch_classes]
+        base = self.p + 1
+        total = 0
+        for index, row in enumerate(cover.u_table()):
+            excess = sign * (base + sum(map(bisect_left, sorted_buckets, row)) - t_of_row(row, index))
+            if excess > 0:
+                total += excess
+        return total
 
     def r_total(self) -> int:
         """sum_chi r_chi = sum_chi max(0, p + 1 + a_chi - t_chi)."""

@@ -60,7 +60,8 @@ def _require_abelian_line(cover: CoverSpec):
 
 
 def _constraints(cover: CoverSpec, family: str):
-    """Per-character targets for the bucket-cardinality sums.
+    """Per-character targets for the bucket-cardinality sums, one per row of
+    the u-table.
 
     Returns (targets, weights) where, for constraint k, weights[k][c] is the
     number of low buckets of class c that count (namely u_{chi,sigma}), and
@@ -69,10 +70,10 @@ def _constraints(cover: CoverSpec, family: str):
     """
     targets = []
     weights = []
-    for chi in cover.characters():
-        if chi.is_trivial and family == "integral":
-            continue  # the integral family constrains nontrivial characters only
-        row, t = cover.row_and_t(chi)  # the trivial row is all zeros, with t = 0
+    for index, row in enumerate(cover.u_table()):
+        if index == 0 and family == "integral":
+            continue  # the trivial character, first in the table, is not constrained
+        t = cover._t_of_row(row, index)
         targets.append(t - 1 if family == "integral" else t)
         weights.append(row)
     return targets, weights

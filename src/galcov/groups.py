@@ -12,7 +12,8 @@ character values.
 
 ``GroupSpec.u_value`` is the one u formula for abelian groups; a cover reads
 it once per branch class for the unit characters and assembles every
-character's u-row from those columns (``CoverSpec.u_row``).
+character's u-row from those columns (``CoverSpec.u_row``,
+``CoverSpec.u_table``).
 
 Only ``elements`` and ``characters`` walk the group, and they refuse a group
 of order above ``DEFAULT_CAP`` with SearchSpaceTooLarge.  Every other question
@@ -25,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mod
 from typing import Iterator, Mapping, Sequence
 
 from .errors import SearchSpaceTooLarge
@@ -129,11 +131,11 @@ class GroupSpec:
         return tuple(e % m for e, m in zip(exponents, self.cyclic_orders))
 
     def check_element(self, x: GroupElement | Character) -> GroupElement | Character:
-        """x, an element or a character: both are exponent vectors reduced mod the orders."""
-        if len(x.exponents) != self.rank or any(
-            not 0 <= a < m for a, m in zip(x.exponents, self.cyclic_orders)
-        ):
-            raise ValueError(f"malformed exponent vector {x.exponents} for orders {self.cyclic_orders}")
+        """x, an element or a character: both are exponent vectors reduced mod
+        the orders, so reducing again leaves them unchanged."""
+        e, orders = tuple(x.exponents), self.cyclic_orders
+        if len(e) != len(orders) or tuple(map(mod, e, orders)) != e:
+            raise ValueError(f"malformed exponent vector {x.exponents} for orders {orders}")
         return x
 
     @property
@@ -208,9 +210,11 @@ class GroupSpec:
         return math.lcm(*(m // math.gcd(m, k) for k, m in zip(chi.exponents, self.cyclic_orders)))
 
     def pairing(self, chi: Character, x: GroupElement) -> Fraction:
-        """Fractional part of the exponent pairing: chi(x) = e(pairing)."""
-        s = sum(Fraction(k * a, m) for k, a, m in zip(chi.exponents, x.exponents, self.cyclic_orders))
-        return s - math.floor(s)
+        """Fractional part of the exponent pairing: chi(x) = e(pairing), the
+        integer sum_i k_i a_i (L / m_i) mod L over L = lcm m_i."""
+        lcm = math.lcm(*self.cyclic_orders)
+        num = sum(k * a * (lcm // m) for k, a, m in zip(chi.exponents, x.exponents, self.cyclic_orders))
+        return Fraction(num % lcm, lcm)
 
     def u_value(self, chi: Character, x: GroupElement) -> int:
         """Discrete log of chi(x) to base the primitive o(x)-th root of unity.

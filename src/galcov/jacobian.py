@@ -41,10 +41,13 @@ def analytic_multiplicity(cover: CoverSpec, rho: IrrepClassData | CharLike) -> i
     space of the Jacobian at the origin: the Chevalley-Weil sum at q = 1 of
     the conjugate representation, plus one for the trivial representation."""
     dim, rows = eigen_rows(cover, rho)
-    conjugate = tuple(
-        tuple(((-alpha) % cls.order, n) for alpha, n in row)
-        for cls, row in zip(cover.branch_classes, rows)
-    )
+    if isinstance(rho, IrrepClassData):
+        conjugate = tuple(
+            tuple(((-alpha) % cls.order, n) for alpha, n in row)
+            for cls, row in zip(cover.branch_classes, rows)
+        )
+    else:
+        conjugate = tuple((-u) % cls.order for cls, u in zip(cover.branch_classes, rows))
     value = cw_value(cover, dim, conjugate, 1, 0) + _is_trivial_rep(rho, dim, rows)
     if value.denominator != 1:
         raise NTableMismatch(f"analytic multiplicity {value} is not an integer")
@@ -55,10 +58,13 @@ def rational_multiplicity(cover: CoverSpec, rho: IrrepClassData | CharLike) -> i
     """Multiplicity of the irreducible in the complexified action on the
     rational homology of the Jacobian."""
     dim, rows = eigen_rows(cover, rho)
-    value = dim * (2 * cover.base_genus - 2) + 2 * _is_trivial_rep(rho, dim, rows)
-    for cls, row in zip(cover.branch_classes, rows):
-        value += cls.count * sum(n for alpha, n in row if alpha)
-    return value
+    if isinstance(rho, IrrepClassData):
+        moved = [sum(n for alpha, n in row if alpha) for row in rows]
+    else:
+        moved = map(bool, rows)  # a character moves the eigenvalue 1 where u != 0
+    return dim * (2 * cover.base_genus - 2) + 2 * _is_trivial_rep(rho, dim, rows) + sum(
+        cls.count * n for cls, n in zip(cover.branch_classes, moved)
+    )
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from galcov import (
     BranchPoint,
+    ClassTable,
     Coord,
     CoverSpec,
     GroupSpec,
@@ -23,6 +24,7 @@ from galcov import (
     IrrepClassData,
     equation_system,
     build_cover,
+    cover_from_class_table,
 )
 
 from group_walk_oracle import add
@@ -159,3 +161,19 @@ def covers_with_divisors(draw, max_order=24, max_points=6):
     rng = random.Random(seed)
     cover = random_validated_cover(rng, max_order, max_points)
     return random_divisor(rng, cover)
+
+
+@st.composite
+def class_table_covers(draw):
+    """A generic cover from a class table: class orders dividing the group
+    order, branch counts, and u-rows that need not give integral t."""
+    n = draw(st.sampled_from([2, 4, 6, 8, 12]))
+    divisors = [d for d in range(2, n + 1) if n % d == 0]
+    specs = draw(st.lists(st.tuples(st.sampled_from(divisors), st.integers(1, 4)), min_size=1, max_size=3))
+    classes = [(f"c{k}", o, r) for k, (o, r) in enumerate(specs)]
+    u_table = {
+        f"x{k}": {cid: draw(st.integers(0, o - 1)) for cid, o, _ in classes}
+        for k in range(draw(st.integers(1, 3)))
+    }
+    base_genus = draw(st.sampled_from([0, 1, 2]))
+    return cover_from_class_table(base_genus, ClassTable.build(classes, n, u_table))

@@ -1,7 +1,8 @@
 """Reference answers in Fraction arithmetic.
 
 These are the routes the library took before it computed each invariant as
-one integer numerator over a known denominator: t, the Chevalley-Weil sum,
+one integer numerator over a known denominator: the pairing of a character
+with an element, t, the Chevalley-Weil sum (over (alpha, N_alpha) pairs),
 the Riemann-Hurwitz genus, the isotypical dimension and the quotient-form
 Prym dimension summed class by class in Fractions, and the divisor totals
 taken as one ``r_chi`` or ``i_chi`` per character, ``i_chi`` conjugating the
@@ -12,11 +13,18 @@ A-set tuple per class that the library now only counts.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from galcov.cover import CoverSpec
 from galcov.errors import NonIntegralDimension, NonIntegralInvariant, NTableMismatch
 from galcov.groups import euler_phi
+
+
+def pairing(group, chi, x) -> Fraction:
+    """Fractional part of sum_i k_i a_i / m_i, summed in Fractions."""
+    s = sum(Fraction(k * a, m) for k, a, m in zip(chi.exponents, x.exponents, group.cyclic_orders))
+    return s - math.floor(s)
 
 
 def t_chi(cover: CoverSpec, chi) -> int:

@@ -1,4 +1,6 @@
+import inspect
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -12,12 +14,14 @@ from galcov import (
     Coord,
     CoverSpec,
     GroupSpec,
+    InvariantDivisor,
     ValidationReport,
     cover_from_class_table,
 )
-from galcov.errors import DegenerateCover, NonIntegralInvariant, NotAbelian
+from galcov.errors import DegenerateCover, NonIntegralInvariant, NotAbelian, SearchSpaceTooLarge
+from galcov.groups import DEFAULT_CAP
 
-from covergen import covers, fixture_covers, klein_cover, pt, random_validated_cover
+from covergen import class_table_covers, covers, fixture_covers, klein_cover, pt, random_validated_cover
 from group_walk_oracle import add, validate_by_scan
 
 
@@ -299,6 +303,78 @@ class TestValidityByGenerators:
             return
         with mock.patch.object(GroupSpec, "characters", side_effect=AssertionError("walked")):
             assert cover.validate() == ValidationReport(True, ())
+
+
+class TestUTable:
+    """``u_table`` streams, in ``characters()`` order, the rows ``u_row`` gives."""
+
+    @staticmethod
+    def rows_by_character(cover):
+        return [cover.u_row(chi) for chi in cover.characters()]
+
+    @given(branch_data_on_any_base())
+    @settings(max_examples=150, deadline=None)
+    def test_abelian(self, cover):
+        assert list(cover.u_table()) == self.rows_by_character(cover)
+
+    @given(class_table_covers())
+    @settings(max_examples=60, deadline=None)
+    def test_generic(self, cover):
+        assert list(cover.u_table()) == self.rows_by_character(cover)
+
+    @pytest.mark.parametrize(
+        "orders,base_genus,psis",
+        [
+            ((), 0, []),  # the rank-0 group
+            ((), 1, []),
+            ((1,), 0, []),  # Z_1
+            ((1, 1), 1, []),
+            ((2, 3), 1, []),  # unramified: |G| empty rows
+            ((4,), 2, []),
+            ((1, 4), 0, [(0, 1), (0, 3)]),  # a factor of order 1 inside
+            ((2, 2, 2), 0, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]),
+            ((3, 1, 4), 0, [(1, 0, 2), (2, 0, 2)]),
+        ],
+    )
+    def test_edge_groups(self, orders, base_genus, psis):
+        group = GroupSpec(orders)
+        points = tuple(BranchPoint(pt(j + 1), group.element(x)) for j, x in enumerate(psis))
+        cover = CoverSpec(base_genus, group, points)
+        rows = list(cover.u_table())
+        assert len(rows) == group.order
+        assert rows == self.rows_by_character(cover)
+
+    def test_refused_above_the_cap_without_walking(self):
+        group = GroupSpec((DEFAULT_CAP + 1,))
+        points = (BranchPoint(pt(1), group.element([1])), BranchPoint(pt(2), group.element([-1])))
+        cover = CoverSpec(0, group, points)
+        with mock.patch.object(GroupSpec, "characters", side_effect=AssertionError("walked")):
+            with pytest.raises(SearchSpaceTooLarge):
+                cover.u_table()
+
+    def test_is_an_iterator_not_a_generator_function(self):
+        # perfbench's tracer opens one span per next() of a generator function
+        assert not inspect.isgeneratorfunction(CoverSpec.u_table)
+        rows = z2_cover(4).u_table()
+        assert iter(rows) is rows
+        assert next(rows) == (0,)
+
+    def test_r_total_holds_no_dual_group(self):
+        # a 3-point Z_{10^4} cover; walking characters() held range(10^4) as a
+        # tuple, about 390 KB of peak traced memory; the u-table holds a row
+        n = 10**4
+        group = GroupSpec((n,))
+        points = tuple(BranchPoint(pt(j + 1), group.element([x])) for j, x in enumerate([1, 1, n - 2]))
+        cover = CoverSpec(0, group, points)
+        div = InvariantDivisor(cover, (3, 5, 7), 0)
+        expected = div.r_total()  # fills the cover's cached class data first
+        tracemalloc.start()
+        try:
+            assert div.r_total() == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestURow:

@@ -10,6 +10,7 @@ from galcov import Character, ClassTable, CoverSpec, GroupElement, GroupSpec, eu
 from galcov.errors import SearchSpaceTooLarge
 from galcov.groups import DEFAULT_CAP, smith_diagonal
 
+import fraction_oracle
 import group_walk_oracle
 
 
@@ -109,6 +110,66 @@ class TestUValue:
         lhs = g.pairing(chi, group_walk_oracle.add(g, x, y))
         rhs = g.pairing(chi, x) + g.pairing(chi, y)
         assert lhs == rhs - math.floor(rhs)
+
+
+class TestCheckElement:
+    """Every exponent vector a method takes is checked once, with one text."""
+
+    ORDERS = (2, 6)
+
+    CALLS = {
+        "u_row": lambda g, e: CoverSpec(0, g, ()).u_row(Character(e)),
+        "element_order": lambda g, e: g.element_order(GroupElement(e)),
+        "character_order": lambda g, e: g.character_order(Character(e)),
+        "power_index base": lambda g, e: g.power_index(GroupElement(e), g.identity),
+        "power_index target": lambda g, e: g.power_index(g.identity, GroupElement(e)),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize(
+        "exponents", [(1,), (1, 2, 0), (-1, 0), (0, -6), (2, 0), (0, 6)],
+        ids=["short", "long", "negative", "negative-multiple", "at-order", "at-order-last"],
+    )
+    def test_malformed_vectors_raise(self, call, exponents):
+        g = GroupSpec(self.ORDERS)
+        with pytest.raises(ValueError) as raised:
+            self.CALLS[call](g, exponents)
+        assert str(raised.value) == f"malformed exponent vector {exponents} for orders {self.ORDERS}"
+
+    def test_reduced_vectors_pass(self):
+        g = GroupSpec(self.ORDERS)
+        for chi in g.characters():
+            assert g.check_element(chi) is chi
+
+    def test_list_vectors_are_checked_by_value(self):
+        """An exponent list is checked as the tuple of its entries, and a
+        malformed one is named as it was given."""
+        g = GroupSpec(self.ORDERS)
+        for cls in (Character, GroupElement):
+            x = cls([1, 5])
+            assert g.check_element(x) is x
+            with pytest.raises(ValueError) as raised:
+                g.check_element(cls([1, 6]))
+            assert str(raised.value) == f"malformed exponent vector [1, 6] for orders {self.ORDERS}"
+        assert g.character_order(Character([1, 2])) == 6
+        assert CoverSpec(0, g, ()).u_row(Character([1, 2])) == ()
+
+
+class TestPairing:
+    @given(small_groups, st.integers(0, 10**6))
+    def test_matches_the_fraction_sum(self, g, seed):
+        rng = random.Random(seed)
+        chi = g.character([rng.randrange(m) for m in g.cyclic_orders])
+        x = g.element([rng.randrange(m) for m in g.cyclic_orders])
+        value = g.pairing(chi, x)
+        assert type(value) is Fraction
+        assert value == fraction_oracle.pairing(g, chi, x)
+
+    def test_mixed_orders(self):
+        g = GroupSpec((2, 6, 10))
+        chi, x = g.character([1, 5, 3]), g.element([1, 1, 7])
+        # 1/2 + 5/6 + 21/10 = 103/30, fractional part 13/30
+        assert g.pairing(chi, x) == Fraction(13, 30) == fraction_oracle.pairing(g, chi, x)
 
 
 @st.composite

@@ -18,13 +18,11 @@ from hypothesis import given, settings, strategies as st
 
 from galcov import (
     BranchPoint,
-    ClassTable,
     CoverSpec,
     GroupSpec,
     InvariantDivisor,
     IrrepClassData,
     RationalIrrepData,
-    cover_from_class_table,
 )
 from galcov.differentials import (
     cw_multiplicity,
@@ -34,11 +32,12 @@ from galcov.differentials import (
     omega_divisor,
     raw_dimension_value,
 )
+from galcov.enumeration import count_by_cardinality
 from galcov.errors import GalcovError, NonIntegralInvariant, NTableMismatch
 from galcov.jacobian import analytic_multiplicity, dim_A_W, dim_B_W, primitive_prym_dims
 
 import fraction_oracle as oracle
-from covergen import covers, covers_with_divisors, pt, random_divisor
+from covergen import class_table_covers, covers, covers_with_divisors, pt, random_divisor
 
 QS = (1, 2, 3)
 GAMMAS = (0, 1)
@@ -67,22 +66,6 @@ def branch_data(draw):
 
 
 @st.composite
-def class_table_covers(draw):
-    """A generic cover from a class table: class orders dividing the group
-    order, branch counts, and u-rows that need not give integral t."""
-    n = draw(st.sampled_from([2, 4, 6, 8, 12]))
-    divisors = [d for d in range(2, n + 1) if n % d == 0]
-    specs = draw(st.lists(st.tuples(st.sampled_from(divisors), st.integers(1, 4)), min_size=1, max_size=3))
-    classes = [(f"c{k}", o, r) for k, (o, r) in enumerate(specs)]
-    u_table = {
-        f"x{k}": {cid: draw(st.integers(0, o - 1)) for cid, o, _ in classes}
-        for k in range(draw(st.integers(1, 3)))
-    }
-    base_genus = draw(st.sampled_from([0, 1, 2]))
-    return cover_from_class_table(base_genus, ClassTable.build(classes, n, u_table))
-
-
-@st.composite
 def irreps(draw, cover):
     """An eigenvalue table for each branch class: rows of one dimension,
     whose Chevalley-Weil sum need not be an integer."""
@@ -105,19 +88,24 @@ def check_character_kernels(cover, chi):
     t_conj = outcome(oracle.t_chi, cover, conj)
     expected = t_conj if isinstance(t_conj, tuple) else (cover.u_row(conj), t_conj)
     assert outcome(cover.row_and_t, chi, True) == expected
+    assert eigen_rows(cover, chi) == (1, row)
     for q in QS:
         for gamma in GAMMAS:
-            rows = eigen_rows(cover, chi)
-            value = cw_value(cover, *rows, q, gamma)
-            assert value == oracle.cw_value(cover, *rows, q, gamma)
+            value = cw_value(cover, 1, row, q, gamma)
+            assert value == oracle.cw_value(cover, 1, character_pairs(row), q, gamma)
             assert type(value) is (int if Fraction(value).denominator == 1 else Fraction)
             assert outcome(raw_dimension_value, cover, chi, q, gamma) == outcome(
                 _raw_dimension_oracle, cover, chi, q, gamma
             )
 
 
+def character_pairs(row):
+    """A character's u-row as one-dimensional eigenvalue rows: (u_C, 1) per class."""
+    return tuple(((u, 1),) for u in row)
+
+
 def _raw_dimension_oracle(cover, chi, q, gamma):
-    value = oracle.cw_value(cover, *eigen_rows(cover, chi), q, gamma)
+    value = oracle.cw_value(cover, 1, character_pairs(cover.u_row(chi)), q, gamma)
     if value.denominator != 1:
         raise NonIntegralInvariant(chi, f"dimension value {value}")
     return int(value)
@@ -268,3 +256,85 @@ def test_non_integral_messages_are_unchanged(orders, psi, detail):
     with pytest.raises(NonIntegralInvariant) as raised:
         div.r_chi(chi)
     assert str(raised.value) == expected
+
+
+# q = 0 and q - 1 >= o(C) make rho_C = (q - 1) mod o(C) wrap
+WRAP_QS = range(6)
+WRAP_GAMMAS = (0, 1, 2)
+
+
+class TestClosedFormKernel:
+    """``cw_value`` in closed form against the per-class Fraction sum."""
+
+    @given(st.one_of(branch_data(), class_table_covers()))
+    @settings(max_examples=80, deadline=None)
+    def test_characters(self, cover):
+        for chi in cover.characters():
+            row = cover.u_row(chi)
+            for q in WRAP_QS:
+                for gamma in WRAP_GAMMAS:
+                    expected = oracle.cw_value(cover, 1, character_pairs(row), q, gamma)
+                    assert cw_value(cover, 1, row, q, gamma) == expected
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_checked_tables(self, data):
+        cover = data.draw(st.one_of(branch_data(), class_table_covers()))
+        dim, rows = eigen_rows(cover, data.draw(irreps(cover)))
+        for q in WRAP_QS:
+            for gamma in WRAP_GAMMAS:
+                assert cw_value(cover, dim, rows, q, gamma) == oracle.cw_value(cover, dim, rows, q, gamma)
+
+
+class TestNonIntegralRowsNameTheirCharacter:
+    """A non-integral value raises at its character: the u-table walks (the
+    divisor totals and the family constraints) rebuild it from the row's
+    index, and name the same character, with the same text, as a walk over
+    ``characters()``."""
+
+    @staticmethod
+    def z2_z6_cover():
+        # the classes sum to (0, 4), not 0: t(chi(0, 1)) = 1/6 + 1/2 + 0 = 2/3
+        group = GroupSpec((2, 6))
+        psis = [(1, 1), (0, 3), (1, 0)]
+        points = tuple(BranchPoint(pt(j + 1), group.element(x)) for j, x in enumerate(psis))
+        return CoverSpec(0, group, points)
+
+    @staticmethod
+    def raised(fn, *args):
+        with pytest.raises(NonIntegralInvariant) as raised:
+            fn(*args)
+        return raised.value.character, str(raised.value)
+
+    @staticmethod
+    def text(character, detail):
+        return f"branch data admits no cover (fractional invariant at character {character}): {detail}"
+
+    def test_divisor_totals(self):
+        cover = self.z2_z6_cover()
+        div = InvariantDivisor(cover, (0, 1, 0), 1)
+        chi = cover.group.character([0, 1])
+        for total in (div.r_total, div.i_total):
+            assert self.raised(total) == (chi, self.text(chi, "t = 2/3"))
+
+    def test_family_constraints(self):
+        cover = self.z2_z6_cover()
+        chi = cover.group.character([0, 1])
+        for family in ("integral", "gm1"):
+            assert self.raised(count_by_cardinality, cover, family) == (chi, self.text(chi, "t = 2/3"))
+
+    def test_raw_dimension_value(self):
+        cover = self.z2_z6_cover()
+        for exponents, detail in (([0, 1], "dimension value 1/3"), ([1, 2], "dimension value 2/3")):
+            chi = cover.group.character(exponents)
+            assert self.raised(raw_dimension_value, cover, chi, 2, 1) == (chi, self.text(chi, detail))
+
+    def test_delta_scan(self):
+        # a genus-1 cover of the line whose classes 1, 1, 2 of Z_3 sum to 1
+        group = GroupSpec((3,))
+        points = tuple(BranchPoint(pt(j + 1), group.element([x])) for j, x in enumerate([1, 1, 2]))
+        cover = CoverSpec(0, group, points)
+        assert cover.genus() == 1
+        chi = group.character([1])
+        for q, detail in ((1, "dimension value 2/3"), (2, "dimension value -1/3")):
+            assert self.raised(delta_info, cover, q, 0) == (chi, self.text(chi, detail))
