@@ -12,9 +12,10 @@ with chi(x) = zeta_{o(C)}^u for x in C.  On an abelian cover u is additive in
 chi, so the row is one dot product per class with the unit characters'
 columns, built once per cover; a generic cover reads the supplied row.  A
 caller reads each character's row once per visit: ``row_and_t`` returns it
-with t_chi, and the conjugate's row is (-u) mod o(C).  One method,
-``_t_of_row``, turns a row into t_chi and words the error for a
-non-integral one.
+with t_chi.  A formula that reads conj chi asks for the row of
+``conjugate_character(chi)``, (-u) mod o(C), so an error names the
+conjugate.  One method, ``_t_of_row``, turns a row into t_chi and words the
+error for a non-integral one.
 
 A walk over the dual group reads the u-table, ``CoverSpec.u_table``: every
 character's row in ``characters()`` order, streamed factor by factor as
@@ -144,14 +145,14 @@ class CoverSpec:
         if self.base_genus < 0:
             raise ValueError("base genus must be nonnegative")
         labels = set()
-        for bp in self.branch_points:
+        for j, bp in enumerate(self.branch_points):
             if self.base_genus == 0 and not isinstance(bp.label, Coord):
                 raise ValueError(
                     f"genus-0 branch values must be exact coordinates, got {bp.label!r}"
                 )
-            if bp.label in labels:
+            labels.add(bp.label)  # one hash per label: a repeat leaves the set at j
+            if len(labels) == j:
                 raise ValueError(f"duplicate branch value {bp.label}")
-            labels.add(bp.label)
             if self.class_order(bp.psi) == 1:
                 raise ValueError(f"branch value {bp.label} has trivial class")
 
@@ -313,30 +314,26 @@ class CoverSpec:
         branch data is bad."""
         return self.row_and_t(chi)[1]
 
-    def row_and_t(self, chi: CharLike, conjugate: bool = False) -> tuple[tuple[int, ...], int]:
-        """chi's u-row and t_chi from one ``u_row`` call; with ``conjugate``,
-        the row (-u) mod o(C) and t of conj chi.
+    def row_and_t(self, chi: CharLike) -> tuple[tuple[int, ...], int]:
+        """chi's u-row and t_chi from one ``u_row`` call.
 
         t is one integer numerator over L (``_t_of_row``); a nonzero
-        remainder raises NonIntegralInvariant at the character whose t it is.
+        remainder raises NonIntegralInvariant at chi.
         """
         row = self.u_row(chi)
-        if conjugate:
-            row = tuple((-u) % cls.order for cls, u in zip(self.branch_classes, row))
-        return row, self._t_of_row(row, chi, conjugate)
+        return row, self._t_of_row(row, chi)
 
-    def _t_of_row(self, row: tuple[int, ...], chi: CharLike | int, conjugate: bool = False) -> int:
+    def _t_of_row(self, row: tuple[int, ...], chi: CharLike | int) -> int:
         """t = sum_C w_C u_C // L of a u-row (``class_weights``).  A nonzero
-        remainder raises NonIntegralInvariant at chi, at its conjugate with
-        ``conjugate``, or, for an int, at the character with that index in
-        ``characters()`` order, as a u-table walk knows it."""
+        remainder raises NonIntegralInvariant at chi or, for an int, at the
+        character with that index in ``characters()`` order, as a u-table
+        walk knows it."""
         lcm, weights = self.class_weights
         t, rem = divmod(sum(map(mul, weights, row)), lcm)
         if rem:
             if isinstance(chi, int):
                 chi = self._character_at(chi)
-            named = self.conjugate_character(chi) if conjugate else chi
-            raise NonIntegralInvariant(named, f"t = {t + Fraction(rem, lcm)}")
+            raise NonIntegralInvariant(chi, f"t = {t + Fraction(rem, lcm)}")
         return t
 
     def validate(self) -> ValidationReport:

@@ -20,10 +20,12 @@ enters as its u-row, N = 1 at alpha = u_{chi,C}.  A dimension is the
 Chevalley-Weil multiplicity of a character, so one route leads from the
 kernel to a number: ``cw_multiplicity`` takes ``raw_dimension_value``, adds
 the delta correction and carries the one guard against a negative value,
-and ``dim_omega_chi`` is that route at a character.  The analytic
-multiplicity of the jacobian module reads the kernel at q = 1, and the
-infinity exponent of ``omega_divisor`` sums the same way over the
-conjugate's row.
+and ``dim_omega_chi`` is that route at a character.  The jacobian
+module's analytic multiplicity at rho is this route at q = 1, Gamma = 0
+and conj rho, and its rational multiplicity adds the route at rho itself.
+Conjugation is decided once, by ``conjugate``, and the +1 correction once,
+by ``same_character``; the infinity exponent of ``omega_divisor`` reads the
+conjugate character's row and t.
 
 ``cw_value`` is one integer numerator over L = lcm o(C), in closed form.
 With rho_C = (q - 1) mod o(C), every 0 <= alpha < o(C) has
@@ -109,7 +111,7 @@ def omega_divisor(cover: CoverSpec, chi: CharLike, q: int = 1) -> OmegaDivisor:
     branch preimage, and t_{conj chi} - 2q + sum_C r_C alpha at infinity."""
     if cover.base_genus != 0:
         raise UnsupportedBaseGenus("explicit generators need a genus-0 base")
-    row_conj, t_conj = cover.row_and_t(chi, conjugate=True)
+    row_conj, t_conj = cover.row_and_t(cover.conjugate_character(chi))
     # (alpha, beta) with q(o(C) - 1) - u_{conj chi,C} = alpha o(C) + beta
     splits = {c.key: divmod(q * (c.order - 1) - u, c.order) for c, u in zip(cover.branch_classes, row_conj)}
     per_point = [splits[bp.psi] for bp in cover.branch_points]
@@ -138,14 +140,16 @@ def raw_dimension_value(cover: CoverSpec, rho: IrrepClassData | CharLike, q: int
 
 
 def same_character(cover: CoverSpec, a: IrrepClassData | CharLike, b: CharLike) -> bool:
-    """Equality of characters as the formulas see them.
+    """Equality of characters as the formulas see them: the one test of
+    the +1 correction.
 
-    Abelian characters compare exactly.  Generic characters compare by their
-    values on the branch classes, which determine them whenever the branch
-    classes generate the group; an unramified generic cover carries no such
-    data, so there the supplied names decide.  A table is b when it is
-    one-dimensional and either names b or, anonymous, has the eigenvalue
-    u_{b,C} at every branch class C.
+    Abelian characters compare exactly.  Generic characters compare by
+    ``is_trivial`` when either is trivial, since on a positive-genus base a
+    nontrivial one can vanish on every branch class; otherwise by their
+    values on the branch classes, which determine them whenever those
+    generate the group, and on an unramified cover by name.  A table is b
+    when it is one-dimensional and either names b or, anonymous, has the
+    eigenvalue u_{b,C} at every branch class C.
     """
     if isinstance(a, IrrepClassData):
         if a.dim != 1:
@@ -157,6 +161,8 @@ def same_character(cover: CoverSpec, a: IrrepClassData | CharLike, b: CharLike) 
         return a == b
     if isinstance(a, Character) or isinstance(b, Character):
         return False
+    if a.is_trivial or b.is_trivial:
+        return a.is_trivial and b.is_trivial
     if cover.branch_classes:
         return cover.u_row(a) == cover.u_row(b)
     return a.name == b.name
@@ -343,6 +349,19 @@ class IrrepClassData:
                 f"expected the dimension {self.dim}"
             )
         return row
+
+
+def conjugate(cover: CoverSpec, rho: IrrepClassData | CharLike) -> IrrepClassData | CharLike:
+    """The complex conjugate: ``CoverSpec.conjugate_character`` of a
+    character; a table with each checked row's N_alpha moved to
+    (-alpha) mod o(C), and its ``character`` conjugated."""
+    if not isinstance(rho, IrrepClassData):
+        return cover.conjugate_character(rho)
+    rows = ((cls.key, rho.row(cover, cls.key)) for cls in cover.branch_classes)
+    # N_0 stays, and N_alpha moves to o(C) - alpha for 0 < alpha < o(C)
+    table = tuple((key, row[:1] + row[:0:-1]) for key, row in rows)
+    character = None if rho.character is None else cover.conjugate_character(rho.character)
+    return IrrepClassData(rho.dim, table, character)
 
 
 # a character's u-row, or per branch class a table's (alpha, N_alpha) pairs

@@ -17,9 +17,10 @@ normalization is fully explicit:
 with A_{C,chi} the union of buckets below u_{chi,C}.  Each is an integer
 read from one u-row: ``CoverSpec.row_and_t`` gives the row and t_chi (an
 integer numerator over lcm o(C)), |A_{C,chi}| is counted from the row, and
-conj chi's row is (-u) mod o(C).  The totals read the u-table
-(``CoverSpec.u_table``), one row per character and no ``Character``; there
-|A_{C,chi}| is ``bisect_left`` of u_{chi,C} in the class's sorted buckets.
+i_chi reads the row of ``CoverSpec.conjugate_character(chi)``.  The totals
+read the u-table (``CoverSpec.u_table``), one row per character and no
+``Character``; there |A_{C,chi}| is ``bisect_left`` of u_{chi,C} in the
+class's sorted buckets.
 
 These divisors, and the eigendivisors of h_chi and of the q-differential
 generators (``EigenDivisor``), are constant along the fibres of the cover, so
@@ -101,10 +102,10 @@ class InvariantDivisor:
         buckets = self.buckets
         return [j for cls, u in zip(self.cover.branch_classes, row) for j in cls.points if buckets[j] < u]
 
-    def _excess(self, chi: CharLike, conjugate: bool = False) -> int:
-        """p + 1 + a_chi - t_chi from one row (of conj chi with ``conjugate``):
-        r_chi is max(0, excess(chi)) and i_chi is max(0, -excess(conj chi))."""
-        row, t = self.cover.row_and_t(chi, conjugate)
+    def _excess(self, chi: CharLike) -> int:
+        """p + 1 + a_chi - t_chi from one row: r_chi is max(0, excess(chi))
+        and i_chi is max(0, -excess(conj chi))."""
+        row, t = self.cover.row_and_t(chi)
         return self.p + 1 + len(self._a_points(row)) - t
 
     def _require_genus0(self):
@@ -153,7 +154,7 @@ class InvariantDivisor:
     def i_chi(self, chi: CharLike) -> int:
         """Dimension of the chi-part of differentials bounded below by the divisor."""
         self._require_genus0()
-        return max(0, -self._excess(chi, conjugate=True))
+        return max(0, -self._excess(self.cover.conjugate_character(chi)))
 
     def i_total(self) -> int:
         """sum_chi i_chi = sum_chi max(0, t_chi - a_chi - p - 1), since

@@ -10,10 +10,10 @@ carrying exactly the per-conjugacy-class data the dimension formulas consume:
 the element order of each class and, optionally, rows of one-dimensional
 character values.
 
-``GroupSpec.u_value`` is the one u formula for abelian groups; a cover reads
-it once per branch class for the unit characters and assembles every
-character's u-row from those columns (``CoverSpec.u_row``,
-``CoverSpec.u_table``).
+``GroupSpec.u_value`` is the one u formula for abelian groups: ``pairing``
+is u_{chi,x} / o(x), and a cover reads u once per branch class for the
+unit characters and assembles every character's u-row from those columns
+(``CoverSpec.u_row``, ``CoverSpec.u_table``).
 
 Only ``elements`` and ``characters`` walk the group, and they refuse a group
 of order above ``DEFAULT_CAP`` with SearchSpaceTooLarge.  Every other question
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import mod
+from operator import floordiv, mod, neg
 from typing import Iterator, Mapping, Sequence
 
 from .errors import SearchSpaceTooLarge
@@ -166,8 +166,8 @@ class GroupSpec:
     # -- element arithmetic ----------------------------------------------
 
     def element_order(self, x: GroupElement) -> int:
-        self.check_element(x)
-        return math.lcm(*(m // math.gcd(m, a) for a, m in zip(x.exponents, self.cyclic_orders)))
+        orders = self.cyclic_orders
+        return math.lcm(*map(floordiv, orders, map(math.gcd, orders, self.check_element(x).exponents)))
 
     def power_index(self, base: GroupElement, target: GroupElement) -> int | None:
         """The least k >= 0 with base^k == target, or None when target is not
@@ -203,18 +203,16 @@ class GroupSpec:
         return Character(tuple((k * x) % m for x, m in zip(chi.exponents, self.cyclic_orders)))
 
     def conjugate(self, chi: Character) -> Character:
-        return Character(tuple((-x) % m for x, m in zip(chi.exponents, self.cyclic_orders)))
+        return Character(tuple(map(mod, map(neg, self.check_element(chi).exponents), self.cyclic_orders)))
 
     def character_order(self, chi: Character) -> int:
         self.check_element(chi)
         return math.lcm(*(m // math.gcd(m, k) for k, m in zip(chi.exponents, self.cyclic_orders)))
 
     def pairing(self, chi: Character, x: GroupElement) -> Fraction:
-        """Fractional part of the exponent pairing: chi(x) = e(pairing), the
-        integer sum_i k_i a_i (L / m_i) mod L over L = lcm m_i."""
-        lcm = math.lcm(*self.cyclic_orders)
-        num = sum(k * a * (lcm // m) for k, a, m in zip(chi.exponents, x.exponents, self.cyclic_orders))
-        return Fraction(num % lcm, lcm)
+        """Fractional part of the exponent pairing, chi(x) = e(pairing):
+        u_{chi,x} / o(x), from the one u formula ``u_value``."""
+        return Fraction(self.u_value(chi, x), self.element_order(x))
 
     def u_value(self, chi: Character, x: GroupElement) -> int:
         """Discrete log of chi(x) to base the primitive o(x)-th root of unity.

@@ -6,11 +6,13 @@ subvarieties, and, for abelian deck groups, the cyclic-quotient pieces:
 one ``PrymPiece`` per Galois orbit of characters, built by one per-orbit
 function, giving dim B_Q of the primitive Prym variety of the
 corresponding cyclic quotient cover; ``decompose`` reads its orbit rows
-from these pieces.  The multiplicities read the Chevalley-Weil kernel of
-the differentials module.  Each quotient cover is
-built directly from branch data: a character of order e maps the deck group
-onto Z_e, so the group is never enumerated and no Smith form is taken.
-Only integers are computed here, each dimension as one integer numerator
+from these pieces.  The analytic multiplicity at rho is ``cw_multiplicity``
+of conj rho at q = 1, Gamma = 0 (T_0 J(X) is the dual of H^0(X, K)), and
+the rational one adds that of rho; conjugation, the +1 correction and the
+error checks are the differentials module's.  Each quotient cover is built
+directly from branch data: a character of order e maps the deck group onto
+Z_e, so the group is never enumerated and no Smith form is taken.  Only
+integers are computed here, each dimension as one integer numerator
 over a known denominator (2 for the isotypical dimensions, 2e for a Z_e
 quotient's cross-check); no period matrices, polarizations, or isogenies
 are constructed.
@@ -22,49 +24,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cover import BranchPoint, CharLike, ClassKey, CoverSpec
-from .differentials import EigenRows, IrrepClassData, cw_value, eigen_rows
+from .differentials import IrrepClassData, conjugate, cw_multiplicity
 from .errors import InternalInconsistency, NonIntegralDimension, NotAbelian, NTableMismatch
 from .groups import Character, CharacterOrbit, GroupSpec, euler_phi
 
 
-def _is_trivial_rep(rho: IrrepClassData | CharLike, dim: int, rows: EigenRows) -> bool:
-    if dim != 1:
-        return False
-    character = rho.character if isinstance(rho, IrrepClassData) else rho
-    if character is not None:
-        return character.is_trivial
-    return all((0, 1) in row for row in rows)
-
-
 def analytic_multiplicity(cover: CoverSpec, rho: IrrepClassData | CharLike) -> int:
     """Multiplicity of the irreducible in the deck action on the tangent
-    space of the Jacobian at the origin: the Chevalley-Weil sum at q = 1 of
-    the conjugate representation, plus one for the trivial representation."""
-    dim, rows = eigen_rows(cover, rho)
-    if isinstance(rho, IrrepClassData):
-        conjugate = tuple(
-            tuple(((-alpha) % cls.order, n) for alpha, n in row)
-            for cls, row in zip(cover.branch_classes, rows)
-        )
-    else:
-        conjugate = tuple((-u) % cls.order for cls, u in zip(cover.branch_classes, rows))
-    value = cw_value(cover, dim, conjugate, 1, 0) + _is_trivial_rep(rho, dim, rows)
-    if value.denominator != 1:
-        raise NTableMismatch(f"analytic multiplicity {value} is not an integer")
-    return int(value)
+    space of the Jacobian at the origin, the dual of H^0(X, K): the
+    Chevalley-Weil multiplicity at q = 1, Gamma = 0 of the conjugate."""
+    return cw_multiplicity(cover, conjugate(cover, rho), 1, 0)
 
 
 def rational_multiplicity(cover: CoverSpec, rho: IrrepClassData | CharLike) -> int:
     """Multiplicity of the irreducible in the complexified action on the
-    rational homology of the Jacobian."""
-    dim, rows = eigen_rows(cover, rho)
-    if isinstance(rho, IrrepClassData):
-        moved = [sum(n for alpha, n in row if alpha) for row in rows]
-    else:
-        moved = map(bool, rows)  # a character moves the eigenvalue 1 where u != 0
-    return dim * (2 * cover.base_genus - 2) + 2 * _is_trivial_rep(rho, dim, rows) + sum(
-        cls.count * n for cls, n in zip(cover.branch_classes, moved)
-    )
+    rational homology of the Jacobian, the analytic representation plus its
+    conjugate: analytic(conj rho) is ``cw_multiplicity`` of rho itself."""
+    return analytic_multiplicity(cover, rho) + cw_multiplicity(cover, rho, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -242,9 +218,10 @@ def decompose(cover: CoverSpec) -> DecompositionReport:
     checked to sum to the genus."""
     if not cover.is_abelian:
         raise NotAbelian("the decomposition report enumerates the dual group")
-    chars = tuple(cover.characters())
-    analytic = tuple((chi, analytic_multiplicity(cover, chi)) for chi in chars)
-    rational = tuple((chi, rational_multiplicity(cover, chi)) for chi in chars)
+    analytic = tuple((chi, analytic_multiplicity(cover, chi)) for chi in cover.characters())
+    # the rational column from the analytic one: analytic(chi) + analytic(conj chi)
+    by_character, conj = dict(analytic), cover.group.conjugate
+    rational = tuple((chi, m + by_character[conj(chi)]) for chi, m in analytic)
     prym = primitive_prym_dims(cover)
     # a character orbit's irreducible has d = m = 1, so dim A_W = dim B_W = dim B_Q
     orbits = tuple(OrbitSummary(piece.orbit, piece.dim, piece.dim) for piece in prym)

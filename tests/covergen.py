@@ -72,6 +72,26 @@ def mixed_z4_cover():
     return cyclic_cover(4, [1, 3, 2, 2])
 
 
+# Z2 x Z2 as a class table over an elliptic curve, branched at two points of
+# class a: genus 3.  chi_b is 1 on a, the only branch class, so its u-row is
+# the trivial character's, and still it is not trivial: the +1 correction
+# at q = 1 belongs to the trivial character alone.
+Z2Z2_OVER_ELLIPTIC = {
+    "mode": "branch-data",
+    "base_genus": 1,
+    "group": {
+        "classes": [{"id": "a", "order": 2}, {"id": "b", "order": 2}, {"id": "ab", "order": 2}],
+        "order": 4,
+        "u_table": {
+            "chi_a": {"a": 1, "b": 0, "ab": 1},
+            "chi_b": {"a": 0, "b": 1, "ab": 1},
+            "chi_ab": {"a": 1, "b": 1, "ab": 0},
+        },
+    },
+    "branch_points": [{"label": "p", "psi": "a"}, {"label": "q", "psi": "a"}],
+}
+
+
 def fixture_covers():
     """Abelian genus-0-base covers exercised throughout the suite."""
     return [

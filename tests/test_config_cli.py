@@ -19,7 +19,7 @@ from galcov.config import parse_config, to_document
 from galcov.cover import Coord, CoverSpec
 from galcov.errors import BranchedAtInfinity, ConfigError
 
-from covergen import hyperelliptic
+from covergen import Z2Z2_OVER_ELLIPTIC, hyperelliptic
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # S3 over the line with four transpositions; the u_table lists only sgn
@@ -601,6 +601,18 @@ class TestGenericCharFlag:
         assert cover.conjugate_character(trivial) is trivial
         (sgn,) = cover.characters()
         assert cover.conjugate_character(sgn).name == "~sgn"
+
+
+@pytest.mark.parametrize(
+    "command,key,name,value",
+    [("dims", "characters", "character", "dim"), ("chevalley-weil", "multiplicities", "irrep", "multiplicity")],
+)
+def test_plus_one_skips_a_character_trivial_on_the_branch_classes(capsys, tmp_path, command, key, name, value):
+    path = tmp_path / "z2z2.json"
+    path.write_text(json.dumps(Z2Z2_OVER_ELLIPTIC))
+    code, out, _ = run_json(capsys, command, str(path))
+    assert code == 0
+    assert {row[name]: row[value] for row in out[key]} == {"chi_a": 1, "chi_ab": 1, "chi_b": 0}
 
 
 class TestErrorPaths:

@@ -81,6 +81,16 @@ class TestValidate:
         with pytest.raises(ValueError):
             CoverSpec(0, g, (BranchPoint(pt(1), g.element([1])),) * 2)
 
+    def test_duplicate_label_message_names_the_value(self):
+        g = GroupSpec((2,))
+        points = [BranchPoint(pt(j), g.element([1])) for j in (1, 2, 3, 2)]
+        with pytest.raises(ValueError) as raised:
+            CoverSpec(0, g, points)
+        assert str(raised.value) == "duplicate branch value 2"
+        with pytest.raises(ValueError) as raised:
+            CoverSpec(1, g, [BranchPoint("x", g.element([1]))] * 2)
+        assert str(raised.value) == "duplicate branch value x"
+
     def test_genus0_labels_must_be_coords(self):
         g = GroupSpec((2,))
         with pytest.raises(ValueError):

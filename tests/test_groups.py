@@ -123,6 +123,9 @@ class TestCheckElement:
         "character_order": lambda g, e: g.character_order(Character(e)),
         "power_index base": lambda g, e: g.power_index(GroupElement(e), g.identity),
         "power_index target": lambda g, e: g.power_index(g.identity, GroupElement(e)),
+        "conjugate": lambda g, e: g.conjugate(Character(e)),
+        "pairing character": lambda g, e: g.pairing(Character(e), g.identity),
+        "pairing element": lambda g, e: g.pairing(g.trivial_character, GroupElement(e)),
     }
 
     @pytest.mark.parametrize("call", sorted(CALLS))

@@ -87,7 +87,7 @@ def check_character_kernels(cover, chi):
     conj = cover.conjugate_character(chi)
     t_conj = outcome(oracle.t_chi, cover, conj)
     expected = t_conj if isinstance(t_conj, tuple) else (cover.u_row(conj), t_conj)
-    assert outcome(cover.row_and_t, chi, True) == expected
+    assert outcome(cover.row_and_t, conj) == expected
     assert eigen_rows(cover, chi) == (1, row)
     for q in QS:
         for gamma in GAMMAS:
@@ -212,13 +212,23 @@ class TestGeneric:
             tuple(((-alpha) % cls.order, n) for alpha, n in row)
             for cls, row in zip(cover.branch_classes, rows)
         )
-        trivial = rho.dim == 1 and all((0, 1) in row for row in rows)
-        expected = oracle.cw_value(cover, rho.dim, conjugate, 1, 0) + trivial
+        raw = oracle.cw_value(cover, rho.dim, conjugate, 1, 0)
         got = outcome(analytic_multiplicity, cover, rho)
-        if expected.denominator == 1:
-            assert got == int(expected)
+        # analytic_multiplicity is cw_multiplicity of the conjugate and refuses
+        # what it refuses, a non-integral genus first (NonIntegralInvariant)
+        refused = outcome(delta_info, cover, 1, 0)
+        if isinstance(refused, tuple):
+            assert got == refused
+            return
+        if raw.denominator != 1:
+            assert got == (NTableMismatch, f"multiplicity {raw} is not an integer; eigenvalue table inconsistent")
+            return
+        # at q = 1 the corrected character is the trivial one
+        corrected = int(raw) + (rho.dim == 1 and all((0, 1) in row for row in rows))
+        if corrected < 0:
+            assert got == (NTableMismatch, f"multiplicity {corrected} is negative; eigenvalue table inconsistent")
         else:
-            assert got[1].endswith(f"analytic multiplicity {expected} is not an integer")
+            assert got == corrected
 
     @given(class_table_covers(), st.data())
     @settings(max_examples=80, deadline=None)

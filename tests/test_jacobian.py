@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,10 @@ from galcov import (
 )
 from galcov.config import parse_config
 from galcov.differentials import cw_multiplicity, dim_omega_chi
-from galcov.errors import NonIntegralDimension, NotAbelian, NTableMismatch
+from galcov.errors import NonIntegralDimension, NonIntegralInvariant, NotAbelian, NTableMismatch
 
 from covergen import (
+    Z2Z2_OVER_ELLIPTIC,
     covers,
     cyclic_cover,
     fixture_covers,
@@ -135,6 +137,61 @@ class TestOneKernel:
         for chi in cover.characters():
             conj = cover.conjugate_character(chi)
             assert analytic_multiplicity(cover, chi) == dim_omega_chi(cover, conj, 1, 0)
+
+
+class TestPlusOneOnAClassTable:
+    """The +1 correction at q = 1 goes to the trivial character only, also
+    where a nontrivial character vanishes on every branch class."""
+
+    @staticmethod
+    def cover():
+        return parse_config(json.dumps(Z2Z2_OVER_ELLIPTIC)).cover
+
+    def test_dimensions_sum_to_the_genus(self):
+        cover = self.cover()
+        dims = {chi.name: dim_omega_chi(cover, chi) for chi in cover.characters()}
+        assert dims == {"chi_a": 1, "chi_ab": 1, "chi_b": 0}
+        assert dim_omega_chi(cover, cover.trivial_character) == cover.base_genus == 1
+        assert sum(dims.values()) + 1 == cover.genus() == 3
+
+    def test_jacobian_multiplicities(self):
+        cover = self.cover()
+        # every character is real, so rational = 2 analytic
+        expected = {"chi_a": 1, "chi_ab": 1, "chi_b": 0, "1": 1}
+        for chi in (*cover.characters(), cover.trivial_character):
+            assert analytic_multiplicity(cover, chi) == expected[chi.name]
+            assert rational_multiplicity(cover, chi) == 2 * expected[chi.name]
+            assert analytic_multiplicity(cover, irrep_of_character(cover, chi)) == expected[chi.name]
+
+    def test_unramified_table_with_its_own_trivial_row(self):
+        # an unramified Z2 table over an elliptic curve: the supplied row
+        # "triv" is trivial under its own name and carries the +1
+        doc = {
+            "mode": "branch-data",
+            "base_genus": 1,
+            "group": {
+                "classes": [{"id": "a", "order": 2}],
+                "order": 2,
+                "u_table": {"triv": {"a": 0}, "sgn": {"a": 1}},
+            },
+            "branch_points": [],
+        }
+        cover = parse_config(json.dumps(doc)).cover
+        for q in (1, 2):
+            dims = {chi.name: dim_omega_chi(cover, chi, q) for chi in cover.characters()}
+            assert dims == {"triv": 1, "sgn": 0}
+        assert {chi.name: analytic_multiplicity(cover, chi) for chi in cover.characters()} == dims
+
+
+def test_non_integral_abelian_data_is_refused():
+    # Z3 with two points of class 1: t(chi) = 2/3
+    g = GroupSpec((3,))
+    cover = CoverSpec(0, g, (BranchPoint(pt(1), g.element([1])), BranchPoint(pt(2), g.element([1]))))
+    chi = g.character([1])
+    with pytest.raises(NonIntegralInvariant):
+        analytic_multiplicity(cover, chi)
+    with pytest.raises(NonIntegralInvariant):
+        rational_multiplicity(cover, chi)
 
 
 class TestIsotypicalDimensions:
