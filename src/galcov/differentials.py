@@ -50,8 +50,9 @@ integer multiplicities from them, so no cyclotomic arithmetic is needed.
 
 The genus and ``delta_info`` are computed once per cover, so a dimension,
 multiplicity or trace then costs O(#classes); a trace takes each class's
-exponent from the discrete log ``GroupSpec.power_index``.  Only the delta
-scan on a genus-1 cover of the line walks the dual group.
+exponent from the discrete log ``GroupSpec.power_index``.  On a genus-1
+cover of the line the corrected character is the one whose u-row is
+rho_C = (q - 1) mod o(C), the row ``_cw_constants`` holds.
 """
 
 from __future__ import annotations
@@ -141,15 +142,15 @@ def raw_dimension_value(cover: CoverSpec, rho: IrrepClassData | CharLike, q: int
 
 def same_character(cover: CoverSpec, a: IrrepClassData | CharLike, b: CharLike) -> bool:
     """Equality of characters as the formulas see them: the one test of
-    the +1 correction.
+    the +1 correction, with b the corrected character.
 
-    Abelian characters compare exactly.  Generic characters compare by
-    ``is_trivial`` when either is trivial, since on a positive-genus base a
-    nontrivial one can vanish on every branch class; otherwise by their
-    values on the branch classes, which determine them whenever those
-    generate the group, and on an unramified cover by name.  A table is b
-    when it is one-dimensional and either names b or, anonymous, has the
-    eigenvalue u_{b,C} at every branch class C.
+    Abelian characters compare exactly.  Generic characters compare by their
+    values on the branch classes on a genus-0 base, where those classes
+    generate the group, and by ``is_trivial`` on a positive-genus base,
+    where the corrected character is trivial and a nontrivial one can
+    vanish on every branch class.  A table is b when it is one-dimensional
+    and either names b or, anonymous, has the eigenvalue u_{b,C} at every
+    branch class C.
     """
     if isinstance(a, IrrepClassData):
         if a.dim != 1:
@@ -161,11 +162,9 @@ def same_character(cover: CoverSpec, a: IrrepClassData | CharLike, b: CharLike) 
         return a == b
     if isinstance(a, Character) or isinstance(b, Character):
         return False
-    if a.is_trivial or b.is_trivial:
+    if cover.base_genus:
         return a.is_trivial and b.is_trivial
-    if cover.branch_classes:
-        return cover.u_row(a) == cover.u_row(b)
-    return a.name == b.name
+    return cover.u_row(a) == cover.u_row(b)
 
 
 def delta_info(cover: CoverSpec, q: int = 1, gamma_degree: int = 0) -> DeltaInfo:
@@ -173,15 +172,16 @@ def delta_info(cover: CoverSpec, q: int = 1, gamma_degree: int = 0) -> DeltaInfo
 
     The correction exists iff the auxiliary divisor is trivial and either
     q = 1 or the cover has genus 1.  For genus >= 2 (or genus 0), q must then
-    be 1 and the corrected character is trivial.  A genus-1 cover of the line
-    carries the correction at the unique character whose raw value is -1,
-    found by scanning the characters and the trivial one, which a generic
-    table may omit; a genus-1 cover of a genus-1 base is unramified, every
-    raw value vanishes, and the trivial character is corrected.
+    be 1 and the corrected character is trivial, as on a genus-1 cover of a
+    genus-1 base, which is unramified.  A genus-1 cover of the line has
+    sum_C r_C (1 - 1/o(C)) = 2, so the raw value -1 + sum_C r_C
+    frac((q - 1 - u_{chi,C}) / o(C)) is -1 exactly at the character whose
+    u-row is rho_C = (q - 1) mod o(C); the rows are read by ``row_and_t``,
+    and at rho = 0 a generic table may omit its trivial row.
 
     The result is memoized on the cover instance per (q, gamma_degree), so
-    the O(|G|) scan runs once per cover and the memo is freed with it; the
-    other cases cost O(1) once the cover's genus is known.
+    the O(|G|) row match runs once per cover and the memo is freed with it;
+    the other cases cost O(1) once the cover's genus is known.
     """
     if gamma_degree < 0:
         raise ConfigError(
@@ -199,26 +199,17 @@ def _locate_delta(cover: CoverSpec, q: int, gamma_degree: int) -> DeltaInfo:
     check_admissible(g_x, q)
     if gamma_degree != 0 or (g_x != 1 and q != 1):
         return DeltaInfo(0, None)
-    if g_x != 1:
+    if g_x != 1 or cover.base_genus == 1:
         return DeltaInfo(1, cover.trivial_character)
-    if cover.base_genus == 1:
-        return DeltaInfo(1, cover.trivial_character)
-    characters = tuple(cover.characters())
-    trivial = cover.trivial_character
-    if not any(same_character(cover, chi, trivial) for chi in characters):
-        # a generic table may omit the trivial row; the correction can sit there
-        characters += (trivial,)
-    candidates = [chi for chi in characters if raw_dimension_value(cover, chi, q, 0) == -1]
-    if len(candidates) != 1:
+    rhos = _cw_constants(cover, q, 0)[1]
+    found = [chi for chi in cover.characters() if cover.row_and_t(chi)[0] == rhos]
+    if not any(rhos) and not any(chi.is_trivial for chi in found):
+        found.append(cover.trivial_character)  # a table may omit its trivial row
+    if len(found) != 1:
         raise InternalInconsistency(
-            f"expected exactly one character with raw value -1, found {len(candidates)}"
+            f"expected exactly one character with raw value -1, found {len(found)}"
         )
-    chi_delta = candidates[0]
-    if chi_delta.is_trivial != ((q - 1) % cover.class_weights[0] == 0):  # L = lcm o(C)
-        raise InternalInconsistency(
-            "corrected character fails the congruence criterion for triviality"
-        )
-    return DeltaInfo(1, chi_delta)
+    return DeltaInfo(1, found[0])
 
 
 def dim_omega_chi(cover: CoverSpec, chi: CharLike, q: int = 1, gamma_degree: int = 0) -> int:
@@ -298,7 +289,8 @@ def eichler_trace(
             "data and use trace_from_fixed_points otherwise"
         )
     group = cover.group
-    if group.element_order(tau) == 1:
+    order = group.element_order(tau)
+    if order == 1:
         raise IdentityElement("the identity trace is the total dimension; use total_dim_omega")
     info = delta_info(cover, q, gamma_degree)
     n = cover.degree
@@ -308,9 +300,7 @@ def eichler_trace(
         if beta is None:
             continue
         terms.append(FixedPointTerm(cls.order, beta % cls.order, cls.count * (n // cls.order)))
-    angle = None
-    if info.delta:
-        angle = group.pairing(info.character, tau)
+    angle = Fraction(group.u_value(info.character, tau), order) if info.delta else None
     return trace_from_fixed_points(terms, q, info.delta, angle)
 
 

@@ -237,17 +237,26 @@ class TestOncePerCover:
         assert cli.main(["dims", str(path), "--format", "json", *flags]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["delta"] == 1 and len(report["characters"]) == 4
-        # one scan for the corrected character, then one value per character
-        assert counted == {"raw": 4 + 4, "genus": 1}
+        # one value per character: the corrected character is found from the rows alone
+        assert counted == {"raw": 4, "genus": 1}
 
-    def test_one_scan_per_q_and_gamma(self, counted):
+    def test_one_scan_per_q_and_gamma(self, counted, monkeypatch):
+        rows = []
+        row_and_t = CoverSpec.row_and_t
+
+        def counting_row_and_t(cover, chi):
+            rows.append(chi)
+            return row_and_t(cover, chi)
+
+        monkeypatch.setattr(CoverSpec, "row_and_t", counting_row_and_t)
         cover = cyclic_cover(4, [1, 1, 2])
         for _ in range(3):
             for q in (1, 2):
                 delta_info(cover, q, 0)
                 delta_info(cover, q, 1)
-        # degree > 0 needs no scan; q = 1 and q = 2 scan the four characters once each
-        assert counted == {"raw": 2 * 4, "genus": 1}
+        # degree > 0 needs no search; q = 1 and q = 2 read the four rows once each
+        assert len(rows) == 2 * 4
+        assert counted == {"raw": 0, "genus": 1}
 
     def test_memo_dies_with_its_cover(self):
         cover = cyclic_cover(4, [1, 1, 2])
