@@ -47,17 +47,22 @@ FAMILIES = {
 }
 
 
+def _table_character(cover: CoverSpec, name: str):
+    """The class table's character of that name, or None; a report names the
+    trivial character "1" even where the table omits its row."""
+    return next((chi for chi in (*cover.characters(), cover.trivial_character) if chi.name == name), None)
+
+
 def _parse_character(cover: CoverSpec, text: str):
     if cover.is_abelian:
         try:
             return cover.group.character([int(k) for k in text.split(",")])
         except ValueError as exc:
             raise ConfigError(str(exc), "--char") from None
-    # a report names the trivial character even where the table omits its row
-    for chi in (*cover.characters(), cover.trivial_character):
-        if chi.name == text:
-            return chi
-    raise ConfigError(f"unknown character {text!r}", "--char")
+    chi = _table_character(cover, text)
+    if chi is None:
+        raise ConfigError(f"unknown character {text!r}", "--char")
+    return chi
 
 
 def _characters(cover: CoverSpec, char_flag: str | None):
@@ -253,7 +258,15 @@ def _load_irreps(cover: CoverSpec, path: str) -> list[tuple[str, IrrepClassData]
                     f"multiplicity row for {raw_key!r} must be a list of nonnegative integers", where
                 )
             table[key] = tuple(row)
-        out.append((str(name), IrrepClassData(dim, tuple(table.items()))))
+        # a one-dimensional record named after a table character is that character
+        character = None if cover.is_abelian or dim != 1 else _table_character(cover, str(name))
+        if character is not None:
+            u_of = dict(character.u_values)
+            for key, row in table.items():
+                u = u_of.get(key, 0 if character.is_trivial else None)
+                if list(row) != [int(alpha == u) for alpha in range(cover.group.record(key).order)]:
+                    raise ConfigError(f"row for class {key!r} is not that of character {name}", where)
+        out.append((str(name), IrrepClassData(dim, tuple(table.items()), character)))
     return out
 
 

@@ -49,9 +49,11 @@ class RationalIrrepData:
     degree k of its character field, the Schur index m, and the per-class
     invariant-subspace dimensions N_{C,0}.
 
-    ``trivial`` may be set explicitly; when left None it is inferred from the
-    numerical data (exact over a genus-0 base, where only the trivial
-    representation fixes every branch class).
+    ``trivial`` may be set explicitly.  Left None, it is inferred from the
+    numerical data over a genus-0 base, where only the trivial
+    representation fixes every branch class; over a positive-genus base
+    data that looks trivial (d = k = m = 1 and every N_{C,0} = 1) needs the
+    flag, and anything else is nontrivial.
     """
 
     dim: int
@@ -82,12 +84,17 @@ class RationalIrrepData:
     def is_trivial(self, cover: CoverSpec) -> bool:
         if self.trivial is not None:
             return self.trivial
-        return (
+        looks_trivial = (
             self.dim == 1
             and self.field_degree == 1
             and self.schur_index == 1
             and all(n0 == 1 for n0 in self.n0_row(cover))
         )
+        if looks_trivial and cover.base_genus:
+            raise NTableMismatch(
+                f"triviality is not inferred over a base of genus {cover.base_genus}; set the 'trivial' flag"
+            )
+        return looks_trivial
 
     @classmethod
     def from_character_orbit(cls, cover: CoverSpec, orbit: CharacterOrbit) -> "RationalIrrepData":

@@ -80,6 +80,10 @@ def isotypical_dim(cover: CoverSpec, w, factor: int, name: str) -> int:
             and w.schur_index == 1
             and all(n0(w, cls.key) == 1 for cls in cover.branch_classes)
         )
+        if trivial and cover.base_genus:
+            raise NTableMismatch(
+                f"triviality is not inferred over a base of genus {cover.base_genus}; set the 'trivial' flag"
+            )
     value = Fraction(k * factor * d * (cover.base_genus - 1)) + trivial
     for cls in cover.branch_classes:
         value += Fraction(k * factor, 2) * cls.count * (d - n0(w, cls.key))

@@ -615,6 +615,33 @@ def test_plus_one_skips_a_character_trivial_on_the_branch_classes(capsys, tmp_pa
     assert {row[name]: row[value] for row in out[key]} == {"chi_a": 1, "chi_ab": 1, "chi_b": 0}
 
 
+class TestNamedIrrepRecords:
+    """A one-dimensional irrep-file record named after a class-table
+    character, or "1", is that character, so the +1 test knows it."""
+
+    @staticmethod
+    def run(capsys, tmp_path, record):
+        doc, irreps = tmp_path / "z2z2.json", tmp_path / "irreps.json"
+        doc.write_text(json.dumps(Z2Z2_OVER_ELLIPTIC))
+        irreps.write_text(json.dumps({"irreps": [record]}))
+        return run_json(capsys, "chevalley-weil", str(doc), "--irrep-file", str(irreps))
+
+    @pytest.mark.parametrize("name,multiplicity", [("chi_b", 0), ("1", 1)])
+    def test_named_record_is_its_character(self, capsys, tmp_path, name, multiplicity):
+        # chi_b and the trivial character have the same row on the branch class a
+        code, out, _ = self.run(capsys, tmp_path, {"name": name, "dim": 1, "classes": {"a": [1, 0]}})
+        assert code == 0
+        assert out["multiplicities"] == [{"irrep": name, "dim": 1, "multiplicity": multiplicity}]
+        code, by_char, _ = run_json(capsys, "chevalley-weil", str(tmp_path / "z2z2.json"), "--char", name)
+        assert by_char["multiplicities"][0]["multiplicity"] == multiplicity
+
+    def test_row_that_is_not_the_named_character_is_refused(self, capsys, tmp_path):
+        code, out, err = self.run(capsys, tmp_path, {"name": "chi_b", "dim": 1, "classes": {"b": [1, 0]}})
+        assert code == EXIT_CODES["config"] == 2
+        assert out is None
+        assert err["message"].startswith(f"{tmp_path / 'irreps.json'}:irreps[0]: ")
+
+
 class TestErrorPaths:
     """Exit codes of inputs the CLI refuses before any computation."""
 

@@ -5,9 +5,10 @@ import math
 import random
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from galcov import (
     BranchPoint,
@@ -26,6 +27,7 @@ from galcov import (
     FixedPointTerm,
 )
 from galcov import cli, differentials
+from galcov.config import parse_config
 from galcov.differentials import raw_dimension_value
 from galcov.errors import AdmissibilityViolation, IdentityElement, NTableMismatch
 
@@ -38,6 +40,7 @@ from covergen import (
     irrep_of_character,
     klein_cover,
     pt,
+    random_validated_cover,
 )
 import fraction_oracle
 
@@ -179,6 +182,34 @@ class TestDeltaInfo:
                 ]
                 assert hits == [info.character]
                 assert info.character.is_trivial == ((q - 1) % lcm == 0)
+
+    @staticmethod
+    def check_row_rule(cover):
+        """The old scan as oracle: the raw value is -1 exactly at the
+        corrected character, whose u-row is rho_C = (q - 1) mod o(C)."""
+        characters = list(cover.characters())
+        if not any(chi.is_trivial for chi in characters):
+            characters.append(cover.trivial_character)
+        for q in range(-3, 9):
+            info = delta_info(cover, q, 0)
+            hits = [chi for chi in characters if raw_dimension_value(cover, chi, q, 0) == -1]
+            assert hits == [info.character]
+            assert cover.u_row(info.character) == tuple((q - 1) % cls.order for cls in cover.branch_classes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_row_rule_on_random_genus1_covers(self, seed):
+        rng = random.Random(seed)
+        cover = random_validated_cover(rng, 36, 6)
+        while cover.genus() != 1:
+            cover = random_validated_cover(rng, 36, 6)
+        self.check_row_rule(cover)
+
+    def test_row_rule_on_genus1_fixtures(self):
+        s3 = parse_config((Path(__file__).parent / "golden" / "s3.json").read_text()).cover
+        for cover in (*genus1_fixtures(), s3):
+            assert cover.genus() == 1
+            self.check_row_rule(cover)
 
     def test_unramified_genus1_base(self):
         cover = CoverSpec(1, GroupSpec((2,)), ())

@@ -182,6 +182,16 @@ class TestPlusOneOnAClassTable:
             assert dims == {"triv": 1, "sgn": 0}
         assert {chi.name: analytic_multiplicity(cover, chi) for chi in cover.characters()} == dims
 
+    def test_isotypical_triviality_is_not_guessed(self):
+        # chi_b's rational irreducible fixes the only branch class, as the trivial one does
+        cover = self.cover()
+        with pytest.raises(NTableMismatch, match="'trivial' flag"):
+            dim_A_W(cover, RationalIrrepData(1, 1, 1, (("a", 1),)))
+        assert dim_A_W(cover, RationalIrrepData(1, 1, 1, (("a", 1),), trivial=False)) == 0
+        assert dim_A_W(cover, RationalIrrepData(1, 1, 1, (("a", 1),), trivial=True)) == 1
+        # data that does not look trivial needs no flag
+        assert dim_A_W(cover, RationalIrrepData(1, 1, 1, (("a", 0),))) == 1
+
 
 def test_non_integral_abelian_data_is_refused():
     # Z3 with two points of class 1: t(chi) = 2/3
