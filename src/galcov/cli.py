@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .config import (
@@ -198,7 +199,7 @@ def cmd_traces(parsed: ParsedInput, args) -> dict:
         except ValueError as exc:
             raise ConfigError(str(exc), "--tau") from None
     else:
-        taus = [x for x in group.elements() if group.element_order(x) > 1]
+        taus = islice(group.elements(), 1, None)  # every element but the identity, which comes first
     rows = []
     for tau in taus:
         trace = eichler_trace(cover, tau, args.q, args.gamma_degree)

@@ -206,11 +206,9 @@ def _parse_branch_mode(document) -> ParsedInput:
     if not abelian:
         # every formula reads each character on every branch class
         for chi in group.characters:
-            try:
-                cover.u_row(chi)
-            except ValueError:
-                known = dict(chi.u_values)
-                missing = next(c.key for c in cover.branch_classes if c.key not in known)
+            known = dict(chi.u_values)
+            missing = next((c.key for c in cover.branch_classes if c.key not in known), None)
+            if missing is not None:
                 _fail(f"no value on branch class {missing!r}", f"group.u_table.{chi.name}")
     return ParsedInput(cover, None)
 

@@ -195,7 +195,7 @@ class CoverSpec:
         if isinstance(chi, Character):
             self._require_abelian()
             return self.group.conjugate(chi)
-        if not any(u for _, u in chi.u_values):
+        if chi.is_trivial:
             return chi  # the trivial character is its own conjugate, under its own name
         row = tuple((key, (-u) % self.class_order(key)) for key, u in chi.u_values)
         return GenericCharacter(f"~{chi.name}", row)
@@ -368,8 +368,8 @@ class CoverSpec:
     def _generating_vector_witness(self) -> Character | None:
         """None when sum_C r_C psi_C = 0 and, on a genus-0 base, the psi_C
         generate G.  Otherwise a character that fails validation: the unit
-        character e_i of the first factor where the sum is nonzero, whose t
-        has fractional part pairing(e_i, sum) != 0; or a nontrivial character
+        character e_i of the first factor where the sum s is nonzero, whose t
+        has fractional part u_{e_i,s} / o(s) != 0; or a nontrivial character
         trivial on every psi_C, so t = 0, pulled back from the first factor
         Z_d of G / <psi_C>."""
         group, classes = self.group, self.branch_classes

@@ -156,7 +156,7 @@ def same_character(cover: CoverSpec, a: IrrepClassData | CharLike, b: CharLike) 
         if a.dim != 1:
             return False
         if a.character is None:
-            return all(a.row(cover, c.key)[u] for c, u in zip(cover.branch_classes, cover.u_row(b)))
+            return all(row[u] for row, u in zip(a.rows(cover), cover.u_row(b)))
         a = a.character
     if isinstance(a, Character) and isinstance(b, Character):
         return a == b
@@ -321,24 +321,26 @@ class IrrepClassData:
     n_table: tuple[tuple[ClassKey, tuple[int, ...]], ...]
     character: CharLike | None = None
 
-    def row(self, cover: CoverSpec, key: ClassKey) -> tuple[int, ...]:
-        try:
-            row = dict(self.n_table)[key]
-        except KeyError:
-            raise NTableMismatch(f"no eigenvalue multiplicities supplied for class {key}") from None
-        if len(row) != cover.class_order(key):
-            raise NTableMismatch(
-                f"class {key} has order {cover.class_order(key)}, "
-                f"but {len(row)} multiplicities were supplied"
-            )
-        if any(n < 0 for n in row):
-            raise NTableMismatch(f"negative eigenvalue multiplicity at class {key}: {row}")
-        if sum(row) != self.dim:
-            raise NTableMismatch(
-                f"eigenvalue multiplicities at class {key} sum to {sum(row)}, "
-                f"expected the dimension {self.dim}"
-            )
-        return row
+    def rows(self, cover: CoverSpec) -> tuple[tuple[int, ...], ...]:
+        """N_alpha for every branch class, in ``branch_classes`` order; the
+        first class missing or inconsistent raises NTableMismatch."""
+        supplied = dict(self.n_table)
+        for key, order in ((cls.key, cls.order) for cls in cover.branch_classes):
+            if key not in supplied:
+                raise NTableMismatch(f"no eigenvalue multiplicities supplied for class {key}")
+            row = supplied[key]
+            if len(row) != order:
+                raise NTableMismatch(
+                    f"class {key} has order {order}, but {len(row)} multiplicities were supplied"
+                )
+            if any(n < 0 for n in row):
+                raise NTableMismatch(f"negative eigenvalue multiplicity at class {key}: {row}")
+            if sum(row) != self.dim:
+                raise NTableMismatch(
+                    f"eigenvalue multiplicities at class {key} sum to {sum(row)}, "
+                    f"expected the dimension {self.dim}"
+                )
+        return tuple(supplied[cls.key] for cls in cover.branch_classes)
 
 
 def conjugate(cover: CoverSpec, rho: IrrepClassData | CharLike) -> IrrepClassData | CharLike:
@@ -347,9 +349,9 @@ def conjugate(cover: CoverSpec, rho: IrrepClassData | CharLike) -> IrrepClassDat
     (-alpha) mod o(C), and its ``character`` conjugated."""
     if not isinstance(rho, IrrepClassData):
         return cover.conjugate_character(rho)
-    rows = ((cls.key, rho.row(cover, cls.key)) for cls in cover.branch_classes)
+    rows = zip(cover.branch_classes, rho.rows(cover))
     # N_0 stays, and N_alpha moves to o(C) - alpha for 0 < alpha < o(C)
-    table = tuple((key, row[:1] + row[:0:-1]) for key, row in rows)
+    table = tuple((cls.key, row[:1] + row[:0:-1]) for cls, row in rows)
     character = None if rho.character is None else cover.conjugate_character(rho.character)
     return IrrepClassData(rho.dim, table, character)
 
@@ -363,11 +365,8 @@ def eigen_rows(cover: CoverSpec, rho: IrrepClassData | CharLike) -> tuple[int, E
     class, in order: a character's u-row (N = 1 at alpha = u_{chi,C}), or a
     table's checked (alpha, N_alpha) pairs with N_alpha > 0."""
     if isinstance(rho, IrrepClassData):
-        rows = tuple(
-            tuple((alpha, n) for alpha, n in enumerate(rho.row(cover, cls.key)) if n)
-            for cls in cover.branch_classes
-        )
-        return rho.dim, rows
+        pairs = (tuple((alpha, n) for alpha, n in enumerate(row) if n) for row in rho.rows(cover))
+        return rho.dim, tuple(pairs)
     return 1, cover.u_row(rho)
 
 

@@ -180,12 +180,13 @@ class InvariantDivisor:
             symbols = [] if self.cover.base_genus == 0 else [(f"Y[{chi}]", 1)]
             return SymbolicDivisor(self.p - t, tuple(points), tuple(symbols), "r_of_inverse")
         if kind == "differential":
-            # the points outside A_{C,conj chi}, where conj chi has u = o - u
-            # for u != 0; a class inside ker(chi) (u = 0) contributes none
+            # the points outside A_{C,conj chi}: j in C with v = u_{conj chi,C}
+            # and bucket_j >= v, where a class inside ker(chi) (v = 0) has none
+            conj_row = self.cover.u_row(self.cover.conjugate_character(chi))
             points = [
                 (labels[j], -1)
-                for cls, u in zip(self.cover.branch_classes, row) if u
-                for j in cls.points if self.buckets[j] >= cls.order - u
+                for cls, v in zip(self.cover.branch_classes, conj_row) if v
+                for j in cls.points if self.buckets[j] >= v
             ]
             points.extend(self.base_part)
             symbols = [] if self.cover.base_genus == 0 else [(f"Y[{chi}]", -1)]

@@ -1,32 +1,31 @@
 """Finite abelian groups, their characters, and generic conjugacy-class data.
 
 Elements and characters of a product of cyclic groups are both encoded as
-integer exponent vectors, one residue per cyclic factor.  All pairings reduce
-to exact rational arithmetic on those vectors; no floating-point roots of
-unity appear anywhere in this module.
+integer exponent vectors, one residue per cyclic factor.  A character's
+value on an element is an exact integer on those vectors; no floating-point
+roots of unity appear anywhere in this module.
 
 Non-abelian groups are never enumerated.  A ClassTable is trusted input
 carrying exactly the per-conjugacy-class data the dimension formulas consume:
 the element order of each class and, optionally, rows of one-dimensional
 character values.
 
-``GroupSpec.u_value`` is the one u formula for abelian groups: ``pairing``
-is u_{chi,x} / o(x), and a cover reads u once per branch class for the
-unit characters and assembles every character's u-row from those columns
+``GroupSpec.u_value`` is the one u formula for abelian groups, chi(x) =
+zeta_{o(x)}^u, and a cover reads u once per branch class for the unit
+characters and assembles every character's u-row from those columns
 (``CoverSpec.u_row``, ``CoverSpec.u_table``).
 
 Only ``elements`` and ``characters`` walk the group, and they refuse a group
 of order above ``DEFAULT_CAP`` with SearchSpaceTooLarge.  Every other question
-(orders, pairings, u-values, discrete logs) is answered per cyclic factor.
+(orders, conjugates, u-values, discrete logs) is answered per cyclic factor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
-from operator import floordiv, mod, neg
+from itertools import product, repeat
+from operator import floordiv, mod, mul
 from typing import Iterator, Mapping, Sequence
 
 from .errors import SearchSpaceTooLarge
@@ -165,7 +164,7 @@ class GroupSpec:
 
     # -- element arithmetic ----------------------------------------------
 
-    def element_order(self, x: GroupElement) -> int:
+    def element_order(self, x: GroupElement | Character) -> int:
         orders = self.cyclic_orders
         return math.lcm(*map(floordiv, orders, map(math.gcd, orders, self.check_element(x).exponents)))
 
@@ -200,19 +199,10 @@ class GroupSpec:
     # -- character arithmetic --------------------------------------------
 
     def char_pow(self, chi: Character, k: int) -> Character:
-        return Character(tuple((k * x) % m for x, m in zip(chi.exponents, self.cyclic_orders)))
+        return Character(tuple(map(mod, map(mul, chi.exponents, repeat(k)), self.cyclic_orders)))
 
     def conjugate(self, chi: Character) -> Character:
-        return Character(tuple(map(mod, map(neg, self.check_element(chi).exponents), self.cyclic_orders)))
-
-    def character_order(self, chi: Character) -> int:
-        self.check_element(chi)
-        return math.lcm(*(m // math.gcd(m, k) for k, m in zip(chi.exponents, self.cyclic_orders)))
-
-    def pairing(self, chi: Character, x: GroupElement) -> Fraction:
-        """Fractional part of the exponent pairing, chi(x) = e(pairing):
-        u_{chi,x} / o(x), from the one u formula ``u_value``."""
-        return Fraction(self.u_value(chi, x), self.element_order(x))
+        return self.char_pow(self.check_element(chi), -1)
 
     def u_value(self, chi: Character, x: GroupElement) -> int:
         """Discrete log of chi(x) to base the primitive o(x)-th root of unity.
@@ -229,15 +219,17 @@ class GroupSpec:
     def rational_character_orbits(self) -> tuple[CharacterOrbit, ...]:
         """Partition of the dual group into Galois orbits chi -> chi^a, gcd(a, e) = 1.
 
-        Orbits are sorted by their lexicographically smallest member, as are
-        the characters inside each orbit; the trivial orbit comes first.
+        Orbits come in the order of their lexicographically smallest member,
+        as do the characters inside each orbit, and the trivial orbit comes
+        first: ``characters()`` walks in that order, so each orbit is first
+        met at its least member.
         """
         orbits = []
         seen: set[Character] = set()
         for chi in self.characters():
             if chi in seen:
                 continue
-            e = self.character_order(chi)
+            e = self.element_order(chi)
             members = sorted(
                 {self.char_pow(chi, a) for a in range(1, e + 1) if math.gcd(a, e) == 1},
                 key=lambda c: c.exponents,
@@ -247,7 +239,6 @@ class GroupSpec:
             if len(members) != phi:
                 raise AssertionError(f"orbit of {chi} has size {len(members)}, expected {phi}")
             orbits.append(CharacterOrbit(tuple(members), e, phi))
-        orbits.sort(key=lambda orb: orb.representative.exponents)
         return tuple(orbits)
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .cover import BranchPoint, CharLike, ClassKey, CoverSpec
 from .differentials import IrrepClassData, conjugate, cw_multiplicity
 from .errors import InternalInconsistency, NonIntegralDimension, NotAbelian, NTableMismatch
-from .groups import Character, CharacterOrbit, GroupSpec, euler_phi
+from .groups import Character, CharacterOrbit, GroupSpec
 
 
 def analytic_multiplicity(cover: CoverSpec, rho: IrrepClassData | CharLike) -> int:
@@ -146,8 +146,8 @@ class PrymPiece:
 def _cyclic_quotient(cover: CoverSpec, chi: Character, e: int) -> CoverSpec:
     """The quotient cover by the kernel of chi, a character of order e.
 
-    chi maps the deck group onto Z_e, sending a class x to e * pairing(chi, x),
-    which is e * u_{chi,x} / o(x); branch values whose class dies are dropped.
+    chi maps the deck group onto Z_e, sending a class x to e * u_{chi,x} / o(x);
+    branch values whose class dies are dropped.
     """
     group = GroupSpec((e,))
     image = {
@@ -186,7 +186,7 @@ def _prym_piece(cover: CoverSpec, orbit: CharacterOrbit) -> PrymPiece:
     e = orbit.order
     quotient = _cyclic_quotient(cover, orbit.representative, e)
     g_y = quotient.genus()
-    phi = euler_phi(e)
+    phi = orbit.field_degree
     # 2e times the quotient form: every class order of the Z_e quotient divides e
     num = 2 * phi * (g_y - 1) + 2 * (e == 1)
     num += phi * sum(c.count * e // c.order for c in quotient.branch_classes)

@@ -25,6 +25,7 @@ from galcov import (
 )
 from galcov.differentials import raw_dimension_value
 
+import fraction_oracle
 from covergen import (
     cyclic_cover,
     fixture_covers,
@@ -160,7 +161,7 @@ def test_criterion_7_eichler_traces():
                         fixed = eichler_trace(cover, tau, q, gamma).value
                         spectral = sum(
                             dims[chi]
-                            * cmath.exp(2j * cmath.pi * float(group.pairing(chi, tau)))
+                            * cmath.exp(2j * cmath.pi * float(fraction_oracle.pairing(group, chi, tau)))
                             for chi in cover.characters()
                         )
                         assert abs(fixed - spectral) < 1e-9

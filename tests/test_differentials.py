@@ -53,7 +53,7 @@ def window_qs(cover, lo=-2, hi=4):
 
 
 def char_value(group, chi, x):
-    return cmath.exp(2j * cmath.pi * float(group.pairing(chi, x)))
+    return cmath.exp(2j * cmath.pi * float(fraction_oracle.pairing(group, chi, x)))
 
 
 def alpha_beta(cover, chi, cls, q):

@@ -99,16 +99,21 @@ class TestUValue:
         for g in (GroupSpec((4, 6)), GroupSpec((2, 4, 3)), GroupSpec((12,))):
             for chi in g.characters():
                 for x in g.elements():
-                    assert g.u_value(chi, x) == g.element_order(x) * g.pairing(chi, x)
+                    assert g.u_value(chi, x) == g.element_order(x) * fraction_oracle.pairing(g, chi, x)
 
     @given(small_groups, st.integers(0, 10**6))
-    def test_pairing_is_multiplicative(self, g, seed):
+    def test_u_over_order_is_multiplicative(self, g, seed):
+        """u_{chi,x} / o(x) is the pairing, so it adds in x modulo 1."""
         rng = random.Random(seed)
         chi = g.character([rng.randrange(m) for m in g.cyclic_orders])
         x = g.element([rng.randrange(m) for m in g.cyclic_orders])
         y = g.element([rng.randrange(m) for m in g.cyclic_orders])
-        lhs = g.pairing(chi, group_walk_oracle.add(g, x, y))
-        rhs = g.pairing(chi, x) + g.pairing(chi, y)
+
+        def u_over_order(z):
+            return Fraction(g.u_value(chi, z), g.element_order(z))
+
+        lhs = u_over_order(group_walk_oracle.add(g, x, y))
+        rhs = u_over_order(x) + u_over_order(y)
         assert lhs == rhs - math.floor(rhs)
 
 
@@ -120,12 +125,9 @@ class TestCheckElement:
     CALLS = {
         "u_row": lambda g, e: CoverSpec(0, g, ()).u_row(Character(e)),
         "element_order": lambda g, e: g.element_order(GroupElement(e)),
-        "character_order": lambda g, e: g.character_order(Character(e)),
         "power_index base": lambda g, e: g.power_index(GroupElement(e), g.identity),
         "power_index target": lambda g, e: g.power_index(g.identity, GroupElement(e)),
         "conjugate": lambda g, e: g.conjugate(Character(e)),
-        "pairing character": lambda g, e: g.pairing(Character(e), g.identity),
-        "pairing element": lambda g, e: g.pairing(g.trivial_character, GroupElement(e)),
     }
 
     @pytest.mark.parametrize("call", sorted(CALLS))
@@ -154,25 +156,28 @@ class TestCheckElement:
             with pytest.raises(ValueError) as raised:
                 g.check_element(cls([1, 6]))
             assert str(raised.value) == f"malformed exponent vector [1, 6] for orders {self.ORDERS}"
-        assert g.character_order(Character([1, 2])) == 6
+        assert g.element_order(Character([1, 2])) == 6
         assert CoverSpec(0, g, ()).u_row(Character([1, 2])) == ()
 
 
 class TestPairing:
+    """u_{chi,x} / o(x) is the fractional part of the Fraction sum of
+    ``fraction_oracle.pairing``."""
+
     @given(small_groups, st.integers(0, 10**6))
     def test_matches_the_fraction_sum(self, g, seed):
         rng = random.Random(seed)
         chi = g.character([rng.randrange(m) for m in g.cyclic_orders])
         x = g.element([rng.randrange(m) for m in g.cyclic_orders])
-        value = g.pairing(chi, x)
-        assert type(value) is Fraction
+        value = Fraction(g.u_value(chi, x), g.element_order(x))
         assert value == fraction_oracle.pairing(g, chi, x)
 
     def test_mixed_orders(self):
         g = GroupSpec((2, 6, 10))
         chi, x = g.character([1, 5, 3]), g.element([1, 1, 7])
-        # 1/2 + 5/6 + 21/10 = 103/30, fractional part 13/30
-        assert g.pairing(chi, x) == Fraction(13, 30) == fraction_oracle.pairing(g, chi, x)
+        # 1/2 + 5/6 + 21/10 = 103/30, fractional part 13/30, and o(x) = 30
+        assert (g.u_value(chi, x), g.element_order(x)) == (13, 30)
+        assert fraction_oracle.pairing(g, chi, x) == Fraction(13, 30)
 
 
 @st.composite
@@ -279,9 +284,23 @@ class TestOrbits:
         for orbit in orbits:
             assert len(orbit.characters) == euler_phi(orbit.order) == orbit.field_degree
             for chi in orbit.characters:
-                assert g.character_order(chi) == orbit.order
+                assert g.element_order(chi) == orbit.order
                 assert chi not in seen
                 seen.add(chi)
+
+    @given(small_groups)
+    def test_representatives_ascend_and_are_least(self, g):
+        """Each representative is the least member of its orbit, the powers
+        chi^a with gcd(a, e) = 1, and the representatives strictly ascend."""
+        reps = [orbit.representative for orbit in g.rational_character_orbits()]
+        assert all(a.exponents < b.exponents for a, b in zip(reps, reps[1:]))
+        for chi in reps:
+            e = g.element_order(chi)
+            powers = (
+                tuple(a * k % m for k, m in zip(chi.exponents, g.cyclic_orders))
+                for a in range(1, e + 1) if math.gcd(a, e) == 1
+            )
+            assert chi.exponents == min(powers)
 
     def test_character_count_equals_group_order(self):
         g = GroupSpec((4, 6))

@@ -163,7 +163,7 @@ class TestAbelian:
         for piece in primitive_prym_dims(cover):
             # the quotient by ker chi through the Smith form, an independent route to Z_e
             chi = piece.orbit.representative
-            kernel = [x for x in group.elements() if group.pairing(chi, x) == 0]
+            kernel = [x for x in group.elements() if oracle.pairing(group, chi, x) == 0]
             quotient = cover.quotient(kernel)
             assert quotient.degree == piece.quotient_order
             assert piece.dim_from_quotient == oracle.quotient_form_dim(quotient, piece.quotient_order)

@@ -6,9 +6,25 @@ only the table type, that route and the conjugation; the eigenvalue-row
 format and the +1 test stay inside ``galcov.differentials``.  The corrected
 character is read off the u-rows, not found by the kernel or the +1 test,
 and a trace's delta angle comes from the order of tau it already has.
+
+Each quantity has one formula: the order of a character is
+``element_order``, a Galois orbit carries its phi(e), conj chi's row is read
+through ``conjugate_character``, an eigenvalue table is checked once by
+``IrrepClassData.rows``, and the walk orders of ``elements`` and
+``characters`` are not established a second time.  A private helper that
+nothing in the package calls is dead code.
 """
 
+import ast
+import pathlib
+
+import pytest
+
+import galcov
+import galcov.cli
 import galcov.differentials
+import galcov.divisors
+import galcov.groups
 import galcov.jacobian
 
 
@@ -43,3 +59,68 @@ def test_delta_search_reads_rows_only():
 
 def test_trace_takes_no_pairing():
     assert "pairing" not in names_used(galcov.differentials.eichler_trace.__code__)
+
+
+def test_second_copies_are_gone():
+    assert not {"pairing", "character_order"} & set(vars(galcov.groups.GroupSpec))
+    assert "row" not in vars(galcov.differentials.IrrepClassData)
+
+
+def test_prym_piece_reads_the_orbit_phi():
+    assert "euler_phi" not in names_used(galcov.jacobian._prym_piece.__code__)
+
+
+def test_traces_skip_the_identity_by_position():
+    assert "element_order" not in names_used(galcov.cli.cmd_traces.__code__)
+
+
+def test_orbits_keep_the_walk_order():
+    code = galcov.groups.GroupSpec.rational_character_orbits.__code__
+    assert "sort" not in names_used(code)
+
+
+def test_differential_divisor_reads_the_conjugate_row():
+    code = galcov.divisors.InvariantDivisor.reduced_base_divisor.__code__
+    assert "conjugate_character" in names_used(code)
+
+
+TREES = {
+    path.stem: ast.parse(path.read_text(encoding="utf-8"))
+    for path in sorted(pathlib.Path(galcov.__file__).parent.glob("*.py"))
+}
+
+# every function or class, at any depth, whose name has a leading underscore
+# and is not a dunder
+PRIVATE = {
+    f"{module}.{node.name}": (module, node)
+    for module, tree in TREES.items()
+    for node in ast.walk(tree)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    and node.name.startswith("_")
+    and not (node.name.startswith("__") and node.name.endswith("__"))
+}
+
+# (module, name, line) of every Name, Attribute and imported name: the
+# references in code, where docstrings and comments are not
+REFERENCES = tuple(
+    (module, name, node.lineno)
+    for module, tree in TREES.items()
+    for node in ast.walk(tree)
+    for name in (
+        (node.id,) if isinstance(node, ast.Name)
+        else (node.attr,) if isinstance(node, ast.Attribute)
+        else (node.name,) if isinstance(node, ast.alias)
+        else ()
+    )
+)
+
+
+@pytest.mark.parametrize("qualified", sorted(PRIVATE))
+def test_private_names_have_callers(qualified):
+    """Every private helper is referenced by code outside its own body."""
+    module, node = PRIVATE[qualified]
+    outside = (
+        name for where, name, line in REFERENCES
+        if where != module or not node.lineno <= line <= node.end_lineno
+    )
+    assert node.name in outside, f"{qualified} has no caller in the package"
