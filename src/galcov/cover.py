@@ -187,9 +187,11 @@ class CoverSpec:
 
     @property
     def trivial_character(self) -> CharLike:
+        """The zero vector, or generic "1" with u = 0 on every class of the
+        table, so that its row decides its triviality."""
         if self.is_abelian:
             return self.group.trivial_character
-        return GenericCharacter("1", tuple((c.key, 0) for c in self.branch_classes))
+        return GenericCharacter("1", tuple((c.class_id, 0) for c in self.group.classes))
 
     def conjugate_character(self, chi: CharLike) -> CharLike:
         if isinstance(chi, Character):

@@ -144,27 +144,46 @@ def same_character(cover: CoverSpec, a: IrrepClassData | CharLike, b: CharLike) 
     """Equality of characters as the formulas see them: the one test of
     the +1 correction, with b the corrected character.
 
-    Abelian characters compare exactly.  Generic characters compare by their
-    values on the branch classes on a genus-0 base, where those classes
-    generate the group, and by ``is_trivial`` on a positive-genus base,
-    where the corrected character is trivial and a nontrivial one can
-    vanish on every branch class.  A table is b when it is one-dimensional
-    and either names b or, anonymous, has the eigenvalue u_{b,C} at every
-    branch class C.
+    Abelian characters compare exactly.  A table is b when it is
+    one-dimensional and either names b or, anonymous, has the eigenvalue
+    u_{b,C} at every branch class C.  On a genus-0 base the branch classes
+    generate the group, so generic characters compare by their values
+    there.  On a positive-genus base b is trivial and a nontrivial character
+    can vanish on every branch class, so the +1 is never guessed: an
+    anonymous table with b's eigenvalues raises NTableMismatch naming the
+    ``character`` field, and a generic character is b when its row is 0 on
+    every class of the table; a row that is 0 where it is given but omits a
+    class raises NTableMismatch naming the character and the class.
     """
+    g_s = cover.base_genus
     if isinstance(a, IrrepClassData):
         if a.dim != 1:
             return False
         if a.character is None:
-            return all(row[u] for row, u in zip(a.rows(cover), cover.u_row(b)))
+            matched = all(row[u] for row, u in zip(a.rows(cover), cover.u_row(b)))
+            if matched and g_s:
+                raise NTableMismatch(
+                    f"an anonymous table is not matched to the corrected character over a base "
+                    f"of genus {g_s}; set its 'character'"
+                )
+            return matched
         a = a.character
     if isinstance(a, Character) and isinstance(b, Character):
         return a == b
     if isinstance(a, Character) or isinstance(b, Character):
         return False
-    if cover.base_genus:
-        return a.is_trivial and b.is_trivial
-    return cover.u_row(a) == cover.u_row(b)
+    if not g_s:
+        return cover.u_row(a) == cover.u_row(b)
+    if not (a.is_trivial and b.is_trivial):
+        return False
+    given = dict(a.u_values)
+    missing = next((c.class_id for c in cover.group.classes if c.order > 1 and c.class_id not in given), None)
+    if missing is not None:
+        raise NTableMismatch(
+            f"character {a} gives no value on class {missing!r}; triviality is not "
+            f"inferred from a partial row over a base of genus {g_s}"
+        )
+    return True
 
 
 def delta_info(cover: CoverSpec, q: int = 1, gamma_degree: int = 0) -> DeltaInfo:

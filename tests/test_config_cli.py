@@ -642,6 +642,54 @@ class TestNamedIrrepRecords:
         assert err["message"].startswith(f"{tmp_path / 'irreps.json'}:irreps[0]: ")
 
 
+class TestPlusOneRefusals:
+    """Over a positive-genus base the CLI exits 10 where the +1 would rest on
+    rows that do not decide it: an anonymous one-dimensional irrep record, and
+    a u_table row that is zero where it is given but omits a class."""
+
+    ANONYMOUS = (
+        "an anonymous table is not matched to the corrected character over a base "
+        "of genus 1; set its 'character'"
+    )
+
+    @pytest.mark.parametrize(
+        "document,classes",
+        [(Z2Z2_OVER_ELLIPTIC, {"a": [1, 0]}), (str(CONFIG_DIR / "unramified_g1.json"), {})],
+        ids=["z2z2-over-elliptic", "unramified-g1"],
+    )
+    def test_anonymous_record(self, capsys, tmp_path, document, classes):
+        if isinstance(document, dict):
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(document))
+            document = str(path)
+        irreps = tmp_path / "irreps.json"
+        irreps.write_text(json.dumps({"irreps": [{"dim": 1, "classes": classes}]}))
+        code, out, err = run_json(capsys, "chevalley-weil", document, "--irrep-file", str(irreps))
+        assert code == EXIT_CODES["n-table-mismatch"] == 10
+        assert out is None
+        assert err == {"code": "n-table-mismatch", "message": self.ANONYMOUS}
+
+    def test_unramified_characters_differ(self, capsys):
+        # the two characters an anonymous record could be have different multiplicities
+        path = str(CONFIG_DIR / "unramified_g1.json")
+        reports = [run_json(capsys, "chevalley-weil", path, "--char", k)[1] for k in ("0", "1")]
+        assert [report["multiplicities"][0]["multiplicity"] for report in reports] == [1, 0]
+
+    @pytest.mark.parametrize("command", ["dims", "chevalley-weil", "all"])
+    def test_partial_u_table_row(self, capsys, tmp_path, command):
+        doc = json.loads(json.dumps(Z2Z2_OVER_ELLIPTIC))
+        doc["group"]["u_table"]["chi_b"] = {"a": 0}
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_json(capsys, command, str(path))
+        assert code == EXIT_CODES["n-table-mismatch"] == 10
+        assert out is None
+        assert err["message"] == (
+            "character chi_b gives no value on class 'b'; triviality is not inferred "
+            "from a partial row over a base of genus 1"
+        )
+
+
 class TestErrorPaths:
     """Exit codes of inputs the CLI refuses before any computation."""
 

@@ -32,6 +32,7 @@ from galcov.differentials import raw_dimension_value
 from galcov.errors import AdmissibilityViolation, IdentityElement, NTableMismatch
 
 from covergen import (
+    Z2Z2_OVER_ELLIPTIC,
     covers,
     cyclic_cover,
     fixture_covers,
@@ -511,3 +512,77 @@ class TestChevalleyWeil:
             assert total_dim_omega(cover, q, 0) == sum(
                 cw_multiplicity(cover, chi, q, 0) for chi in cover.characters()
             )
+
+
+class TestPlusOneNeverGuessed:
+    """Over a positive-genus base the corrected character is trivial, and the
+    branch classes need not generate the group, so neither an anonymous
+    table's rows on them nor a generic row that omits a class decides the +1:
+    both raise NTableMismatch.  On a genus-0 base the rows decide."""
+
+    ANONYMOUS = (
+        "an anonymous table is not matched to the corrected character over a base "
+        "of genus 1; set its 'character'"
+    )
+
+    @staticmethod
+    def z2z2(**rows):
+        """``Z2Z2_OVER_ELLIPTIC`` with some u_table rows replaced, and its
+        characters by name."""
+        doc = json.loads(json.dumps(Z2Z2_OVER_ELLIPTIC))
+        doc["group"]["u_table"].update(rows)
+        cover = parse_config(doc).cover
+        return cover, {chi.name: chi for chi in cover.characters()}
+
+    def test_anonymous_table_on_a_class_table(self):
+        cover, chars = self.z2z2()
+        rows = (("a", (1, 0)),)
+        # chi_b and the trivial character both have these rows; chi_b has multiplicity 0
+        assert cw_multiplicity(cover, IrrepClassData(1, rows, chars["chi_b"])) == 0
+        assert cw_multiplicity(cover, IrrepClassData(1, rows, cover.trivial_character)) == 1
+        for evaluate in (cw_multiplicity, analytic_multiplicity, rational_multiplicity):
+            with pytest.raises(NTableMismatch) as raised:
+                evaluate(cover, IrrepClassData(1, rows))
+            assert str(raised.value) == self.ANONYMOUS
+        # rows that are not the trivial character's decide: no +1
+        assert cw_multiplicity(cover, IrrepClassData(1, (("a", (0, 1)),))) == 1
+
+    def test_anonymous_table_on_an_abelian_cover(self):
+        group = GroupSpec((2, 2))
+        psi = group.element([1, 0])
+        cover = CoverSpec(1, group, (BranchPoint("p", psi), BranchPoint("q", psi)))
+        chi = group.character([0, 1])
+        assert cw_multiplicity(cover, chi) == cw_multiplicity(cover, irrep_of_character(cover, chi)) == 0
+        assert cw_multiplicity(cover, group.trivial_character) == 1
+        with pytest.raises(NTableMismatch) as raised:
+            cw_multiplicity(cover, IrrepClassData(1, ((psi, (1, 0)),)))
+        assert str(raised.value) == self.ANONYMOUS
+
+    def test_anonymous_table_on_a_genus_0_base_is_decided(self):
+        cover = hyperelliptic(6)
+        rho = IrrepClassData(1, ((cover.branch_classes[0].key, (1, 0)),))
+        assert cw_multiplicity(cover, rho) == cw_multiplicity(cover, cover.trivial_character) == 0
+
+    def test_partial_row_does_not_decide_triviality(self):
+        cover, chars = self.z2z2(chi_b={"a": 0})
+        message = (
+            "character chi_b gives no value on class 'b'; triviality is not inferred "
+            "from a partial row over a base of genus 1"
+        )
+        for evaluate in (dim_omega_chi, cw_multiplicity, analytic_multiplicity):
+            with pytest.raises(NTableMismatch) as raised:
+                evaluate(cover, chars["chi_b"])
+            assert str(raised.value) == message
+        # the cover's trivial character lists every class, and a nonzero entry decides
+        assert dim_omega_chi(cover, cover.trivial_character) == 1
+        assert [dim_omega_chi(cover, chars[name]) for name in ("chi_a", "chi_ab")] == [1, 1]
+        full, chars = self.z2z2()
+        assert dim_omega_chi(full, chars["chi_b"]) == 0
+
+    def test_a_class_of_order_1_is_never_missing(self):
+        from galcov import ClassTable, cover_from_class_table
+
+        table = ClassTable.build([("e", 1), ("a", 2, 2), ("b", 2)], 4, {"zero": {"a": 0, "b": 0}})
+        cover = cover_from_class_table(1, table)
+        (zero,) = cover.characters()
+        assert dim_omega_chi(cover, zero) == 1

@@ -14,15 +14,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from galcov import (
     BranchPoint,
+    ClassTable,
     CoverSpec,
     GroupSpec,
     InvariantDivisor,
     IrrepClassData,
     RationalIrrepData,
+    cover_from_class_table,
 )
 from galcov.differentials import (
     cw_multiplicity,
@@ -77,6 +79,28 @@ def irreps(draw, cover):
             row[draw(st.integers(0, cls.order - 1))] += 1
         table.append((cls.key, tuple(row)))
     return IrrepClassData(dim, tuple(table))
+
+
+class Scripted:
+    """Stands in for ``st.data()`` in an ``@example``: each ``draw`` returns
+    the next scripted value, whatever the strategy."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
+ONE_CLASS_OVER_ELLIPTIC = cover_from_class_table(1, ClassTable.build([("a", 2, 2)], 2, {"x": {"a": 1}}))
+
+
+def anonymous_refusal(cover):
+    """The text of the refused +1 for an anonymous table over a positive-genus base."""
+    return (
+        "an anonymous table is not matched to the corrected character over a base "
+        f"of genus {cover.base_genus}; set its 'character'"
+    )
 
 
 def check_character_kernels(cover, chi):
@@ -196,12 +220,17 @@ class TestGeneric:
                     message = f"multiplicity {expected} is not an integer; eigenvalue table inconsistent"
                     assert got == (NTableMismatch, message)
                     continue
-                # the correction: a one-dimensional table with chi_delta's eigenvalue at every class
-                corrected = int(expected) + bool(
+                # the correction: a one-dimensional table with chi_delta's eigenvalue at
+                # every class, refused over a positive-genus base, where it is not decided
+                matched = bool(
                     info.delta
                     and rho.dim == 1
                     and all((u, 1) in row for u, row in zip(cover.u_row(info.character), rows[1]))
                 )
+                if matched and cover.base_genus:
+                    assert got == (NTableMismatch, anonymous_refusal(cover))
+                    continue
+                corrected = int(expected) + matched
                 if corrected < 0:
                     message = f"multiplicity {corrected} is negative; eigenvalue table inconsistent"
                     assert got == (NTableMismatch, message)
@@ -224,7 +253,11 @@ class TestGeneric:
             assert got == (NTableMismatch, f"multiplicity {raw} is not an integer; eigenvalue table inconsistent")
             return
         # at q = 1 the corrected character is the trivial one
-        corrected = int(raw) + (rho.dim == 1 and all((0, 1) in row for row in rows))
+        matched = rho.dim == 1 and all((0, 1) in row for row in rows)
+        if matched and cover.base_genus:
+            assert got == (NTableMismatch, anonymous_refusal(cover))
+            return
+        corrected = int(raw) + matched
         if corrected < 0:
             assert got == (NTableMismatch, f"multiplicity {corrected} is negative; eigenvalue table inconsistent")
         else:
@@ -232,6 +265,8 @@ class TestGeneric:
 
     @given(class_table_covers(), st.data())
     @settings(max_examples=80, deadline=None)
+    # data that looks trivial over an elliptic base, where triviality is refused, not inferred
+    @example(ONE_CLASS_OVER_ELLIPTIC, Scripted(1, [True], 1, 1, None))
     def test_invariant_dimension_tables(self, cover, data):
         classes = cover.branch_classes
         dim = data.draw(st.integers(1, 3))
