@@ -2,8 +2,8 @@
 
 Elements and characters of a product of cyclic groups are both encoded as
 integer exponent vectors, one residue per cyclic factor.  A character's
-value on an element is an exact integer on those vectors; no floating-point
-roots of unity appear anywhere in this module.
+value on an element is kept as the integer exponent of a root of unity;
+no floating-point roots of unity appear anywhere in this module.
 
 Non-abelian groups are never enumerated.  A ClassTable is trusted input
 carrying exactly the per-conjugacy-class data the dimension formulas consume:

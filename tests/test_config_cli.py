@@ -642,6 +642,15 @@ class TestNamedIrrepRecords:
         assert err["message"].startswith(f"{tmp_path / 'irreps.json'}:irreps[0]: ")
 
 
+# two points of class (1, 0): character (0, 1) has the trivial character's rows
+ABELIAN_Z2Z2_OVER_ELLIPTIC = {
+    "mode": "branch-data",
+    "base_genus": 1,
+    "group": {"cyclic_orders": [2, 2]},
+    "branch_points": [{"label": "p", "psi": [1, 0]}, {"label": "q", "psi": [1, 0]}],
+}
+
+
 class TestPlusOneRefusals:
     """Over a positive-genus base the CLI exits 10 where the +1 would rest on
     rows that do not decide it: an anonymous one-dimensional irrep record, and
@@ -654,8 +663,12 @@ class TestPlusOneRefusals:
 
     @pytest.mark.parametrize(
         "document,classes",
-        [(Z2Z2_OVER_ELLIPTIC, {"a": [1, 0]}), (str(CONFIG_DIR / "unramified_g1.json"), {})],
-        ids=["z2z2-over-elliptic", "unramified-g1"],
+        [
+            (Z2Z2_OVER_ELLIPTIC, {"a": [1, 0]}),
+            (ABELIAN_Z2Z2_OVER_ELLIPTIC, {"[1, 0]": [1, 0]}),
+            (str(CONFIG_DIR / "unramified_g1.json"), {}),
+        ],
+        ids=["z2z2-over-elliptic", "abelian-z2z2-over-elliptic", "unramified-g1"],
     )
     def test_anonymous_record(self, capsys, tmp_path, document, classes):
         if isinstance(document, dict):
@@ -668,12 +681,6 @@ class TestPlusOneRefusals:
         assert code == EXIT_CODES["n-table-mismatch"] == 10
         assert out is None
         assert err == {"code": "n-table-mismatch", "message": self.ANONYMOUS}
-
-    def test_unramified_characters_differ(self, capsys):
-        # the two characters an anonymous record could be have different multiplicities
-        path = str(CONFIG_DIR / "unramified_g1.json")
-        reports = [run_json(capsys, "chevalley-weil", path, "--char", k)[1] for k in ("0", "1")]
-        assert [report["multiplicities"][0]["multiplicity"] for report in reports] == [1, 0]
 
     @pytest.mark.parametrize("command", ["dims", "chevalley-weil", "all"])
     def test_partial_u_table_row(self, capsys, tmp_path, command):

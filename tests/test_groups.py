@@ -102,7 +102,7 @@ class TestUValue:
                     assert g.u_value(chi, x) == g.element_order(x) * fraction_oracle.pairing(g, chi, x)
 
     @given(small_groups, st.integers(0, 10**6))
-    def test_u_over_order_is_multiplicative(self, g, seed):
+    def test_pairing_is_multiplicative(self, g, seed):
         """u_{chi,x} / o(x) is the pairing, so it adds in x modulo 1."""
         rng = random.Random(seed)
         chi = g.character([rng.randrange(m) for m in g.cyclic_orders])
