@@ -259,14 +259,26 @@ def _load_irreps(cover: CoverSpec, path: str) -> list[tuple[str, IrrepClassData]
                     f"multiplicity row for {raw_key!r} must be a list of nonnegative integers", where
                 )
             table[key] = tuple(row)
-        # a one-dimensional record named after a table character is that character
-        character = None if cover.is_abelian or dim != 1 else _table_character(cover, str(name))
+        # a one-dimensional record names its character: on an abelian cover by
+        # its 'character' exponents, as --char takes them; on a table by its name
+        character = None
+        if cover.is_abelian and "character" in rec:
+            exponents = rec["character"]
+            if dim != 1 or not isinstance(exponents, list) or not all(type(e) is int for e in exponents):
+                raise ConfigError("'character' is the exponent list of a record of dimension 1", where)
+            try:
+                character = cover.group.character(exponents)
+            except ValueError as exc:
+                raise ConfigError(str(exc), where) from None
+        elif not cover.is_abelian and dim == 1:
+            character = _table_character(cover, str(name))
         if character is not None:
-            u_of = dict(character.u_values)
+            u_of = dict(zip(keys, cover.u_row(character)) if cover.is_abelian else character.u_values)
             for key, row in table.items():
                 u = u_of.get(key, 0 if character.is_trivial else None)
-                if list(row) != [int(alpha == u) for alpha in range(cover.group.record(key).order)]:
-                    raise ConfigError(f"row for class {key!r} is not that of character {name}", where)
+                if list(row) != [int(alpha == u) for alpha in range(cover.class_order(key))]:
+                    text = f"row for class {class_key_to_json(key)!r} is not that of character {character}"
+                    raise ConfigError(text, where)
         out.append((str(name), IrrepClassData(dim, tuple(table.items()), character)))
     return out
 

@@ -11,11 +11,13 @@ the integers u_{chi,C}, one per branch class in ``branch_classes`` order,
 with chi(x) = zeta_{o(C)}^u for x in C.  On an abelian cover u is additive in
 chi, so the row is one dot product per class with the unit characters'
 columns, built once per cover; a generic cover reads the supplied row.  A
-caller reads each character's row once per visit: ``row_and_t`` returns it
-with t_chi.  A formula that reads conj chi asks for the row of
-``conjugate_character(chi)``, (-u) mod o(C), so an error names the
-conjugate.  One method, ``_t_of_row``, turns a row into t_chi and words the
-error for a non-integral one.
+public per-character question checks its argument once, where it reads the
+row, and then does arithmetic on it: ``row_and_t`` returns it with t_chi,
+``u_value`` on a branch class reads that class's unit column, and conj
+chi's row is (-u) mod o(C) of chi's, from one helper, ``_conjugate_row``.
+One method, ``_t_of_row``, turns a row into t_chi and words the error for a
+non-integral one; every genus, of this cover or of a quotient read off a
+row, is one Riemann-Hurwitz sum (``_riemann_hurwitz``).
 
 A walk over the dual group reads the u-table, ``CoverSpec.u_table``: every
 character's row in ``characters()`` order, streamed factor by factor as
@@ -40,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, repeat
 from operator import mod, mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateCover, NonIntegralInvariant, NotAbelian, SearchSpaceTooLarge
 from .groups import (
@@ -163,7 +165,7 @@ class CoverSpec:
         return isinstance(self.group, GroupSpec)
 
     def _require_abelian(self):
-        if not self.is_abelian:
+        if not isinstance(self.group, GroupSpec):  # is_abelian, without a property call per row
             raise NotAbelian("operation needs an abelian deck group")
         return self.group
 
@@ -203,10 +205,15 @@ class CoverSpec:
         return GenericCharacter(f"~{chi.name}", row)
 
     def u_value(self, chi: CharLike, key: ClassKey) -> int:
-        """u_{chi,C} on one class; the formulas read whole rows via u_row."""
+        """u_{chi,C} on one class; the formulas read whole rows via u_row.  On
+        an abelian branch class, one check of chi and one dot product."""
         if isinstance(chi, Character):
-            self._require_abelian()
-            return self.group.u_value(chi, key)
+            group = self._require_abelian()
+            # a key given by an exponent list is not hashed; the group reads it by value
+            column = self._unit_u_columns.get(key) if isinstance(key.exponents, tuple) else None
+            if column is None:
+                return group.u_value(chi, key)
+            return sum(map(mul, group.check_element(chi).exponents, column[0])) % column[1]
         for cid, u in chi.u_values:
             if cid == key:
                 return u
@@ -220,17 +227,19 @@ class CoverSpec:
         """
         if isinstance(chi, Character):
             k = self._require_abelian().check_element(chi).exponents
-            return tuple([sum(map(mul, k, col)) % o for col, o in self._unit_u_columns])
+            return tuple([sum(map(mul, k, col)) % o for col, o in self._unit_u_columns.values()])
         return tuple(self.u_value(chi, cls.key) for cls in self.branch_classes)
 
+    def _conjugate_row(self, row: tuple[int, ...]) -> tuple[int, ...]:
+        """conj chi's u-row from chi's: (-u_C) mod o(C) per branch class."""
+        return tuple([(-u) % cls.order for cls, u in zip(self.branch_classes, row)])
+
     @cached_property
-    def _unit_u_columns(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Per branch class, u_{e_i,C} for the unit characters e_i, and o(C)."""
+    def _unit_u_columns(self) -> dict[ClassKey, tuple[tuple[int, ...], int]]:
+        """By branch class, in order: u_{e_i,C} for the unit characters e_i, and o(C)."""
         g = self.group
         units = [g.character([int(i == j) for j in range(g.rank)]) for i in range(g.rank)]
-        return tuple(
-            (tuple(g.u_value(e, c.key) for e in units), c.order) for c in self.branch_classes
-        )
+        return {c.key: (tuple(g.u_value(e, c.key) for e in units), c.order) for c in self.branch_classes}
 
     def u_table(self) -> Iterator[tuple[int, ...]]:
         """The u-row of every character, in ``characters()`` order.
@@ -249,7 +258,7 @@ class CoverSpec:
         group = self.group
         if group.order > DEFAULT_CAP:
             raise SearchSpaceTooLarge(group.order, DEFAULT_CAP)
-        columns = self._unit_u_columns
+        columns = tuple(self._unit_u_columns.values())
         if not columns:
             # zip() of no classes yields nothing: every character has the empty row
             return repeat((), group.order)
@@ -293,6 +302,12 @@ class CoverSpec:
 
     def point_order(self, j: int) -> int:
         return self.point_orders[j]
+
+    @cached_property
+    def _point_classes(self) -> tuple[int, ...]:
+        """By point index, the index in ``branch_classes`` of its class."""
+        index = {j: i for i, cls in enumerate(self.branch_classes) for j in cls.points}
+        return tuple(index[j] for j in range(len(self.branch_points)))
 
     # -- invariants -----------------------------------------------------------
 
@@ -397,14 +412,7 @@ class CoverSpec:
 
     @cached_property
     def _genus(self) -> int:
-        n = self.degree
-        twice = 2 + 2 * n * (self.base_genus - 1) + sum(
-            n // cls.order * cls.count * (cls.order - 1) for cls in self.branch_classes
-        )
-        g, odd = divmod(twice, 2)
-        if odd:
-            raise NonIntegralInvariant(None, f"genus = {Fraction(twice, 2)}")
-        return g
+        return _riemann_hurwitz(self.base_genus, self.degree, [(c.order, c.count) for c in self.branch_classes])
 
     # -- quotients ---------------------------------------------------------
 
@@ -448,6 +456,16 @@ class CoverSpec:
             return new_group.element([image[i] for i in kept])
 
         return new_group, project
+
+
+def _riemann_hurwitz(base_genus: int, n: int, classes: Iterable[tuple[int, int]]) -> int:
+    """Genus of a degree-n Galois cover of a genus-g_S base with r_C branch values of order o(C)
+    per (o(C), r_C) in ``classes``: 2g = 2 + 2n(g_S - 1) + sum_C (n / o(C)) r_C (o(C) - 1)."""
+    twice = 2 + 2 * n * (base_genus - 1) + sum(n // o * r * (o - 1) for o, r in classes)
+    g, odd = divmod(twice, 2)
+    if odd:
+        raise NonIntegralInvariant(None, f"genus = {Fraction(twice, 2)}")
+    return g
 
 
 def _factor_rows(prefix: tuple[int, ...], steps: tuple[int, ...], m: int, orders: tuple[int, ...]):

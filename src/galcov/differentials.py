@@ -18,14 +18,15 @@ representation enters as its dimension and, per branch class, the nonzero
 multiplicities N_alpha of the eigenvalues zeta_{o(C)}^alpha; a character
 enters as its u-row, N = 1 at alpha = u_{chi,C}.  A dimension is the
 Chevalley-Weil multiplicity of a character, so one route leads from the
-kernel to a number: ``cw_multiplicity`` takes ``raw_dimension_value``, adds
-the delta correction and carries the one guard against a negative value,
-and ``dim_omega_chi`` is that route at a character.  The jacobian
-module's analytic multiplicity at rho is this route at q = 1, Gamma = 0
-and conj rho, and its rational multiplicity adds the route at rho itself.
+kernel to a number: ``_multiplicity`` takes the kernel at rho's eigenvalue
+rows, checks the value is an integer, adds the delta correction and carries
+the one guard against a negative value.  It is ``cw_multiplicity`` at
+``eigen_rows(rho)``, ``dim_omega_chi`` at a character's u-row and
+``jacobian.decompose`` at the u-table's rows.  The jacobian module's
+analytic multiplicity at rho is this route at q = 1, Gamma = 0 and conj
+rho, and its rational multiplicity adds the route at rho itself.
 Conjugation is decided once, by ``conjugate``, and the +1 correction once,
-by ``same_character``; the infinity exponent of ``omega_divisor`` reads the
-conjugate character's row and t.
+by ``same_character``; ``omega_divisor`` reads the conjugate u-row.
 
 ``cw_value`` is one integer numerator over L = lcm o(C), in closed form.
 With rho_C = (q - 1) mod o(C), every 0 <= alpha < o(C) has
@@ -49,8 +50,9 @@ exact list of root-of-unity terms; downstream consumers reconstruct exact
 integer multiplicities from them, so no cyclotomic arithmetic is needed.
 
 The genus and ``delta_info`` are computed once per cover, so a dimension,
-multiplicity or trace then costs O(#classes); a trace takes each class's
-exponent from the discrete log ``GroupSpec.power_index``.  On a genus-1
+multiplicity or trace then costs O(#classes); a trace checks tau once and
+takes each class's exponent from the discrete log of ``power_index`` with
+no vector checked again.  On a genus-1
 cover of the line the corrected character is the one whose u-row is
 rho_C = (q - 1) mod o(C), the row ``_cw_constants`` holds.
 """
@@ -112,10 +114,12 @@ def omega_divisor(cover: CoverSpec, chi: CharLike, q: int = 1) -> OmegaDivisor:
     branch preimage, and t_{conj chi} - 2q + sum_C r_C alpha at infinity."""
     if cover.base_genus != 0:
         raise UnsupportedBaseGenus("explicit generators need a genus-0 base")
-    row_conj, t_conj = cover.row_and_t(cover.conjugate_character(chi))
+    # a fractional t_chi raises here, at chi; t_{conj chi} is fractional exactly then
+    row_conj = cover._conjugate_row(cover.row_and_t(chi)[0])
+    t_conj = cover._t_of_row(row_conj, chi)
     # (alpha, beta) with q(o(C) - 1) - u_{conj chi,C} = alpha o(C) + beta
-    splits = {c.key: divmod(q * (c.order - 1) - u, c.order) for c, u in zip(cover.branch_classes, row_conj)}
-    per_point = [splits[bp.psi] for bp in cover.branch_points]
+    splits = [divmod(q * (c.order - 1) - u, c.order) for c, u in zip(cover.branch_classes, row_conj)]
+    per_point = [splits[i] for i in cover._point_classes]
     infinity = t_conj - 2 * q + sum(alpha for alpha, _ in per_point)
     powers = tuple((bp.label, alpha) for bp, (alpha, _) in zip(cover.branch_points, per_point))
     return OmegaDivisor(cover, chi, tuple(beta for _, beta in per_point), infinity, q, powers)
@@ -132,12 +136,17 @@ class DeltaInfo:
 def raw_dimension_value(cover: CoverSpec, rho: IrrepClassData | CharLike, q: int, gamma_degree: int) -> int:
     """The Chevalley-Weil sum without the delta correction; an integer for
     consistent branch data and a consistent eigenvalue table."""
-    value = cw_value(cover, *eigen_rows(cover, rho), q, gamma_degree)
+    return _integral(rho, cw_value(cover, *eigen_rows(cover, rho), q, gamma_degree))
+
+
+def _integral(rho: IrrepClassData | CharLike, value: int | Fraction) -> int:
+    """A ``cw_value`` at rho, which is an int unless the table is
+    inconsistent or, at a character, the branch data."""
     if value.denominator != 1:
         if isinstance(rho, IrrepClassData):
             raise NTableMismatch(f"multiplicity {value} is not an integer; eigenvalue table inconsistent")
         raise NonIntegralInvariant(rho, f"dimension value {value}")
-    return int(value)
+    return value
 
 
 def same_character(cover: CoverSpec, a: IrrepClassData | CharLike, b: CharLike) -> bool:
@@ -234,8 +243,8 @@ def _locate_delta(cover: CoverSpec, q: int, gamma_degree: int) -> DeltaInfo:
 def dim_omega_chi(cover: CoverSpec, chi: CharLike, q: int = 1, gamma_degree: int = 0) -> int:
     """Dimension of the chi-part of q-differentials bounded by the pullback of
     an integral degree-``gamma_degree`` divisor on the base: the
-    Chevalley-Weil multiplicity of chi."""
-    return cw_multiplicity(cover, chi, q, gamma_degree)
+    Chevalley-Weil multiplicity of chi, from its u-row."""
+    return _multiplicity(cover, chi, 1, cover.u_row(chi), q, gamma_degree)
 
 
 def total_dim_omega(cover: CoverSpec, q: int = 1, gamma_degree: int = 0) -> int:
@@ -308,18 +317,17 @@ def eichler_trace(
             "data and use trace_from_fixed_points otherwise"
         )
     group = cover.group
-    order = group.element_order(tau)
+    order = group.element_order(tau)  # the one check of tau; the class keys were checked with the cover
     if order == 1:
         raise IdentityElement("the identity trace is the total dimension; use total_dim_omega")
     info = delta_info(cover, q, gamma_degree)
     n = cover.degree
     terms = []
     for cls in cover.branch_classes:
-        beta = group.power_index(cls.key, tau)
-        if beta is None:
-            continue
-        terms.append(FixedPointTerm(cls.order, beta % cls.order, cls.count * (n // cls.order)))
-    angle = Fraction(group.u_value(info.character, tau), order) if info.delta else None
+        beta = group._discrete_log(cls.key, tau)
+        if beta is not None:
+            terms.append(FixedPointTerm(cls.order, beta, cls.count * (n // cls.order)))
+    angle = Fraction(group._u_at_order(info.character, tau, order), order) if info.delta else None
     return trace_from_fixed_points(terms, q, info.delta, angle)
 
 
@@ -444,8 +452,16 @@ def cw_multiplicity(cover: CoverSpec, rho: IrrepClassData | CharLike, q: int = 1
     at the corrected character.  A multiplicity is never negative; a
     negative one is an inconsistent table, or an internal fault for a
     character."""
+    return _multiplicity(cover, rho, *eigen_rows(cover, rho), q, gamma_degree)
+
+
+def _multiplicity(
+    cover: CoverSpec, rho: IrrepClassData | CharLike, dim: int, rows: EigenRows, q: int, gamma_degree: int
+) -> int:
+    """``cw_multiplicity`` from rho's ``eigen_rows``, which a caller holding
+    a character's u-row passes as (1, row)."""
     info = delta_info(cover, q, gamma_degree)
-    value = raw_dimension_value(cover, rho, q, gamma_degree)
+    value = _integral(rho, cw_value(cover, dim, rows, q, gamma_degree))
     if info.delta and same_character(cover, rho, info.character):
         value += 1
     if value < 0:

@@ -182,7 +182,7 @@ class InvariantDivisor:
         if kind == "differential":
             # the points outside A_{C,conj chi}: j in C with v = u_{conj chi,C}
             # and bucket_j >= v, where a class inside ker(chi) (v = 0) has none
-            conj_row = self.cover.u_row(self.cover.conjugate_character(chi))
+            conj_row = self.cover._conjugate_row(row)
             points = [
                 (labels[j], -1)
                 for cls, v in zip(self.cover.branch_classes, conj_row) if v
@@ -257,9 +257,7 @@ def h_chi_divisor(cover: CoverSpec, chi: CharLike) -> EigenDivisor:
     if cover.base_genus != 0:
         raise UnsupportedBaseGenus("the eigenfunction divisor is explicit only over the line")
     row, t = cover.row_and_t(chi)
-    u = dict(zip((cls.key for cls in cover.branch_classes), row))
-    exps = tuple(u[bp.psi] for bp in cover.branch_points)
-    div = EigenDivisor(cover, chi, exps, -t)
+    div = EigenDivisor(cover, chi, tuple([row[i] for i in cover._point_classes]), -t)
     if div.degree() != 0:
         raise AssertionError(f"eigenfunction divisor has degree {div.degree()}, expected 0")
     return div

@@ -178,8 +178,10 @@ class GroupSpec:
         merged by the CRT for moduli that need not be coprime.  The merged
         modulus is o(base), so the result lies in [0, o(base)).
         """
-        self.check_element(base)
-        self.check_element(target)
+        return self._discrete_log(self.check_element(base), self.check_element(target))
+
+    def _discrete_log(self, base: GroupElement, target: GroupElement) -> int | None:
+        """``power_index`` of two vectors already reduced mod the orders."""
         k, modulus = 0, 1
         for s, t, m in zip(base.exponents, target.exponents, self.cyclic_orders):
             g = math.gcd(s, m)
@@ -210,11 +212,11 @@ class GroupSpec:
         Returns the unique u with 0 <= u < o(x) and chi(x) = zeta_{o(x)}^u,
         in integers: o * a_i is a multiple of m_i because o * x = 0.
         """
-        self.check_element(chi)
-        o = self.element_order(x)
-        return sum(
-            k * (o * a // m) for k, a, m in zip(chi.exponents, x.exponents, self.cyclic_orders)
-        ) % o
+        return self._u_at_order(self.check_element(chi), x, self.element_order(x))
+
+    def _u_at_order(self, chi: Character, x: GroupElement, o: int) -> int:
+        """``u_value`` at an x of order o, with neither vector checked."""
+        return sum(k * (o * a // m) for k, a, m in zip(chi.exponents, x.exponents, self.cyclic_orders)) % o
 
     def rational_character_orbits(self) -> tuple[CharacterOrbit, ...]:
         """Partition of the dual group into Galois orbits chi -> chi^a, gcd(a, e) = 1.

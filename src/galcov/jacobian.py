@@ -9,9 +9,11 @@ corresponding cyclic quotient cover; ``decompose`` reads its orbit rows
 from these pieces.  The analytic multiplicity at rho is ``cw_multiplicity``
 of conj rho at q = 1, Gamma = 0 (T_0 J(X) is the dual of H^0(X, K)), and
 the rational one adds that of rho; conjugation, the +1 correction and the
-error checks are the differentials module's.  Each quotient cover is built
-directly from branch data: a character of order e maps the deck group onto
-Z_e, so the group is never enumerated and no Smith form is taken.  Only
+error checks are the differentials module's; ``decompose`` reads both
+columns at the u-table's rows and their conjugates.  Each quotient cover is
+read off a representative's u-row: a character of order e maps the deck
+group onto Z_e, so the group is never enumerated, no Smith form is taken
+and no quotient ``CoverSpec`` is built.  Only
 integers are computed here, each dimension as one integer numerator
 over a known denominator (2 for the isotypical dimensions, 2e for a Z_e
 quotient's cross-check); no period matrices, polarizations, or isogenies
@@ -20,13 +22,14 @@ are constructed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cover import BranchPoint, CharLike, ClassKey, CoverSpec
-from .differentials import IrrepClassData, conjugate, cw_multiplicity
+from .cover import CharLike, ClassKey, CoverSpec, _riemann_hurwitz
+from .differentials import IrrepClassData, _multiplicity, conjugate, cw_multiplicity
 from .errors import InternalInconsistency, NonIntegralDimension, NotAbelian, NTableMismatch
-from .groups import Character, CharacterOrbit, GroupSpec
+from .groups import Character, CharacterOrbit
 
 
 def analytic_multiplicity(cover: CoverSpec, rho: IrrepClassData | CharLike) -> int:
@@ -98,10 +101,13 @@ class RationalIrrepData:
 
     @classmethod
     def from_character_orbit(cls, cover: CoverSpec, orbit: CharacterOrbit) -> "RationalIrrepData":
-        rows = tuple(
-            (bcls.key, 1 if u == 0 else 0)
-            for bcls, u in zip(cover.branch_classes, cover.u_row(orbit.representative))
-        )
+        return cls._of_orbit_row(cover, orbit, cover.u_row(orbit.representative))
+
+    @classmethod
+    def _of_orbit_row(cls, cover: CoverSpec, orbit: CharacterOrbit, row: tuple[int, ...]):
+        """The orbit's irreducible from its representative's u-row: N_{C,0}
+        is 1 on the classes in the kernel, where u = 0, and 0 elsewhere."""
+        rows = tuple((bcls.key, int(u == 0)) for bcls, u in zip(cover.branch_classes, row))
         return cls(1, orbit.field_degree, 1, rows, trivial=orbit.order == 1)
 
 
@@ -143,25 +149,6 @@ class PrymPiece:
     nontrivial: bool
 
 
-def _cyclic_quotient(cover: CoverSpec, chi: Character, e: int) -> CoverSpec:
-    """The quotient cover by the kernel of chi, a character of order e.
-
-    chi maps the deck group onto Z_e, sending a class x to e * u_{chi,x} / o(x);
-    branch values whose class dies are dropped.
-    """
-    group = GroupSpec((e,))
-    image = {
-        cls.key: group.element([e * u // cls.order])
-        for cls, u in zip(cover.branch_classes, cover.u_row(chi))
-    }
-    points = tuple(
-        BranchPoint(bp.label, image[bp.psi])
-        for bp in cover.branch_points
-        if any(image[bp.psi].exponents)
-    )
-    return CoverSpec(cover.base_genus, group, points)
-
-
 def primitive_prym_dims(cover: CoverSpec) -> tuple[PrymPiece, ...]:
     """One piece per cyclic quotient Q of an abelian deck group, equivalently
     per Galois orbit of characters: dim B_Q = phi(|Q|) (g_S - 1 + delta +
@@ -169,7 +156,9 @@ def primitive_prym_dims(cover: CoverSpec) -> tuple[PrymPiece, ...]:
     orbit's rational irreducible.
 
     For each orbit the quotient cover by the kernel of a representative
-    character is built directly as a Z_e-cover; its genus feeds the
+    character chi is a Z_e-cover, read off chi's u-row without building it:
+    a class C maps to chi(C) = zeta_{o(C)}^u, of order o(C) / gcd(u, o(C)),
+    and dies when u = 0.  Its genus, by Riemann-Hurwitz, feeds the
     cross-check formula phi(|Q|)/|Q| * (g_Y - 1) + delta + phi(|Q|) * sum_y
     r_y / (2 o(y)), which must agree with the kernel-sum dimension.  A piece
     is flagged nontrivial per the quotient-genus criterion: g_Y >= 1, except
@@ -182,14 +171,15 @@ def primitive_prym_dims(cover: CoverSpec) -> tuple[PrymPiece, ...]:
 
 def _prym_piece(cover: CoverSpec, orbit: CharacterOrbit) -> PrymPiece:
     """The PrymPiece of one orbit, with its kernel-sum dimension dim B_W."""
-    dim = dim_B_W(cover, RationalIrrepData.from_character_orbit(cover, orbit))
-    e = orbit.order
-    quotient = _cyclic_quotient(cover, orbit.representative, e)
-    g_y = quotient.genus()
-    phi = orbit.field_degree
+    row = cover.u_row(orbit.representative)
+    dim = dim_B_W(cover, RationalIrrepData._of_orbit_row(cover, orbit, row))
+    e, phi = orbit.order, orbit.field_degree
+    # (order, count) of each branch class of the quotient cover that survives
+    images = [(c.order // math.gcd(u, c.order), c.count) for c, u in zip(cover.branch_classes, row) if u]
+    g_y = _riemann_hurwitz(cover.base_genus, e, images)
     # 2e times the quotient form: every class order of the Z_e quotient divides e
     num = 2 * phi * (g_y - 1) + 2 * (e == 1)
-    num += phi * sum(c.count * e // c.order for c in quotient.branch_classes)
+    num += phi * sum(r * e // o for o, r in images)
     value, rem = divmod(num, 2 * e)
     if rem:
         raise NonIntegralDimension(f"quotient-form dim = {Fraction(num, 2 * e)} is not an integer")
@@ -225,10 +215,13 @@ def decompose(cover: CoverSpec) -> DecompositionReport:
     checked to sum to the genus."""
     if not cover.is_abelian:
         raise NotAbelian("the decomposition report enumerates the dual group")
-    analytic = tuple((chi, analytic_multiplicity(cover, chi)) for chi in cover.characters())
-    # the rational column from the analytic one: analytic(chi) + analytic(conj chi)
-    by_character, conj = dict(analytic), cover.group.conjugate
-    rational = tuple((chi, m + by_character[conj(chi)]) for chi, m in analytic)
+    analytic, rational = [], []
+    for chi, row in zip(cover.characters(), cover.u_table()):
+        # analytic(chi) is the multiplicity of conj chi, and rational(chi) adds
+        # chi's own; chi is reduced, so its conjugate needs no check
+        conj = _multiplicity(cover, cover.group.char_pow(chi, -1), 1, cover._conjugate_row(row), 1, 0)
+        analytic.append((chi, conj))
+        rational.append((chi, conj + _multiplicity(cover, chi, 1, row, 1, 0)))
     prym = primitive_prym_dims(cover)
     # a character orbit's irreducible has d = m = 1, so dim A_W = dim B_W = dim B_Q
     orbits = tuple(OrbitSummary(piece.orbit, piece.dim, piece.dim) for piece in prym)
@@ -238,4 +231,4 @@ def decompose(cover: CoverSpec) -> DecompositionReport:
         raise InternalInconsistency(
             f"isotypical dimensions sum to {total}, expected the genus {genus}"
         )
-    return DecompositionReport(cover, analytic, rational, orbits, prym)
+    return DecompositionReport(cover, tuple(analytic), tuple(rational), orbits, prym)

@@ -697,6 +697,93 @@ class TestPlusOneRefusals:
         )
 
 
+Z2_OVER_ELLIPTIC = {
+    "mode": "branch-data",
+    "base_genus": 1,
+    "group": {"cyclic_orders": [2]},
+    "branch_points": [{"label": "p", "psi": [1]}, {"label": "q", "psi": [1]}],
+}
+
+
+class TestNamedAbelianRecords:
+    """An irrep record on an abelian cover names its character by exponents,
+    as --char does: a named record decides the +1 where its rows cannot, and
+    each row it gives must be that character's."""
+
+    @staticmethod
+    def chevalley_weil(capsys, tmp_path, document, record, *flags):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps(document))
+        irreps = tmp_path / "irreps.json"
+        irreps.write_text(json.dumps({"irreps": [record]}))
+        return run_json(capsys, "chevalley-weil", str(doc), "--irrep-file", str(irreps), *flags), str(irreps)
+
+    def char_flag_multiplicity(self, capsys, tmp_path, document, char, q):
+        path = tmp_path / "char.json"
+        path.write_text(json.dumps(document))
+        code, out, _ = run_json(capsys, "chevalley-weil", str(path), "--char", char, "--q", str(q))
+        assert code == 0
+        return out["multiplicities"][0]["multiplicity"]
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize(
+        "document,classes,exponents",
+        [
+            (Z2_OVER_ELLIPTIC, {"[1]": [1, 0]}, [0]),
+            (Z2_OVER_ELLIPTIC, {"[1]": [0, 1]}, [1]),
+            (Z2_OVER_ELLIPTIC, {"[1]": [0, 1]}, [3]),
+            (ABELIAN_Z2Z2_OVER_ELLIPTIC, {"[1, 0]": [1, 0]}, [0, 0]),
+            (ABELIAN_Z2Z2_OVER_ELLIPTIC, {"[1, 0]": [1, 0]}, [0, 1]),
+        ],
+        ids=["z2-trivial", "z2-sign", "z2-reduced", "z2z2-trivial", "z2z2-trivial-on-the-branch-class"],
+    )
+    def test_named_record_answers_as_the_char_flag(self, capsys, tmp_path, document, classes, exponents, q):
+        record = {"name": "w", "dim": 1, "character": exponents, "classes": classes}
+        (code, out, _), _ = self.chevalley_weil(capsys, tmp_path, document, record, "--q", str(q))
+        assert code == 0
+        [row] = out["multiplicities"]
+        char = ",".join(map(str, exponents))
+        assert row == {"irrep": "w", "dim": 1, "multiplicity": self.char_flag_multiplicity(
+            capsys, tmp_path, document, char, q)}
+
+    def test_named_trivial_record_gets_the_plus_one(self, capsys, tmp_path):
+        record = {"dim": 1, "character": [0], "classes": {"[1]": [1, 0]}}
+        (code, out, _), _ = self.chevalley_weil(capsys, tmp_path, Z2_OVER_ELLIPTIC, record)
+        assert code == 0 and out["multiplicities"][0]["multiplicity"] == 1
+
+    def test_anonymous_record_still_refused(self, capsys, tmp_path):
+        record = {"dim": 1, "classes": {"[1]": [1, 0]}}
+        (code, _, err), _ = self.chevalley_weil(capsys, tmp_path, Z2_OVER_ELLIPTIC, record)
+        assert code == EXIT_CODES["n-table-mismatch"] == 10
+        assert err["message"] == TestPlusOneRefusals.ANONYMOUS
+
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ({"dim": 1, "character": [1], "classes": {"[1]": [1, 0]}},
+             "row for class [1] is not that of character chi(1)"),
+            ({"dim": 1, "character": [0], "classes": {"[1]": [0, 1]}},
+             "row for class [1] is not that of character chi(0)"),
+            ({"dim": 1, "character": [0, 1], "classes": {}},
+             "character exponent vector has length 2, expected 1"),
+            ({"dim": 1, "character": "0", "classes": {}},
+             "'character' is the exponent list of a record of dimension 1"),
+            ({"dim": 1, "character": [True], "classes": {}},
+             "'character' is the exponent list of a record of dimension 1"),
+            ({"dim": 1, "character": [0.5], "classes": {}},
+             "'character' is the exponent list of a record of dimension 1"),
+            ({"dim": 2, "character": [0], "classes": {"[1]": [2, 0]}},
+             "'character' is the exponent list of a record of dimension 1"),
+        ],
+        ids=["other-character", "other-row", "wrong-length", "string", "bool", "float", "dimension-2"],
+    )
+    def test_bad_named_record_exits_2_at_the_record(self, capsys, tmp_path, record, message):
+        (code, out, err), irreps = self.chevalley_weil(capsys, tmp_path, Z2_OVER_ELLIPTIC, record)
+        assert code == EXIT_CODES["config"] == 2
+        assert out is None
+        assert err == {"code": "config", "message": f"{irreps}:irreps[0]: {message}"}
+
+
 class TestErrorPaths:
     """Exit codes of inputs the CLI refuses before any computation."""
 

@@ -246,19 +246,19 @@ class TestOncePerCover:
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        calls = {"raw": 0, "genus": 0}
-        raw = differentials.raw_dimension_value
+        calls = {"kernel": 0, "genus": 0}
+        kernel = differentials.cw_value
         genus = CoverSpec.__dict__["_genus"].func
 
-        def counting_raw(*args):
-            calls["raw"] += 1
-            return raw(*args)
+        def counting_kernel(*args):
+            calls["kernel"] += 1
+            return kernel(*args)
 
         def counting_genus(cover):
             calls["genus"] += 1
             return genus(cover)
 
-        monkeypatch.setattr(differentials, "raw_dimension_value", counting_raw)
+        monkeypatch.setattr(differentials, "cw_value", counting_kernel)
         monkeypatch.setattr(CoverSpec.__dict__["_genus"], "func", counting_genus)
         return calls
 
@@ -270,7 +270,7 @@ class TestOncePerCover:
         report = json.loads(capsys.readouterr().out)
         assert report["delta"] == 1 and len(report["characters"]) == 4
         # one value per character: the corrected character is found from the rows alone
-        assert counted == {"raw": 4, "genus": 1}
+        assert counted == {"kernel": 4, "genus": 1}
 
     def test_one_scan_per_q_and_gamma(self, counted, monkeypatch):
         rows = []
@@ -288,7 +288,7 @@ class TestOncePerCover:
                 delta_info(cover, q, 1)
         # degree > 0 needs no search; q = 1 and q = 2 read the four rows once each
         assert len(rows) == 2 * 4
-        assert counted == {"raw": 0, "genus": 1}
+        assert counted == {"kernel": 0, "genus": 1}
 
     def test_memo_dies_with_its_cover(self):
         cover = cyclic_cover(4, [1, 1, 2])

@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from galcov import Character, ClassTable, CoverSpec, GroupElement, GroupSpec, euler_phi
+from galcov import BranchPoint, Character, ClassTable, CoverSpec, GroupElement, GroupSpec, euler_phi
+from galcov.differentials import cw_multiplicity, dim_omega_chi, eichler_trace, omega_divisor
+from galcov.divisors import h_chi_divisor
 from galcov.errors import SearchSpaceTooLarge
 from galcov.groups import DEFAULT_CAP, smith_diagonal
 
 import fraction_oracle
 import group_walk_oracle
+from covergen import pt
 
 
 def brute_order(group, x):
@@ -117,13 +120,28 @@ class TestUValue:
         assert lhs == rhs - math.floor(rhs)
 
 
+def z2_z6_cover(g):
+    """A genus-5 cover of the line with classes (1, 1), (1, 5) and (1, 0) twice."""
+    psis = [(1, 1), (1, 5), (1, 0), (1, 0)]
+    return CoverSpec(0, g, tuple(BranchPoint(pt(j + 1), g.element(x)) for j, x in enumerate(psis)))
+
+
 class TestCheckElement:
-    """Every exponent vector a method takes is checked once, with one text."""
+    """Every exponent vector a method takes is checked once, with one text;
+    the public per-character and per-element questions of the other layers,
+    which check once and then read rows, still check."""
 
     ORDERS = (2, 6)
 
     CALLS = {
         "u_row": lambda g, e: CoverSpec(0, g, ()).u_row(Character(e)),
+        "u_value branch class": lambda g, e: z2_z6_cover(g).u_value(Character(e), g.element([1, 1])),
+        "t_chi": lambda g, e: z2_z6_cover(g).t_chi(Character(e)),
+        "dim_omega_chi": lambda g, e: dim_omega_chi(z2_z6_cover(g), Character(e), 2),
+        "cw_multiplicity": lambda g, e: cw_multiplicity(z2_z6_cover(g), Character(e)),
+        "h_chi_divisor": lambda g, e: h_chi_divisor(z2_z6_cover(g), Character(e)),
+        "omega_divisor": lambda g, e: omega_divisor(z2_z6_cover(g), Character(e)),
+        "eichler_trace": lambda g, e: eichler_trace(z2_z6_cover(g), GroupElement(e)),
         "element_order": lambda g, e: g.element_order(GroupElement(e)),
         "power_index base": lambda g, e: g.power_index(GroupElement(e), g.identity),
         "power_index target": lambda g, e: g.power_index(g.identity, GroupElement(e)),
@@ -158,6 +176,10 @@ class TestCheckElement:
             assert str(raised.value) == f"malformed exponent vector [1, 6] for orders {self.ORDERS}"
         assert g.element_order(Character([1, 2])) == 6
         assert CoverSpec(0, g, ()).u_row(Character([1, 2])) == ()
+        cover = z2_z6_cover(g)
+        for key in (GroupElement([1, 1]), GroupElement([0, 2])):
+            expected = g.u_value(Character((1, 2)), GroupElement(tuple(key.exponents)))
+            assert cover.u_value(Character([1, 2]), key) == expected
 
 
 class TestPairing:

@@ -2,10 +2,16 @@
 
 The Jacobian multiplicities are ``cw_multiplicity`` of a representation or
 of its conjugate, so ``galcov.jacobian`` takes from ``galcov.differentials``
-only the table type, that route and the conjugation; the eigenvalue-row
-format and the +1 test stay inside ``galcov.differentials``.  The corrected
-character is read off the u-rows, not found by the kernel or the +1 test,
-and a trace's delta angle comes from the order of tau it already has.
+only the table type, that route, its row form ``_multiplicity`` (which
+``decompose`` feeds from the u-table) and the conjugation; the kernel and
+the +1 test stay inside ``galcov.differentials``.  The corrected character
+is read off the u-rows, not found by the kernel or the +1 test, and a
+trace's delta angle comes from the order of tau it already has.
+
+A per-character question checks its argument once and then reads rows: a
+trace takes its discrete logs unchecked, a cyclic quotient's genus comes
+from the representative's row with no quotient cover built, and conj chi's
+row is (-u) mod o(C) of chi's, from the one helper ``_conjugate_row``.
 
 Each quantity has one formula: the order of a character is
 ``element_order``, a Galois orbit carries its phi(e), conj chi's row is read
@@ -22,6 +28,7 @@ import pytest
 
 import galcov
 import galcov.cli
+import galcov.cover
 import galcov.differentials
 import galcov.divisors
 import galcov.groups
@@ -33,13 +40,13 @@ def test_jacobian_binds_no_kernel_internals():
     assert not bound & {"cw_value", "eigen_rows", "EigenRows", "_is_trivial_rep"}
 
 
-def test_jacobian_takes_three_names_from_differentials():
+def test_jacobian_takes_four_names_from_differentials():
     taken = {
         name
         for name, value in vars(galcov.jacobian).items()
         if getattr(value, "__module__", None) == galcov.differentials.__name__
     }
-    assert taken == {"IrrepClassData", "conjugate", "cw_multiplicity"}
+    assert taken == {"IrrepClassData", "conjugate", "cw_multiplicity", "_multiplicity"}
 
 
 def names_used(code) -> set[str]:
@@ -81,7 +88,38 @@ def test_orbits_keep_the_walk_order():
 
 def test_differential_divisor_reads_the_conjugate_row():
     code = galcov.divisors.InvariantDivisor.reduced_base_divisor.__code__
-    assert "conjugate_character" in names_used(code)
+    assert "_conjugate_row" in names_used(code)
+    assert "conjugate_character" not in names_used(code)
+
+
+@pytest.mark.parametrize(
+    "function",
+    [galcov.differentials.omega_divisor, galcov.jacobian.decompose],
+    ids=lambda f: f.__name__,
+)
+def test_conjugate_rows_come_from_one_helper(function):
+    names = names_used(function.__code__)
+    assert "_conjugate_row" in names
+    assert not {"conjugate_character", "conjugate", "u_row"} & names
+
+
+def test_prym_piece_builds_no_quotient_cover():
+    names = names_used(galcov.jacobian._prym_piece.__code__)
+    assert not {"CoverSpec", "BranchPoint", "quotient", "genus"} & names
+    assert "_riemann_hurwitz" in names
+    assert "_riemann_hurwitz" in names_used(galcov.cover.CoverSpec.__dict__["_genus"].func.__code__)
+
+
+def test_decompose_reads_the_u_table():
+    names = names_used(galcov.jacobian.decompose.__code__)
+    assert "u_table" in names
+    assert not {"analytic_multiplicity", "rational_multiplicity", "cw_multiplicity"} & names
+
+
+def test_trace_takes_unchecked_discrete_logs():
+    names = names_used(galcov.differentials.eichler_trace.__code__)
+    assert "power_index" not in names and "u_value" not in names
+    assert "_discrete_log" in names
 
 
 TREES = {
