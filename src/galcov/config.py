@@ -20,19 +20,18 @@ deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Mapping
 
 from .cover import BranchPoint, Coord, CoverSpec
-from .errors import BranchedAtInfinity, ConfigError
+from .errors import BranchedAtInfinity, ConfigError, _record
 from .groups import ClassTable, Character, GroupElement, GroupSpec
 
 if TYPE_CHECKING:
     from .equations import EquationSystem
 
 
-@dataclass(frozen=True)
+@_record
 class ParsedInput:
     cover: CoverSpec
     equations: EquationSystem | None

@@ -14,7 +14,8 @@ columns, built once per cover; a generic cover reads the supplied row.  A
 public per-character question checks its argument once, where it reads the
 row, and then does arithmetic on it: ``row_and_t`` returns it with t_chi,
 ``u_value`` on a branch class reads that class's unit column, and conj
-chi's row is (-u) mod o(C) of chi's, from one helper, ``_conjugate_row``.
+chi's row is (-u) mod o(C) of chi's, from one helper, ``_conjugate_row``
+(``_conjugate_and_row`` pairs it with conj chi).
 One method, ``_t_of_row``, turns a row into t_chi and words the error for a
 non-integral one; every genus, of this cover or of a quotient read off a
 row, is one Riemann-Hurwitz sum (``_riemann_hurwitz``).
@@ -37,14 +38,13 @@ has genus 0) is implicit and never allowed to be a branch value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, repeat
 from operator import mod, mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DegenerateCover, NonIntegralInvariant, NotAbelian, SearchSpaceTooLarge
+from .errors import DegenerateCover, NonIntegralInvariant, NotAbelian, SearchSpaceTooLarge, _record
 from .groups import (
     Character,
     ClassTable,
@@ -52,11 +52,12 @@ from .groups import (
     GroupElement,
     DEFAULT_CAP,
     GroupSpec,
+    _class_element,
     smith_diagonal,
 )
 
 
-@dataclass(frozen=True)
+@_record
 class Coord:
     """Exact point of the affine line: a complex number with rational parts.
 
@@ -83,7 +84,7 @@ CharLike = Character | GenericCharacter
 ClassKey = GroupElement | str
 
 
-@dataclass(frozen=True)
+@_record
 class BranchPoint:
     """A branch value on the base and the class of its lifted loop."""
 
@@ -94,7 +95,7 @@ class BranchPoint:
         return f"{self.label}:{self.psi}"
 
 
-@dataclass(frozen=True)
+@_record
 class BranchClass:
     """One nontrivial class together with the branch values carrying it."""
 
@@ -107,14 +108,14 @@ class BranchClass:
         return len(self.points)
 
 
-@dataclass(frozen=True)
+@_record
 class ValidationIssue:
     kind: str  # "non-integral" or "degenerate"
     character: CharLike
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@_record
 class ValidationReport:
     ok: bool
     issues: tuple[ValidationIssue, ...] = ()
@@ -134,7 +135,7 @@ def _class_sort_key(key: ClassKey):
     return (1, key)
 
 
-@dataclass(frozen=True)
+@_record
 class CoverSpec:
     """Branch data of a Galois cover over a base of the given genus."""
 
@@ -175,9 +176,7 @@ class CoverSpec:
 
     def class_order(self, key: ClassKey) -> int:
         if self.is_abelian:
-            if not isinstance(key, GroupElement):
-                raise TypeError(f"abelian covers index classes by group elements, got {key!r}")
-            return self.group.element_order(key)
+            return self.group.element_order(_class_element(key))
         return self.group.record(key).order
 
     def characters(self) -> Iterator[CharLike]:
@@ -210,7 +209,7 @@ class CoverSpec:
         if isinstance(chi, Character):
             group = self._require_abelian()
             # a key given by an exponent list is not hashed; the group reads it by value
-            column = self._unit_u_columns.get(key) if isinstance(key.exponents, tuple) else None
+            column = self._unit_u_columns.get(key) if isinstance(getattr(key, "exponents", 0), tuple) else None
             if column is None:
                 return group.u_value(chi, key)
             return sum(map(mul, group.check_element(chi).exponents, column[0])) % column[1]
@@ -233,6 +232,15 @@ class CoverSpec:
     def _conjugate_row(self, row: tuple[int, ...]) -> tuple[int, ...]:
         """conj chi's u-row from chi's: (-u_C) mod o(C) per branch class."""
         return tuple([(-u) % cls.order for cls, u in zip(self.branch_classes, row)])
+
+    def _conjugate_and_row(self, chi: CharLike) -> tuple[CharLike, tuple[int, ...]]:
+        """conj chi and its u-row.  An abelian chi is checked once, by
+        ``u_row``, and its conjugate's row is ``_conjugate_row`` of chi's."""
+        if not isinstance(chi, Character):
+            conj = self.conjugate_character(chi)
+            return conj, self.u_row(conj)
+        row = self._conjugate_row(self.u_row(chi))
+        return self.group.char_pow(chi, -1), row
 
     @cached_property
     def _unit_u_columns(self) -> dict[ClassKey, tuple[tuple[int, ...], int]]:

@@ -60,7 +60,6 @@ rho_C = (q - 1) mod o(C), the row ``_cw_constants`` holds.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import gt, mul
@@ -77,6 +76,7 @@ from .errors import (
     NotAbelian,
     NTableMismatch,
     UnsupportedBaseGenus,
+    _record,
 )
 from .groups import Character, GroupElement
 
@@ -91,7 +91,7 @@ def check_admissible(genus_cover: int, q: int):
     raise AdmissibilityViolation(genus_cover, q)
 
 
-@dataclass(frozen=True)
+@_record
 class OmegaDivisor(EigenDivisor):
     """Divisor of the normalized q-differential generator attached to chi on a
     genus-0 base, plus its symbolic presentation over dz^q."""
@@ -125,7 +125,7 @@ def omega_divisor(cover: CoverSpec, chi: CharLike, q: int = 1) -> OmegaDivisor:
     return OmegaDivisor(cover, chi, tuple(beta for _, beta in per_point), infinity, q, powers)
 
 
-@dataclass(frozen=True)
+@_record
 class DeltaInfo:
     """Whether one character receives the +1 dimension correction, and which."""
 
@@ -256,7 +256,7 @@ def total_dim_omega(cover: CoverSpec, q: int = 1, gamma_degree: int = 0) -> int:
 # -- traces -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class FixedPointTerm:
     """``multiplicity`` fixed points whose local rotation is zeta_order^exponent."""
 
@@ -270,7 +270,7 @@ class FixedPointTerm:
         return self.multiplicity * zeta ** (q % self.order) / (1 - zeta)
 
 
-@dataclass(frozen=True)
+@_record
 class EichlerTrace:
     """Trace of a deck transformation on a q-differential space.
 
@@ -334,7 +334,7 @@ def eichler_trace(
 # -- Chevalley-Weil multiplicities ---------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class IrrepClassData:
     """An irreducible representation described by its dimension and, per
     class, the multiplicities of the eigenvalues zeta_{o(C)}^alpha of a class

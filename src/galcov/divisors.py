@@ -17,7 +17,7 @@ normalization is fully explicit:
 with A_{C,chi} the union of buckets below u_{chi,C}.  Each is an integer
 read from one u-row: ``CoverSpec.row_and_t`` gives the row and t_chi (an
 integer numerator over lcm o(C)), |A_{C,chi}| is counted from the row, and
-i_chi reads the row of ``CoverSpec.conjugate_character(chi)``.  The totals
+i_chi reads conj chi's row from ``CoverSpec._conjugate_and_row``.  The totals
 read the u-table (``CoverSpec.u_table``), one row per character and no
 ``Character``; there |A_{C,chi}| is ``bisect_left`` of u_{chi,C} in the
 class's sorted buckets.
@@ -31,12 +31,11 @@ invariant divisor e_j = o_j - 1 - i_j and e_inf = p plus the base part.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import ge
 from typing import Iterable, Sequence
 
 from .cover import CharLike, CoverSpec, Label
-from .errors import NonInvariantInput, NotAbelian, UnsupportedBaseGenus
+from .errors import NonInvariantInput, NotAbelian, UnsupportedBaseGenus, _record
 
 
 def _fibre_degree(cover: CoverSpec, branch_exponents: Iterable[int], infinity_exponent: int) -> int:
@@ -47,7 +46,7 @@ def _fibre_degree(cover: CoverSpec, branch_exponents: Iterable[int], infinity_ex
     return sum(n // o * e for o, e in zip(cover.point_orders, branch_exponents)) + n * infinity_exponent
 
 
-@dataclass(frozen=True)
+@_record
 class InvariantDivisor:
     """Normalized deck-invariant divisor on a cover."""
 
@@ -102,11 +101,10 @@ class InvariantDivisor:
         buckets = self.buckets
         return [j for cls, u in zip(self.cover.branch_classes, row) for j in cls.points if buckets[j] < u]
 
-    def _excess(self, chi: CharLike) -> int:
-        """p + 1 + a_chi - t_chi from one row: r_chi is max(0, excess(chi))
+    def _excess(self, row: tuple[int, ...], chi: CharLike) -> int:
+        """p + 1 + a_chi - t_chi from chi's u-row: r_chi is max(0, excess(chi))
         and i_chi is max(0, -excess(conj chi))."""
-        row, t = self.cover.row_and_t(chi)
-        return self.p + 1 + len(self._a_points(row)) - t
+        return self.p + 1 + len(self._a_points(row)) - self.cover._t_of_row(row, chi)
 
     def _require_genus0(self):
         if self.cover.base_genus != 0:
@@ -117,7 +115,7 @@ class InvariantDivisor:
     def r_chi(self, chi: CharLike) -> int:
         """Dimension of the chi-part of the function space of 1/divisor."""
         self._require_genus0()
-        return max(0, self._excess(chi))
+        return max(0, self._excess(self.cover.u_row(chi), chi))
 
     def basis_description(self, chi: CharLike) -> "BasisDescription":
         """The chi-part as h_chi times polynomials over the linear factors
@@ -154,7 +152,8 @@ class InvariantDivisor:
     def i_chi(self, chi: CharLike) -> int:
         """Dimension of the chi-part of differentials bounded below by the divisor."""
         self._require_genus0()
-        return max(0, -self._excess(self.cover.conjugate_character(chi)))
+        conj, row = self.cover._conjugate_and_row(chi)
+        return max(0, -self._excess(row, conj))
 
     def i_total(self) -> int:
         """sum_chi i_chi = sum_chi max(0, t_chi - a_chi - p - 1), since
@@ -194,7 +193,7 @@ class InvariantDivisor:
         raise ValueError(f"kind must be 'function' or 'differential', got {kind!r}")
 
 
-@dataclass(frozen=True)
+@_record
 class BasisDescription:
     """Basis data for a chi-part on a genus-0 base: the space is the span of
     h_chi * z^k / prod(z - lambda), lambda over ``denominator``, 0 <= k <=
@@ -213,7 +212,7 @@ class BasisDescription:
         return f"h[{self.character}] * P<=({self.degree_bound})(z) / {denom}"
 
 
-@dataclass(frozen=True)
+@_record
 class SymbolicDivisor:
     """Formal divisor on the base: a power of the normalization point, known
     points with exponents, and opaque degree-zero symbols (positive base
@@ -235,7 +234,7 @@ class SymbolicDivisor:
         return " * ".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
+@_record
 class EigenDivisor:
     """Divisor of an eigenfunction or eigendifferential attached to a
     character on a genus-0 base: one exponent per branch value, the same at
@@ -271,7 +270,7 @@ def trivial_divisor(cover: CoverSpec, p: int = 0) -> InvariantDivisor:
     )
 
 
-@dataclass(frozen=True)
+@_record
 class Normalization:
     divisor: InvariantDivisor
     shifts: tuple[tuple[Label, int], ...]

@@ -11,11 +11,10 @@ rejected, since infinity serves as the normalization point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .cover import BranchPoint, Coord, CoverSpec
-from .errors import BranchedAtInfinity
+from .errors import BranchedAtInfinity, _record
 from .groups import GroupElement, GroupSpec
 
 
@@ -38,7 +37,7 @@ INF = Infinity()
 Point = Coord | Infinity
 
 
-@dataclass(frozen=True)
+@_record
 class FactoredRational:
     """Nonzero rational function in factored form: points with exponents.
 
@@ -84,7 +83,7 @@ class FactoredRational:
         return 0
 
 
-@dataclass(frozen=True)
+@_record
 class Equation:
     """One root extraction w^m = F(z)."""
 
@@ -96,7 +95,7 @@ class Equation:
             raise ValueError(f"root order must be at least 2, got {self.m}")
 
 
-@dataclass(frozen=True)
+@_record
 class EquationSystem:
     """A fibered-product presentation over the line, one equation per factor.
 

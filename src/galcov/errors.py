@@ -1,8 +1,10 @@
-"""Error types shared across the library.
+"""Error types shared across the library, and the frozen-record helper.
 
 Every error that can reach a user through the CLI derives from GalcovError
 and carries a stable ``code`` identifier, so reports and exit codes stay
-deterministic.
+deterministic.  ``_record`` makes the library's value types frozen records
+as ``dataclasses.dataclass(frozen=True)`` would, without importing
+``dataclasses`` (and with it ``inspect``) on every CLI start.
 """
 
 from __future__ import annotations
@@ -96,3 +98,44 @@ class NonIntegralDimension(GalcovError):
 
 class InternalInconsistency(GalcovError):
     code = "internal-inconsistency"
+
+
+def _record_repr(self):
+    return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _record(cls):
+    """A frozen record, as ``dataclass(frozen=True)`` makes it: the fields are
+    the annotations, a base record's first, and ``_fields`` maps them to their
+    types.  ``__init__`` (``__post_init__`` last), ``__eq__`` (same class,
+    equal field tuples) and ``__hash__`` (of the field tuple) come from one
+    ``exec``; ``__repr__`` and the frozen ``__setattr__`` and ``__delattr__``
+    are shared.  A method the class defines itself is kept."""
+    fields = cls._fields = {**getattr(cls, "_fields", {}), **vars(cls).get("__annotations__", {})}
+    # object.__setattr__, not self.__dict__, keeps the attributes inline, where reads are fastest
+    ns = {"_set": object.__setattr__, **{f"_d_{n}": getattr(cls, n) for n in fields if hasattr(cls, n)}}
+    params = "".join(f", {n}=_d_{n}" if f"_d_{n}" in ns else f", {n}" for n in fields)
+    values = "".join(f"self.{n}," for n in fields)
+    exec(
+        f"def __init__(self{params}):\n"
+        + "".join(f" _set(self, {n!r}, {n})\n" for n in fields)
+        + (" self.__post_init__()\n" if hasattr(cls, "__post_init__") else "")
+        + "def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
+        + f"  return ({values}) == ({values.replace('self.', 'other.')})\n return NotImplemented\n"
+        + f"def __hash__(self):\n return hash(({values}))\n",
+        ns,
+    )
+    ns["__init__"].__annotations__ = {**fields, "return": None}
+    methods = dict(ns, __repr__=_record_repr, __setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
+    for name in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+        if name not in vars(cls):
+            setattr(cls, name, methods[name])
+    return cls

@@ -23,12 +23,11 @@ of order above ``DEFAULT_CAP`` with SearchSpaceTooLarge.  Every other question
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product, repeat
 from operator import floordiv, mod, mul
 from typing import Iterator, Mapping, Sequence
 
-from .errors import SearchSpaceTooLarge
+from .errors import SearchSpaceTooLarge, _record
 
 # the largest group ``elements`` and ``characters`` walk, and the default
 # bound on the assignments ``enumeration.brute_force_filter`` scans
@@ -52,7 +51,7 @@ def euler_phi(n: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
+@_record
 class GroupElement:
     """Element of a product of cyclic groups, one residue per factor."""
 
@@ -62,7 +61,14 @@ class GroupElement:
         return "g(" + ",".join(str(a) for a in self.exponents) + ")"
 
 
-@dataclass(frozen=True)
+def _class_element(key: object) -> GroupElement:
+    """An abelian class key, which must be a group element."""
+    if not isinstance(key, GroupElement):
+        raise TypeError(f"abelian covers index classes by group elements, got {key!r}")
+    return key
+
+
+@_record
 class Character:
     """Character of a product of cyclic groups; the zero vector is trivial."""
 
@@ -76,7 +82,7 @@ class Character:
         return "chi(" + ",".join(str(k) for k in self.exponents) + ")"
 
 
-@dataclass(frozen=True)
+@_record
 class CharacterOrbit:
     """Galois orbit of a character: all powers coprime to its order.
 
@@ -94,7 +100,7 @@ class CharacterOrbit:
         return self.characters[0]
 
 
-@dataclass(frozen=True)
+@_record
 class GroupSpec:
     """Finite abelian group presented as a product of cyclic factors."""
 
@@ -212,7 +218,7 @@ class GroupSpec:
         Returns the unique u with 0 <= u < o(x) and chi(x) = zeta_{o(x)}^u,
         in integers: o * a_i is a multiple of m_i because o * x = 0.
         """
-        return self._u_at_order(self.check_element(chi), x, self.element_order(x))
+        return self._u_at_order(self.check_element(chi), x, self.element_order(_class_element(x)))
 
     def _u_at_order(self, chi: Character, x: GroupElement, o: int) -> int:
         """``u_value`` at an x of order o, with neither vector checked."""
@@ -247,7 +253,7 @@ class GroupSpec:
 # -- generic (non-abelian) conjugacy-class scaffolding -----------------------
 
 
-@dataclass(frozen=True)
+@_record
 class ClassRecord:
     """One conjugacy class: an identifier, the order of its elements, and an
     optional count of branch values carrying this class (used only when a
@@ -266,7 +272,7 @@ class ClassRecord:
             raise ValueError("the trivial class cannot carry branch data")
 
 
-@dataclass(frozen=True)
+@_record
 class GenericCharacter:
     """One-dimensional character of a generic group, given by its u-row.
 
@@ -285,7 +291,7 @@ class GenericCharacter:
         return self.name
 
 
-@dataclass(frozen=True)
+@_record
 class ClassTable:
     """Trusted conjugacy-class data for a group that is never enumerated."""
 

@@ -23,12 +23,11 @@ are constructed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cover import CharLike, ClassKey, CoverSpec, _riemann_hurwitz
 from .differentials import IrrepClassData, _multiplicity, conjugate, cw_multiplicity
-from .errors import InternalInconsistency, NonIntegralDimension, NotAbelian, NTableMismatch
+from .errors import InternalInconsistency, NonIntegralDimension, NotAbelian, NTableMismatch, _record
 from .groups import Character, CharacterOrbit
 
 
@@ -36,17 +35,24 @@ def analytic_multiplicity(cover: CoverSpec, rho: IrrepClassData | CharLike) -> i
     """Multiplicity of the irreducible in the deck action on the tangent
     space of the Jacobian at the origin, the dual of H^0(X, K): the
     Chevalley-Weil multiplicity at q = 1, Gamma = 0 of the conjugate."""
-    return cw_multiplicity(cover, conjugate(cover, rho), 1, 0)
+    if isinstance(rho, IrrepClassData):
+        return cw_multiplicity(cover, conjugate(cover, rho), 1, 0)
+    conj, row = cover._conjugate_and_row(rho)
+    return _multiplicity(cover, conj, 1, row, 1, 0)
 
 
 def rational_multiplicity(cover: CoverSpec, rho: IrrepClassData | CharLike) -> int:
     """Multiplicity of the irreducible in the complexified action on the
     rational homology of the Jacobian, the analytic representation plus its
     conjugate: analytic(conj rho) is ``cw_multiplicity`` of rho itself."""
-    return analytic_multiplicity(cover, rho) + cw_multiplicity(cover, rho, 1, 0)
+    if isinstance(rho, IrrepClassData):
+        return analytic_multiplicity(cover, rho) + cw_multiplicity(cover, rho, 1, 0)
+    conj, row = cover._conjugate_and_row(rho)
+    analytic = _multiplicity(cover, conj, 1, row, 1, 0)
+    return analytic + _multiplicity(cover, rho, 1, cover._conjugate_row(row), 1, 0)
 
 
-@dataclass(frozen=True)
+@_record
 class RationalIrrepData:
     """A rational irreducible: complex dimension d of a constituent, the
     degree k of its character field, the Schur index m, and the per-class
@@ -135,7 +141,7 @@ def dim_B_W(cover: CoverSpec, w: RationalIrrepData) -> int:
     return _isotypical_dim(cover, w, w.schur_index, "dim B_W")
 
 
-@dataclass(frozen=True)
+@_record
 class PrymPiece:
     """A cyclic quotient Q of the deck group, its quotient cover, and the
     primitive Prym dimension dim B_Q, computed both from the kernel sum
@@ -187,14 +193,14 @@ def _prym_piece(cover: CoverSpec, orbit: CharacterOrbit) -> PrymPiece:
     return PrymPiece(orbit, e, g_y, dim, value, nontrivial)
 
 
-@dataclass(frozen=True)
+@_record
 class OrbitSummary:
     orbit: CharacterOrbit
     dim_A: int
     dim_B: int
 
 
-@dataclass(frozen=True)
+@_record
 class DecompositionReport:
     """Per-character multiplicities and the full table of isotypical and
     cyclic-quotient dimensions for an abelian cover."""

@@ -4,8 +4,8 @@ Each public per-character question now checks its argument once and then
 does arithmetic on the character's u-row.  The earlier routes stay here as
 oracles: a cyclic quotient built as a ``CoverSpec`` of its own, a trace's
 fixed-point terms from the checked discrete log ``power_index``, the
-Jacobian columns from ``analytic_multiplicity`` and
-``rational_multiplicity`` per character, and the eigendivisors of h_chi and
+Jacobian columns from ``cw_multiplicity`` of each character and of its
+``conjugate_character``, and the eigendivisors of h_chi and
 of the q-differential generators read class by class through dicts, with
 conj chi's row from ``conjugate_character``.
 """
@@ -13,9 +13,8 @@ conj chi's row from ``conjugate_character``.
 from __future__ import annotations
 
 from galcov.cover import BranchPoint, CoverSpec
-from galcov.differentials import FixedPointTerm
+from galcov.differentials import FixedPointTerm, cw_multiplicity
 from galcov.groups import Character, CharacterOrbit, GroupElement, GroupSpec
-from galcov.jacobian import analytic_multiplicity, rational_multiplicity
 
 
 def cyclic_quotient(cover: CoverSpec, chi: Character, e: int) -> CoverSpec:
@@ -61,11 +60,13 @@ def fixed_point_terms(cover: CoverSpec, tau: GroupElement) -> tuple[FixedPointTe
 
 
 def jacobian_columns(cover: CoverSpec):
-    """(chi, analytic, rational) for every character, one public call each."""
-    return [
-        (chi, analytic_multiplicity(cover, chi), rational_multiplicity(cover, chi))
-        for chi in cover.characters()
-    ]
+    """(chi, analytic, rational) for every character: analytic(chi) is the
+    multiplicity of conj chi at q = 1, and rational(chi) adds chi's own."""
+    columns = []
+    for chi in cover.characters():
+        analytic = cw_multiplicity(cover, cover.conjugate_character(chi), 1, 0)
+        columns.append((chi, analytic, analytic + cw_multiplicity(cover, chi, 1, 0)))
+    return columns
 
 
 def h_chi_exponents(cover: CoverSpec, chi) -> tuple[tuple[int, ...], int]:

@@ -8,9 +8,10 @@ from hypothesis import given, strategies as st
 
 from galcov import BranchPoint, Character, ClassTable, CoverSpec, GroupElement, GroupSpec, euler_phi
 from galcov.differentials import cw_multiplicity, dim_omega_chi, eichler_trace, omega_divisor
-from galcov.divisors import h_chi_divisor
+from galcov.divisors import h_chi_divisor, trivial_divisor
 from galcov.errors import SearchSpaceTooLarge
 from galcov.groups import DEFAULT_CAP, smith_diagonal
+from galcov.jacobian import analytic_multiplicity, rational_multiplicity
 
 import fraction_oracle
 import group_walk_oracle
@@ -119,6 +120,20 @@ class TestUValue:
         rhs = u_over_order(x) + u_over_order(y)
         assert lhs == rhs - math.floor(rhs)
 
+    @pytest.mark.parametrize("owner", ["GroupSpec", "CoverSpec"])
+    @pytest.mark.parametrize("key", ["a", Character((1, 1))], ids=["class-id", "character"])
+    def test_a_key_that_is_no_group_element_is_refused(self, owner, key):
+        """A generic cover's class id, or a character, given as an abelian
+        class key raises the TypeError of ``CoverSpec.class_order``."""
+        g = GroupSpec((2, 6))
+        cover = z2_z6_cover(g)
+        u_value = g.u_value if owner == "GroupSpec" else cover.u_value
+        expected = f"abelian covers index classes by group elements, got {key!r}"
+        for call in (lambda: u_value(g.character([1, 1]), key), lambda: cover.class_order(key)):
+            with pytest.raises(TypeError) as raised:
+                call()
+            assert str(raised.value) == expected
+
 
 def z2_z6_cover(g):
     """A genus-5 cover of the line with classes (1, 1), (1, 5) and (1, 0) twice."""
@@ -146,6 +161,9 @@ class TestCheckElement:
         "power_index base": lambda g, e: g.power_index(GroupElement(e), g.identity),
         "power_index target": lambda g, e: g.power_index(g.identity, GroupElement(e)),
         "conjugate": lambda g, e: g.conjugate(Character(e)),
+        "analytic_multiplicity": lambda g, e: analytic_multiplicity(z2_z6_cover(g), Character(e)),
+        "rational_multiplicity": lambda g, e: rational_multiplicity(z2_z6_cover(g), Character(e)),
+        "i_chi": lambda g, e: trivial_divisor(z2_z6_cover(g)).i_chi(Character(e)),
     }
 
     @pytest.mark.parametrize("call", sorted(CALLS))

@@ -1,8 +1,10 @@
 """What a CLI run loads: each command imports only the modules it computes with.
 
 ``import galcov`` loads no submodule; its public names load on first use.
-The footprint checks run in a child process, as ``tests/test_reimport.py``
-does, so that the suite's own imports do not count.
+No run loads ``dataclasses``, or ``inspect`` through it: the records are
+built by ``galcov.errors._record``.  The footprint checks run in a child
+process, as ``tests/test_reimport.py`` does, so that the suite's own imports
+do not count.
 """
 
 import json
@@ -32,10 +34,13 @@ if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
 print(json.dumps(sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("galcov."))))
+print(json.dumps(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)))
 """
 
 
-def loaded_after(*argv):
+def run_child(*argv):
+    """The galcov modules a child loads after ``cli.main(argv)``, and which
+    of ``dataclasses`` and ``inspect`` it loads."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(argv)],
@@ -44,7 +49,12 @@ def loaded_after(*argv):
         env=env,
         check=True,
     )
-    return json.loads(result.stdout)
+    galcov_modules, stdlib = result.stdout.splitlines()
+    return json.loads(galcov_modules), json.loads(stdlib)
+
+
+def loaded_after(*argv):
+    return run_child(*argv)[0]
 
 
 def test_import_loads_no_submodule():
@@ -58,6 +68,15 @@ def test_genus_on_branch_data_loads_only_the_core():
 
 def test_all_on_an_equations_document_loads_everything():
     assert loaded_after("all", str(CONFIGS / "hyperelliptic6.json")) == SUBMODULES
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("genus", str(CONFIGS / "unramified_g1.json"), "--format", "json"), ("all", str(CONFIGS / "hyperelliptic6.json"))],
+    ids=["genus", "all"],
+)
+def test_no_run_loads_dataclasses_or_inspect(argv):
+    assert run_child(*argv)[1] == []
 
 
 def test_public_names_resolve():

@@ -18,7 +18,8 @@ Each quantity has one formula: the order of a character is
 through ``conjugate_character``, an eigenvalue table is checked once by
 ``IrrepClassData.rows``, and the walk orders of ``elements`` and
 ``characters`` are not established a second time.  A private helper that
-nothing in the package calls is dead code.
+nothing in the package calls is dead code.  No module imports
+``dataclasses``: the records come from ``galcov.errors._record``.
 """
 
 import ast
@@ -151,6 +152,17 @@ REFERENCES = tuple(
         else ()
     )
 )
+
+
+def test_no_module_imports_dataclasses():
+    importers = sorted(
+        module
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and not node.level and node.module.partition(".")[0] == "dataclasses"
+    )
+    assert importers == []
 
 
 @pytest.mark.parametrize("qualified", sorted(PRIVATE))

@@ -17,9 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from galcov.cover import BranchPoint, CoverSpec
 from galcov.differentials import cw_multiplicity, delta_info, dim_omega_chi, eichler_trace, omega_divisor
-from galcov.divisors import h_chi_divisor
+from galcov.divisors import h_chi_divisor, trivial_divisor
 from galcov.groups import GroupSpec
-from galcov.jacobian import decompose, primitive_prym_dims
+from galcov.jacobian import analytic_multiplicity, decompose, primitive_prym_dims, rational_multiplicity
 
 import row_route_oracle as oracle
 from covergen import covers, pt
@@ -65,6 +65,13 @@ class TestAgainstTheEarlierRoutes:
         expected = oracle.jacobian_columns(cover)
         assert list(report.analytic) == [(chi, analytic) for chi, analytic, _ in expected]
         assert list(report.rational) == [(chi, rational) for chi, _, rational in expected]
+
+    @given(abelian_covers())
+    @settings(max_examples=40, deadline=None)
+    def test_jacobian_multiplicities(self, cover):
+        for chi, analytic, rational in oracle.jacobian_columns(cover):
+            assert analytic_multiplicity(cover, chi) == analytic
+            assert rational_multiplicity(cover, chi) == rational
 
     @given(abelian_covers())
     @settings(max_examples=40, deadline=None)
@@ -141,6 +148,25 @@ def chevalley_weil(cover):
     return cover.degree
 
 
+def analytic(cover):
+    for chi in cover.characters():
+        analytic_multiplicity(cover, chi)
+    return cover.degree
+
+
+def rational(cover):
+    for chi in cover.characters():
+        rational_multiplicity(cover, chi)
+    return cover.degree
+
+
+def ichi(cover):
+    div = trivial_divisor(cover, 3)
+    for chi in cover.characters():
+        div.i_chi(chi)
+    return cover.degree
+
+
 def traces(cover):
     group = cover.group
     for tau in list(group.elements())[1:]:
@@ -170,7 +196,7 @@ class TestOneCheckPerPublicCall:
         monkeypatch.setattr(GroupSpec, "check_element", counting)
         return cover, calls
 
-    QUESTIONS = [tchi, hchi, dims, omega, chevalley_weil, traces]
+    QUESTIONS = [tchi, hchi, dims, omega, chevalley_weil, traces, analytic, rational, ichi]
 
     @pytest.mark.parametrize("question", QUESTIONS, ids=lambda f: f.__name__)
     def test_listing_question(self, counted, question):
