@@ -12,10 +12,11 @@ with chi(x) = zeta_{o(C)}^u for x in C.  On an abelian cover u is additive in
 chi, so the row is one dot product per class with the unit characters'
 columns, built once per cover; a generic cover reads the supplied row.  A
 public per-character question checks its argument once, where it reads the
-row, and then does arithmetic on it: ``row_and_t`` returns it with t_chi,
-``u_value`` on a branch class reads that class's unit column, and conj
-chi's row is (-u) mod o(C) of chi's, from one helper, ``_conjugate_row``
-(``_conjugate_and_row`` pairs it with conj chi).
+row (anything that is no character raises TypeError there), and then does
+arithmetic on it: ``row_and_t`` returns it with t_chi, ``u_value`` on a
+branch class reads that class's unit column, and conj chi's row is (-u) mod
+o(C) of chi's, from one helper, ``_conjugate_row`` (``_conjugate_and_row``
+pairs it with conj chi).
 One method, ``_t_of_row``, turns a row into t_chi and words the error for a
 non-integral one; every genus, of this cover or of a quotient read off a
 row, is one Riemann-Hurwitz sum (``_riemann_hurwitz``).
@@ -23,13 +24,12 @@ row, is one Riemann-Hurwitz sum (``_riemann_hurwitz``).
 A walk over the dual group reads the u-table, ``CoverSpec.u_table``: every
 character's row in ``characters()`` order, streamed factor by factor as
 zips of integer ranges, so no ``Character`` is built and no row is checked.
-A walk that must name a character, for an error, rebuilds it from its
-index in that order.
+A walk that names its characters zips the table with ``characters()``;
+one that names a character only for an error rebuilds it from its index.
 
 Every invariant is one integer numerator over a known denominator: t_chi
 over L = lcm o(C) (``class_weights``), twice the genus over 2.  A
-``Fraction`` is built to report a value that is not an integer, and once
-per character in ``validate``'s character scan (by ``t_fraction``).
+``Fraction`` is built only to report a value that is not an integer.
 
 The distinguished base point used for normalization (infinity when the base
 has genus 0) is implicit and never allowed to be a branch value.
@@ -53,6 +53,7 @@ from .groups import (
     DEFAULT_CAP,
     GroupSpec,
     _class_element,
+    _of_kind,
     smith_diagonal,
 )
 
@@ -137,7 +138,13 @@ def _class_sort_key(key: ClassKey):
 
 @_record
 class CoverSpec:
-    """Branch data of a Galois cover over a base of the given genus."""
+    """Branch data of a Galois cover over a base of the given genus.
+
+    The constructor checks every point and builds the point tables:
+    ``branch_classes`` (the distinct classes, sorted, with order and points),
+    ``point_orders`` and ``_point_classes`` (each point's class order and
+    index), and ``class_weights`` (L = lcm o(C) and w_C = r_C L / o(C)).
+    """
 
     base_genus: int
     group: GroupSpec | ClassTable
@@ -148,6 +155,8 @@ class CoverSpec:
         if self.base_genus < 0:
             raise ValueError("base genus must be nonnegative")
         labels = set()
+        orders: dict[ClassKey, int] = {}
+        grouped: dict[ClassKey, list[int]] = {}
         for j, bp in enumerate(self.branch_points):
             if self.base_genus == 0 and not isinstance(bp.label, Coord):
                 raise ValueError(
@@ -156,8 +165,25 @@ class CoverSpec:
             labels.add(bp.label)  # one hash per label: a repeat leaves the set at j
             if len(labels) == j:
                 raise ValueError(f"duplicate branch value {bp.label}")
-            if self.class_order(bp.psi) == 1:
-                raise ValueError(f"branch value {bp.label} has trivial class")
+            if bp.psi not in orders:  # a class's order is read once, at its first point
+                orders[bp.psi] = self.class_order(bp.psi)
+                if orders[bp.psi] == 1:
+                    raise ValueError(f"branch value {bp.label} has trivial class")
+            grouped.setdefault(bp.psi, []).append(j)
+        classes = tuple(
+            BranchClass(key, orders[key], tuple(grouped[key])) for key in sorted(grouped, key=_class_sort_key)
+        )
+        index = {cls.key: i for i, cls in enumerate(classes)}
+        lcm = math.lcm(*orders.values())
+        vars(self).update(
+            branch_classes=classes,
+            point_orders=tuple(orders[bp.psi] for bp in self.branch_points),
+            _point_classes=tuple(index[bp.psi] for bp in self.branch_points),
+            class_weights=(lcm, tuple(cls.count * (lcm // cls.order) for cls in classes)),
+        )
+
+    def point_order(self, j: int) -> int:
+        return self.point_orders[j]
 
     # -- group-mode dispatch ----------------------------------------------
 
@@ -196,9 +222,9 @@ class CoverSpec:
 
     def conjugate_character(self, chi: CharLike) -> CharLike:
         if isinstance(chi, Character):
-            self._require_abelian()
-            return self.group.conjugate(chi)
-        if chi.is_trivial:
+            group = self._require_abelian()
+            return group.char_pow(group.check_element(chi), -1)
+        if _of_kind(chi, GenericCharacter, "expected a character").is_trivial:
             return chi  # the trivial character is its own conjugate, under its own name
         row = tuple((key, (-u) % self.class_order(key)) for key, u in chi.u_values)
         return GenericCharacter(f"~{chi.name}", row)
@@ -213,7 +239,7 @@ class CoverSpec:
             if column is None:
                 return group.u_value(chi, key)
             return sum(map(mul, group.check_element(chi).exponents, column[0])) % column[1]
-        for cid, u in chi.u_values:
+        for cid, u in _of_kind(chi, GenericCharacter, "expected a character").u_values:
             if cid == key:
                 return u
         raise ValueError(f"character {chi} supplies no value on class {key}")
@@ -227,6 +253,7 @@ class CoverSpec:
         if isinstance(chi, Character):
             k = self._require_abelian().check_element(chi).exponents
             return tuple([sum(map(mul, k, col)) % o for col, o in self._unit_u_columns.values()])
+        _of_kind(chi, GenericCharacter, "expected a character")
         return tuple(self.u_value(chi, cls.key) for cls in self.branch_classes)
 
     def _conjugate_row(self, row: tuple[int, ...]) -> tuple[int, ...]:
@@ -286,45 +313,7 @@ class CoverSpec:
             exponents.append(k)
         return Character(tuple(reversed(exponents)))
 
-    # -- branch bookkeeping -------------------------------------------------
-
-    @cached_property
-    def branch_classes(self) -> tuple[BranchClass, ...]:
-        """Distinct branch classes, each with its point indices, sorted."""
-        grouped: dict[ClassKey, list[int]] = {}
-        for j, bp in enumerate(self.branch_points):
-            grouped.setdefault(bp.psi, []).append(j)
-        return tuple(
-            BranchClass(key, self.class_order(key), tuple(points))
-            for key, points in sorted(grouped.items(), key=lambda kv: _class_sort_key(kv[0]))
-        )
-
-    @cached_property
-    def point_orders(self) -> tuple[int, ...]:
-        """Order of the class of each branch value, by point index."""
-        orders = [0] * len(self.branch_points)
-        for cls in self.branch_classes:
-            for j in cls.points:
-                orders[j] = cls.order
-        return tuple(orders)
-
-    def point_order(self, j: int) -> int:
-        return self.point_orders[j]
-
-    @cached_property
-    def _point_classes(self) -> tuple[int, ...]:
-        """By point index, the index in ``branch_classes`` of its class."""
-        index = {j: i for i, cls in enumerate(self.branch_classes) for j in cls.points}
-        return tuple(index[j] for j in range(len(self.branch_points)))
-
     # -- invariants -----------------------------------------------------------
-
-    @cached_property
-    def class_weights(self) -> tuple[int, tuple[int, ...]]:
-        """L = lcm of the class orders, and w_C = r_C * L / o(C) per branch
-        class: sum_C r_C x_C / o(C) is the integer sum_C w_C x_C over L."""
-        lcm = math.lcm(*(cls.order for cls in self.branch_classes))
-        return lcm, tuple(cls.count * (lcm // cls.order) for cls in self.branch_classes)
 
     def t_fraction(self, chi: CharLike) -> Fraction:
         """sum_C r_C u_{chi,C} / o(C) as a Fraction: the validate scan's
@@ -373,7 +362,7 @@ class CoverSpec:
         the dual group: every t is integral iff sum_C r_C psi_C = 0, and on a
         genus-0 base no nontrivial t vanishes iff the psi_C generate G (one
         Smith form, the first step of ``quotient``).  Data failing a test, and
-        generic covers, get the character scan, which lists every issue; above
+        generic covers, get the u-table scan, which lists every issue; above
         ``DEFAULT_CAP``, where the dual group is not walked, the scan checks
         only one witness character that the failed test yields.
         """
@@ -381,12 +370,14 @@ class CoverSpec:
         if self.is_abelian and witness is None:
             return ValidationReport(True, ())
         above_cap = self.is_abelian and self.group.order > DEFAULT_CAP
+        rows = [(witness, self.u_row(witness))] if above_cap else zip(self.characters(), self.u_table())
+        lcm, weights = self.class_weights
         issues = []
-        for chi in (witness,) if above_cap else self.characters():
-            t = self.t_fraction(chi)
-            if t.denominator != 1:
-                issues.append(ValidationIssue("non-integral", chi, f"t = {t}"))
-            elif self.base_genus == 0 and t == 0 and not chi.is_trivial:
+        for chi, row in rows:
+            num = sum(map(mul, weights, row))
+            if num % lcm:
+                issues.append(ValidationIssue("non-integral", chi, f"t = {self.t_fraction(chi)}"))
+            elif self.base_genus == 0 and num == 0 and not chi.is_trivial:
                 issues.append(ValidationIssue("degenerate", chi))
         return ValidationReport(not issues, tuple(issues))
 
@@ -447,7 +438,10 @@ class CoverSpec:
         """G / <subgroup_generators> in ascending-divisibility form, from one
         Smith form, and the projection map on elements."""
         group = self._require_abelian()
-        gens = [group.check_element(g) for g in subgroup_generators]
+        gens = [
+            group.check_element(_of_kind(g, GroupElement, "expected a group element"))
+            for g in subgroup_generators
+        ]
         rank = group.rank
         if rank == 0:
             return GroupSpec(()), lambda x: GroupElement(())

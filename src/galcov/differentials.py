@@ -25,8 +25,9 @@ the one guard against a negative value.  It is ``cw_multiplicity`` at
 ``jacobian.decompose`` at the u-table's rows.  The jacobian module's
 analytic multiplicity at rho is this route at q = 1, Gamma = 0 and conj
 rho, and its rational multiplicity adds the route at rho itself.
-Conjugation is decided once, by ``conjugate``, and the +1 correction once,
-by ``same_character``; ``omega_divisor`` reads the conjugate u-row.
+A character and its u-row are conjugated by ``CoverSpec``, a table by
+``conjugate``; the +1 correction is decided once, by ``same_character``;
+``omega_divisor`` reads the conjugate u-row.
 
 ``cw_value`` is one integer numerator over L = lcm o(C), in closed form.
 With rho_C = (q - 1) mod o(C), every 0 <= alpha < o(C) has
@@ -78,7 +79,7 @@ from .errors import (
     UnsupportedBaseGenus,
     _record,
 )
-from .groups import Character, GroupElement
+from .groups import Character, GroupElement, _of_kind
 
 
 def check_admissible(genus_cover: int, q: int):
@@ -204,7 +205,7 @@ def delta_info(cover: CoverSpec, q: int = 1, gamma_degree: int = 0) -> DeltaInfo
     genus-1 base, which is unramified.  A genus-1 cover of the line has
     sum_C r_C (1 - 1/o(C)) = 2, so the raw value -1 + sum_C r_C
     frac((q - 1 - u_{chi,C}) / o(C)) is -1 exactly at the character whose
-    u-row is rho_C = (q - 1) mod o(C); the rows are read by ``row_and_t``,
+    u-row is rho_C = (q - 1) mod o(C); the rows are read from the u-table,
     and at rho = 0 a generic table may omit its trivial row.
 
     The result is memoized on the cover instance per (q, gamma_degree), so
@@ -230,7 +231,11 @@ def _locate_delta(cover: CoverSpec, q: int, gamma_degree: int) -> DeltaInfo:
     if g_x != 1 or cover.base_genus == 1:
         return DeltaInfo(1, cover.trivial_character)
     rhos = _cw_constants(cover, q, 0)[1]
-    found = [chi for chi in cover.characters() if cover.row_and_t(chi)[0] == rhos]
+    found = []
+    for chi, row in zip(cover.characters(), cover.u_table()):
+        cover._t_of_row(row, chi)  # a fractional t raises here, at the first such chi
+        if row == rhos:
+            found.append(chi)
     if not any(rhos) and not any(chi.is_trivial for chi in found):
         found.append(cover.trivial_character)  # a table may omit its trivial row
     if len(found) != 1:
@@ -317,7 +322,7 @@ def eichler_trace(
             "data and use trace_from_fixed_points otherwise"
         )
     group = cover.group
-    order = group.element_order(tau)  # the one check of tau; the class keys were checked with the cover
+    order = group.element_order(_of_kind(tau, GroupElement, "expected a group element"))  # the one check of tau
     if order == 1:
         raise IdentityElement("the identity trace is the total dimension; use total_dim_omega")
     info = delta_info(cover, q, gamma_degree)

@@ -61,11 +61,16 @@ class GroupElement:
         return "g(" + ",".join(str(a) for a in self.exponents) + ")"
 
 
+def _of_kind(x: object, kind: type, what: str):
+    """x when it is a ``kind``; anything else raises TypeError, saying ``what`` was expected."""
+    if not isinstance(x, kind):
+        raise TypeError(f"{what}, got {x!r}")
+    return x
+
+
 def _class_element(key: object) -> GroupElement:
     """An abelian class key, which must be a group element."""
-    if not isinstance(key, GroupElement):
-        raise TypeError(f"abelian covers index classes by group elements, got {key!r}")
-    return key
+    return _of_kind(key, GroupElement, "abelian covers index classes by group elements")
 
 
 @_record
@@ -184,7 +189,8 @@ class GroupSpec:
         merged by the CRT for moduli that need not be coprime.  The merged
         modulus is o(base), so the result lies in [0, o(base)).
         """
-        return self._discrete_log(self.check_element(base), self.check_element(target))
+        vectors = (_of_kind(x, GroupElement, "expected a group element") for x in (base, target))
+        return self._discrete_log(*map(self.check_element, vectors))
 
     def _discrete_log(self, base: GroupElement, target: GroupElement) -> int | None:
         """``power_index`` of two vectors already reduced mod the orders."""
@@ -209,16 +215,14 @@ class GroupSpec:
     def char_pow(self, chi: Character, k: int) -> Character:
         return Character(tuple(map(mod, map(mul, chi.exponents, repeat(k)), self.cyclic_orders)))
 
-    def conjugate(self, chi: Character) -> Character:
-        return self.char_pow(self.check_element(chi), -1)
-
     def u_value(self, chi: Character, x: GroupElement) -> int:
         """Discrete log of chi(x) to base the primitive o(x)-th root of unity.
 
         Returns the unique u with 0 <= u < o(x) and chi(x) = zeta_{o(x)}^u,
         in integers: o * a_i is a multiple of m_i because o * x = 0.
         """
-        return self._u_at_order(self.check_element(chi), x, self.element_order(_class_element(x)))
+        chi = self.check_element(_of_kind(chi, Character, "expected a character"))
+        return self._u_at_order(chi, x, self.element_order(_class_element(x)))
 
     def _u_at_order(self, chi: Character, x: GroupElement, o: int) -> int:
         """``u_value`` at an x of order o, with neither vector checked."""
@@ -302,8 +306,8 @@ class ClassTable:
     def __post_init__(self):
         if self.group_order < 1:
             raise ValueError("group order must be positive")
-        ids = [c.class_id for c in self.classes]
-        if len(set(ids)) != len(ids):
+        vars(self)["_by_id"] = by_id = {c.class_id: c for c in self.classes}  # the index ``record`` reads
+        if len(by_id) != len(self.classes):
             raise ValueError("duplicate class ids")
         for rec in self.classes:
             if self.group_order % rec.order:
@@ -311,7 +315,6 @@ class ClassTable:
                     f"class {rec.class_id} has order {rec.order}, "
                     f"not a divisor of the group order {self.group_order}"
                 )
-        by_id = {c.class_id: c for c in self.classes}
         for chi in self.characters:
             for cid, u in chi.u_values:
                 if cid not in by_id:
@@ -322,10 +325,7 @@ class ClassTable:
                     )
 
     def record(self, class_id: str) -> ClassRecord:
-        for rec in self.classes:
-            if rec.class_id == class_id:
-                return rec
-        raise KeyError(class_id)
+        return self._by_id[class_id]
 
     @classmethod
     def build(

@@ -97,6 +97,53 @@ class TestValidate:
             CoverSpec(0, g, (BranchPoint("a", g.element([1])),))
 
 
+class TestPointTables:
+    """The constructor's one pass over the points builds the point tables,
+    reading each distinct class's order once, and reports the first
+    offending point in point order."""
+
+    @pytest.fixture
+    def orders_read(self, monkeypatch):
+        keys = []
+        class_order = CoverSpec.class_order
+
+        def counting(cover, key):
+            keys.append(key)
+            return class_order(cover, key)
+
+        monkeypatch.setattr(CoverSpec, "class_order", counting)
+        return keys
+
+    def test_abelian_classes_read_once(self, orders_read):
+        g = GroupSpec((2, 6))
+        psis = [(0, 2), (1, 0), (0, 2), (1, 3), (1, 0), (0, 2)]
+        cover = CoverSpec(0, g, tuple(BranchPoint(pt(j + 1), g.element(x)) for j, x in enumerate(psis)))
+        assert orders_read == [g.element(x) for x in [(0, 2), (1, 0), (1, 3)]]
+        tables = (cover.branch_classes, cover.point_orders, cover._point_classes, cover.class_weights)
+        assert [(cls.key.exponents, cls.order, cls.points) for cls in tables[0]] == [
+            ((0, 2), 3, (0, 2, 5)), ((1, 0), 2, (1, 4)), ((1, 3), 2, (3,)),
+        ]
+        assert tables[1:] == ((3, 2, 3, 2, 2, 3), (0, 1, 0, 2, 1, 0), (6, (6, 6, 3)))
+        cover.genus()
+        assert len(orders_read) == 3
+
+    def test_generic_classes_read_once(self, orders_read):
+        cover = cover_from_class_table(1, ClassTable.build([("s", 2, 3), ("r", 3, 2)], 6))
+        assert orders_read == ["s", "r"]
+        assert [(cls.key, cls.points) for cls in cover.branch_classes] == [("r", (3, 4)), ("s", (0, 1, 2))]
+        assert cover.point_orders == (2, 2, 2, 3, 3) and cover._point_classes == (1, 1, 1, 0, 0)
+
+    @pytest.mark.parametrize(
+        "labels, exponents, message",
+        [((1, 2, 2), (1, 0, 1), "branch value 2 has trivial class"), ((1, 1, 2), (1, 1, 0), "duplicate branch value 1")],
+    )
+    def test_first_offending_point_is_reported(self, labels, exponents, message):
+        g = GroupSpec((2,))
+        with pytest.raises(ValueError) as raised:
+            CoverSpec(0, g, [BranchPoint(pt(x), g.element([e])) for x, e in zip(labels, exponents)])
+        assert str(raised.value) == message
+
+
 class TestGenus:
     def test_four_points(self):
         assert z2_cover(4).genus() == 1

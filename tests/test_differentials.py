@@ -273,21 +273,23 @@ class TestOncePerCover:
         assert counted == {"kernel": 4, "genus": 1}
 
     def test_one_scan_per_q_and_gamma(self, counted, monkeypatch):
-        rows = []
-        row_and_t = CoverSpec.row_and_t
+        walks = []
+        u_table = CoverSpec.u_table
 
-        def counting_row_and_t(cover, chi):
-            rows.append(chi)
-            return row_and_t(cover, chi)
+        def counting_u_table(cover):
+            walks.append([])
+            for row in u_table(cover):
+                walks[-1].append(row)
+                yield row
 
-        monkeypatch.setattr(CoverSpec, "row_and_t", counting_row_and_t)
+        monkeypatch.setattr(CoverSpec, "u_table", counting_u_table)
         cover = cyclic_cover(4, [1, 1, 2])
         for _ in range(3):
             for q in (1, 2):
                 delta_info(cover, q, 0)
                 delta_info(cover, q, 1)
-        # degree > 0 needs no search; q = 1 and q = 2 read the four rows once each
-        assert len(rows) == 2 * 4
+        # degree > 0 needs no search; q = 1 and q = 2 walk the four rows once each
+        assert [len(rows) for rows in walks] == [4, 4]
         assert counted == {"kernel": 0, "genus": 1}
 
     def test_memo_dies_with_its_cover(self):

@@ -6,10 +6,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from galcov import BranchPoint, Character, ClassTable, CoverSpec, GroupElement, GroupSpec, euler_phi
-from galcov.differentials import cw_multiplicity, dim_omega_chi, eichler_trace, omega_divisor
+from galcov import (
+    BranchPoint,
+    Character,
+    ClassTable,
+    CoverSpec,
+    GroupElement,
+    GroupSpec,
+    cover_from_class_table,
+    euler_phi,
+)
+from galcov.differentials import conjugate, cw_multiplicity, dim_omega_chi, eichler_trace, omega_divisor
 from galcov.divisors import h_chi_divisor, trivial_divisor
-from galcov.errors import SearchSpaceTooLarge
+from galcov.errors import NotAbelian, SearchSpaceTooLarge
 from galcov.groups import DEFAULT_CAP, smith_diagonal
 from galcov.jacobian import analytic_multiplicity, rational_multiplicity
 
@@ -160,7 +169,7 @@ class TestCheckElement:
         "element_order": lambda g, e: g.element_order(GroupElement(e)),
         "power_index base": lambda g, e: g.power_index(GroupElement(e), g.identity),
         "power_index target": lambda g, e: g.power_index(g.identity, GroupElement(e)),
-        "conjugate": lambda g, e: g.conjugate(Character(e)),
+        "conjugate": lambda g, e: CoverSpec(0, g, ()).conjugate_character(Character(e)),
         "analytic_multiplicity": lambda g, e: analytic_multiplicity(z2_z6_cover(g), Character(e)),
         "rational_multiplicity": lambda g, e: rational_multiplicity(z2_z6_cover(g), Character(e)),
         "i_chi": lambda g, e: trivial_divisor(z2_z6_cover(g)).i_chi(Character(e)),
@@ -198,6 +207,68 @@ class TestCheckElement:
         for key in (GroupElement([1, 1]), GroupElement([0, 2])):
             expected = g.u_value(Character((1, 2)), GroupElement(tuple(key.exponents)))
             assert cover.u_value(Character([1, 2]), key) == expected
+
+
+def class_table_cover():
+    """A genus-8 cover of a genus-1 base by a group of order 6 with one
+    one-dimensional character."""
+    return cover_from_class_table(1, ClassTable.build([("r", 3, 2), ("s", 2, 2)], 6, {"sgn": {"r": 0, "s": 1}}))
+
+
+class TestKindMixups:
+    """An entry point that takes only characters, or only group elements,
+    refuses the other kind and anything else with a worded TypeError."""
+
+    CHARACTER_CALLS = {
+        "u_row": lambda cover, x: cover.u_row(x),
+        "u_value": lambda cover, x: cover.u_value(x, cover.branch_classes[0].key),
+        "t_chi": lambda cover, x: cover.t_chi(x),
+        "dim_omega_chi": lambda cover, x: dim_omega_chi(cover, x),
+        "conjugate_character": lambda cover, x: cover.conjugate_character(x),
+        "conjugate": lambda cover, x: conjugate(cover, x),
+        "cw_multiplicity": lambda cover, x: cw_multiplicity(cover, x),
+        "analytic_multiplicity": lambda cover, x: analytic_multiplicity(cover, x),
+        "rational_multiplicity": lambda cover, x: rational_multiplicity(cover, x),
+    }
+    ELEMENT_CALLS = {
+        "eichler_trace": lambda g, x: eichler_trace(z2_z6_cover(g), x),
+        "quotient": lambda g, x: z2_z6_cover(g).quotient([x]),
+        "power_index base": lambda g, x: g.power_index(x, g.identity),
+        "power_index target": lambda g, x: g.power_index(g.identity, x),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CHARACTER_CALLS))
+    @pytest.mark.parametrize("cover", ["abelian", "generic"])
+    @pytest.mark.parametrize("x", [GroupElement((1, 1)), "chi(1,1)"], ids=["element", "string"])
+    def test_characters_only(self, call, cover, x):
+        cover = z2_z6_cover(GroupSpec((2, 6))) if cover == "abelian" else class_table_cover()
+        with pytest.raises(TypeError) as raised:
+            self.CHARACTER_CALLS[call](cover, x)
+        assert str(raised.value) == f"expected a character, got {x!r}"
+
+    @pytest.mark.parametrize("x", [GroupElement((1, 1)), "chi(1,1)"], ids=["element", "string"])
+    def test_group_u_value_takes_a_character(self, x):
+        g = GroupSpec((2, 6))
+        with pytest.raises(TypeError) as raised:
+            g.u_value(x, g.element([1, 1]))
+        assert str(raised.value) == f"expected a character, got {x!r}"
+
+    @pytest.mark.parametrize("call", sorted(ELEMENT_CALLS))
+    @pytest.mark.parametrize("x", [Character((1, 1)), "g(1,1)"], ids=["character", "string"])
+    def test_elements_only(self, call, x):
+        with pytest.raises(TypeError) as raised:
+            self.ELEMENT_CALLS[call](GroupSpec((2, 6)), x)
+        assert str(raised.value) == f"expected a group element, got {x!r}"
+
+    def test_the_other_cover_kind_keeps_its_error(self):
+        abelian, generic = z2_z6_cover(GroupSpec((2, 6))), class_table_cover()
+        sgn = generic.group.characters[0]
+        with pytest.raises(ValueError) as raised:
+            abelian.u_row(sgn)
+        assert str(raised.value) == "character sgn supplies no value on class g(1,0)"
+        for call in (generic.u_row, generic.conjugate_character, generic.t_chi):
+            with pytest.raises(NotAbelian):
+                call(Character((1, 1)))
 
 
 class TestPairing:
@@ -373,6 +444,12 @@ class TestClassTable:
     def test_u_table_bounds(self):
         with pytest.raises(ValueError):
             ClassTable.build([("c", 2)], 2, {"chi": {"c": 2}})
+
+    def test_record_reads_each_class_by_id(self):
+        table = ClassTable.build([("a", 3), ("b", 2)], 6)
+        assert [table.record(cid) for cid in ("b", "a")] == [table.classes[1], table.classes[0]]
+        with pytest.raises(KeyError):
+            table.record("c")
 
     def test_conjugate_row(self):
         table = ClassTable.build([("a", 3), ("b", 2)], 6, {"chi": {"a": 1, "b": 1}})

@@ -14,12 +14,15 @@ from the representative's row with no quotient cover built, and conj chi's
 row is (-u) mod o(C) of chi's, from the one helper ``_conjugate_row``.
 
 Each quantity has one formula: the order of a character is
-``element_order``, a Galois orbit carries its phi(e), conj chi's row is read
-through ``conjugate_character``, an eigenvalue table is checked once by
-``IrrepClassData.rows``, and the walk orders of ``elements`` and
-``characters`` are not established a second time.  A private helper that
-nothing in the package calls is dead code.  No module imports
-``dataclasses``: the records come from ``galcov.errors._record``.
+``element_order``, a Galois orbit carries its phi(e), conj chi's row is
+``_conjugate_row`` of chi's, never read through ``conjugate_character``, an
+eigenvalue table is checked once by ``IrrepClassData.rows``, and the walk
+orders of ``elements`` and ``characters`` are not established a second
+time.  A private helper that nothing in the package calls is dead code.  No
+module imports ``dataclasses``: the records come from
+``galcov.errors._record``.  Each table has one builder: the constructor
+builds a cover's point tables, and only the unit columns and the genus are
+computed lazily.
 """
 
 import ast
@@ -163,6 +166,25 @@ def test_no_module_imports_dataclasses():
         or isinstance(node, ast.ImportFrom) and not node.level and node.module.partition(".")[0] == "dataclasses"
     )
     assert importers == []
+
+
+def test_only_the_unit_columns_and_the_genus_are_lazy():
+    """``_unit_u_columns`` waits for the first row, so a cover built before
+    tracing starts still reads its u-values under the tracer; ``_genus``
+    waits for the first genus, so ``validate`` reports data whose 2g is odd.
+    Every other table is built by the constructor."""
+    lazy = sorted(
+        f"{module}.{node.name}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            (d.id if isinstance(d, ast.Name) else d.attr if isinstance(d, ast.Attribute) else None)
+            == "cached_property"
+            for d in node.decorator_list
+        )
+    )
+    assert lazy == ["cover._genus", "cover._unit_u_columns"]
 
 
 @pytest.mark.parametrize("qualified", sorted(PRIVATE))

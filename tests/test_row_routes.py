@@ -211,3 +211,42 @@ class TestOneCheckPerPublicCall:
         decompose(cover)
         # the orbit walk's order and the representative's row, per orbit
         assert calls[0] <= 2 * orbits < cover.degree
+
+
+class TestLibraryWalksReadTheUTable:
+    """``validate``'s character scan and the +1 search zip ``characters()``
+    with ``u_table()``: no character's row is read, or checked, on its own."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = [0]
+        check = GroupSpec.check_element
+
+        def counting(group, x):
+            calls[0] += 1
+            return check(group, x)
+
+        monkeypatch.setattr(GroupSpec, "check_element", counting)
+        return calls
+
+    def test_validate_scan(self, checks):
+        # classes 2 and 58 sum to 0 but generate only 2Z_60: every t is an
+        # integer, and chi(30), trivial on both, has t = 0
+        group = GroupSpec((60,))
+        cover = CoverSpec(0, group, tuple(BranchPoint(pt(j + 1), group.element([x])) for j, x in enumerate([2, 58])))
+        cover.u_row(cover.trivial_character)
+        checks[0] = 0
+        report = cover.validate()
+        assert [(issue.kind, issue.character) for issue in report.issues] == [("degenerate", group.character([30]))]
+        # the generators' checks in the generating-vector test; none per character
+        assert checks[0] == len(cover.branch_classes)
+
+    def test_delta_search(self, checks):
+        group = GroupSpec((6,))
+        cover = CoverSpec(0, group, tuple(BranchPoint(pt(j + 1), group.element([x])) for j, x in enumerate([1, 2, 3])))
+        assert cover.genus() == 1
+        cover.u_row(cover.trivial_character)
+        checks[0] = 0
+        for q in (1, 2, 3):
+            assert delta_info(cover, q, 0).delta == 1
+        assert checks[0] == 0
