@@ -12,11 +12,11 @@ with chi(x) = zeta_{o(C)}^u for x in C.  On an abelian cover u is additive in
 chi, so the row is one dot product per class with the unit characters'
 columns, built once per cover; a generic cover reads the supplied row.  A
 public per-character question checks its argument once, where it reads the
-row (anything that is no character raises TypeError there), and then does
-arithmetic on it: ``row_and_t`` returns it with t_chi, ``u_value`` on a
-branch class reads that class's unit column, and conj chi's row is (-u) mod
-o(C) of chi's, from one helper, ``_conjugate_row`` (``_conjugate_and_row``
-pairs it with conj chi).
+row (anything that is no character of the cover's kind raises TypeError
+there), and then does arithmetic on it: ``row_and_t`` returns it with
+t_chi, ``u_value`` on a branch class reads that class's unit column, and
+conj chi's row is (-u) mod o(C) of chi's, from one helper,
+``_conjugate_row`` (``_conjugate_and_row`` pairs it with conj chi).
 One method, ``_t_of_row``, turns a row into t_chi and words the error for a
 non-integral one; every genus, of this cover or of a quotient read off a
 row, is one Riemann-Hurwitz sum (``_riemann_hurwitz``).
@@ -165,6 +165,8 @@ class CoverSpec:
             labels.add(bp.label)  # one hash per label: a repeat leaves the set at j
             if len(labels) == j:
                 raise ValueError(f"duplicate branch value {bp.label}")
+            if not isinstance(getattr(bp.psi, "exponents", ()), tuple):  # the key is hashed below
+                raise TypeError(f"branch value {bp.label}: class exponents {bp.psi.exponents!r} are no tuple")
             if bp.psi not in orders:  # a class's order is read once, at its first point
                 orders[bp.psi] = self.class_order(bp.psi)
                 if orders[bp.psi] == 1:
@@ -220,11 +222,18 @@ class CoverSpec:
             return self.group.trivial_character
         return GenericCharacter("1", tuple((c.class_id, 0) for c in self.group.classes))
 
+    def _generic_character(self, chi: object) -> GenericCharacter:
+        """chi, a ``GenericCharacter`` of a class table; anything else raises TypeError."""
+        _of_kind(chi, GenericCharacter, "expected a character")
+        if self.is_abelian:
+            _of_kind(chi, Character, "an abelian cover's characters are exponent vectors")
+        return chi
+
     def conjugate_character(self, chi: CharLike) -> CharLike:
         if isinstance(chi, Character):
             group = self._require_abelian()
             return group.char_pow(group.check_element(chi), -1)
-        if _of_kind(chi, GenericCharacter, "expected a character").is_trivial:
+        if self._generic_character(chi).is_trivial:
             return chi  # the trivial character is its own conjugate, under its own name
         row = tuple((key, (-u) % self.class_order(key)) for key, u in chi.u_values)
         return GenericCharacter(f"~{chi.name}", row)
@@ -239,7 +248,7 @@ class CoverSpec:
             if column is None:
                 return group.u_value(chi, key)
             return sum(map(mul, group.check_element(chi).exponents, column[0])) % column[1]
-        for cid, u in _of_kind(chi, GenericCharacter, "expected a character").u_values:
+        for cid, u in self._generic_character(chi).u_values:
             if cid == key:
                 return u
         raise ValueError(f"character {chi} supplies no value on class {key}")
@@ -253,7 +262,7 @@ class CoverSpec:
         if isinstance(chi, Character):
             k = self._require_abelian().check_element(chi).exponents
             return tuple([sum(map(mul, k, col)) % o for col, o in self._unit_u_columns.values()])
-        _of_kind(chi, GenericCharacter, "expected a character")
+        self._generic_character(chi)
         return tuple(self.u_value(chi, cls.key) for cls in self.branch_classes)
 
     def _conjugate_row(self, row: tuple[int, ...]) -> tuple[int, ...]:
@@ -316,8 +325,7 @@ class CoverSpec:
     # -- invariants -----------------------------------------------------------
 
     def t_fraction(self, chi: CharLike) -> Fraction:
-        """sum_C r_C u_{chi,C} / o(C) as a Fraction: the validate scan's
-        reporter, which must word non-integral values."""
+        """sum_C r_C u_{chi,C} / o(C) as a Fraction, integral or not."""
         lcm, weights = self.class_weights
         return Fraction(sum(map(mul, weights, self.u_row(chi))), lcm)
 
@@ -376,7 +384,7 @@ class CoverSpec:
         for chi, row in rows:
             num = sum(map(mul, weights, row))
             if num % lcm:
-                issues.append(ValidationIssue("non-integral", chi, f"t = {self.t_fraction(chi)}"))
+                issues.append(ValidationIssue("non-integral", chi, f"t = {Fraction(num, lcm)}"))
             elif self.base_genus == 0 and num == 0 and not chi.is_trivial:
                 issues.append(ValidationIssue("degenerate", chi))
         return ValidationReport(not issues, tuple(issues))

@@ -28,6 +28,13 @@ breaks a bound is cut at the bucket where it does so.  The search still
 walks dead ends where the bounds of single constraints hold but no later
 class can meet them jointly.
 
+Validity.  Over the line, the data is valid iff every t_chi is an integer
+and every nontrivial t_chi is positive.  The system's set-up reads t_chi
+off the u-table in ``characters()`` order, as ``validate``'s scan does, and
+raises that scan's first error at the first row that fails, so the family
+functions run ``validate`` only above ``DEFAULT_CAP``, where the u-table is
+refused.  A stream builds its system when called; the oracle validates.
+
 ``count_by_cardinality`` runs the same search as a walk over states (class
 index, residual targets), memoized, with each composition weighted by its
 multinomial coefficient; it builds no solution list.  A stream walks the
@@ -47,7 +54,7 @@ from typing import Iterator
 
 from .cover import BranchClass, CoverSpec
 from .divisors import InvariantDivisor
-from .errors import NotAbelian, SearchSpaceTooLarge, UnsupportedBaseGenus
+from .errors import DegenerateCover, NotAbelian, SearchSpaceTooLarge, UnsupportedBaseGenus
 from .groups import DEFAULT_CAP
 
 
@@ -56,7 +63,6 @@ def _require_abelian_line(cover: CoverSpec):
         raise UnsupportedBaseGenus("enumeration works over a genus-0 base")
     if not cover.is_abelian:
         raise NotAbelian("enumeration needs an abelian deck group")
-    cover.validate().raise_for_status()
 
 
 def _constraints(cover: CoverSpec, family: str):
@@ -66,16 +72,19 @@ def _constraints(cover: CoverSpec, family: str):
     Returns (targets, weights) where, for constraint k, weights[k][c] is the
     number of low buckets of class c that count (namely u_{chi,sigma}), and
     the required equality is sum_c sum_{i < weights[k][c]} |B_{c,i}| ==
-    targets[k].
+    targets[k].  The walk decides validity (see the module docstring).
     """
+    if cover.group.order > DEFAULT_CAP:
+        cover.validate().raise_for_status()
     targets = []
     weights = []
     for index, row in enumerate(cover.u_table()):
-        if index == 0 and family == "integral":
-            continue  # the trivial character, first in the table, is not constrained
         t = cover._t_of_row(row, index)
-        targets.append(t - 1 if family == "integral" else t)
-        weights.append(row)
+        if not t and index:  # index 0 is the trivial character
+            raise DegenerateCover(cover._character_at(index))
+        if index or family == "gm1":  # the integral family leaves the trivial character free
+            targets.append(t - 1 if family == "integral" else t)
+            weights.append(row)
     return targets, weights
 
 
@@ -240,15 +249,13 @@ def _checked_table(table: list[tuple[int, ...]], cls: BranchClass) -> list[tuple
     return table
 
 
-def _iter_family(cover: CoverSpec, family: str) -> Iterator[InvariantDivisor]:
+def _iter_family(cover: CoverSpec, system: _CardinalitySystem, p: int) -> Iterator[InvariantDivisor]:
     classes = cover.branch_classes
-    slots = [j for cls in classes for j in cls.points]
-    if sorted(slots) != list(range(len(cover.branch_points))):
-        raise ValueError("the branch classes do not partition the branch values")
+    slots = [j for cls in classes for j in cls.points]  # the constructor's partition of the points
     # rows list the points class by class; put them back in index order
     reorder = None if slots == sorted(slots) else itemgetter(*sorted(range(len(slots)), key=slots.__getitem__))
-    build, p = InvariantDivisor._from_checked, 0 if family == "integral" else -1
-    for solution in _CardinalitySystem(cover, family).solutions():
+    build = InvariantDivisor._from_checked
+    for solution in system.solutions():
         tables = [_checked_table(_class_assignments(sizes), cls) for cls, sizes in zip(classes, solution)]
         rows = tables[0] if len(tables) == 1 else map(tuple, map(chain.from_iterable, product(*tables)))
         yield from map(build, repeat(cover), map(reorder, rows) if reorder else rows, repeat(p))
@@ -257,13 +264,13 @@ def _iter_family(cover: CoverSpec, family: str) -> Iterator[InvariantDivisor]:
 def iter_nonspecial_integral(cover: CoverSpec) -> Iterator[InvariantDivisor]:
     """Stream the non-special integral divisors of degree equal to the genus."""
     _require_abelian_line(cover)
-    return _iter_family(cover, "integral")
+    return _iter_family(cover, _CardinalitySystem(cover, "integral"), 0)
 
 
 def iter_degree_gm1(cover: CoverSpec) -> Iterator[InvariantDivisor]:
     """Stream the degree genus-1 divisors with p = -1 and no nonzero section."""
     _require_abelian_line(cover)
-    return _iter_family(cover, "gm1")
+    return _iter_family(cover, _CardinalitySystem(cover, "gm1"), -1)
 
 
 def enumerate_nonspecial_integral(cover: CoverSpec) -> list[InvariantDivisor]:
@@ -299,6 +306,7 @@ def brute_force_filter(
     """Reference enumeration: scan every bucket assignment and keep those with
     the requested degree and total section dimension."""
     _require_abelian_line(cover)
+    cover.validate().raise_for_status()
     size = search_space_size(cover)
     if size > cap:
         raise SearchSpaceTooLarge(size, cap)

@@ -843,8 +843,8 @@ class TestErrorPaths:
 
 
 class TestValidatesOnce:
-    """main validates the cover once; only the library's own gates validate
-    again."""
+    """main validates the cover once; the family counts and streams decide
+    validity in their u-table walk and validate only above the cap."""
 
     def validations(self, monkeypatch, capsys, *argv):
         calls = []
@@ -860,8 +860,8 @@ class TestValidatesOnce:
         return len(calls)
 
     def test_all_on_an_abelian_cover(self, monkeypatch, capsys):
-        # once in main, once in each of count_by_cardinality's two gates
-        assert self.validations(monkeypatch, capsys, "all", HYPER6) == 3
+        # once in main; count_by_cardinality's two calls check validity in their walk
+        assert self.validations(monkeypatch, capsys, "all", HYPER6) == 1
 
     def test_all_on_a_generic_cover(self, monkeypatch, capsys):
         assert self.validations(monkeypatch, capsys, "all", S3_DOC, "--q", "2") == 1

@@ -13,6 +13,7 @@ from galcov import (
     ClassTable,
     Coord,
     CoverSpec,
+    GroupElement,
     GroupSpec,
     InvariantDivisor,
     ValidationReport,
@@ -142,6 +143,16 @@ class TestPointTables:
         with pytest.raises(ValueError) as raised:
             CoverSpec(0, g, [BranchPoint(pt(x), g.element([e])) for x, e in zip(labels, exponents)])
         assert str(raised.value) == message
+
+    def test_a_class_key_with_list_exponents_is_refused(self):
+        # a key is hashed to group the points: list exponents are refused first, naming the point
+        g = GroupSpec((60,))
+        with pytest.raises(TypeError) as raised:
+            CoverSpec(0, g, (BranchPoint(Coord(1), GroupElement([1])),))
+        assert str(raised.value) == "branch value 1: class exponents [1] are no tuple"
+        with pytest.raises(TypeError) as raised:
+            CoverSpec(0, g, (BranchPoint(pt(1), g.element([1])), BranchPoint(pt(2), GroupElement([59]))))
+        assert str(raised.value) == "branch value 2: class exponents [59] are no tuple"
 
 
 class TestGenus:

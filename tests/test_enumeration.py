@@ -2,9 +2,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
+import galcov.cover
 from galcov import (
+    BranchPoint,
+    CoverSpec,
+    GroupSpec,
     InvariantDivisor,
     brute_force_filter,
     count_by_cardinality,
@@ -17,13 +21,22 @@ from galcov import (
 )
 from galcov.cover import BranchClass
 from galcov.enumeration import _CardinalitySystem, _checked_table, _class_assignments
-from galcov.errors import NotAbelian, SearchSpaceTooLarge, UnsupportedBaseGenus
+from galcov.errors import (
+    DegenerateCover,
+    GalcovError,
+    NonIntegralInvariant,
+    NotAbelian,
+    SearchSpaceTooLarge,
+    UnsupportedBaseGenus,
+)
+from galcov.groups import DEFAULT_CAP
 
 import enumeration_oracle as oracle
-from covergen import covers, cyclic_cover, fixture_covers, hyperelliptic, klein_cover
+from covergen import covers, cyclic_cover, fixture_covers, hyperelliptic, klein_cover, pt
 
 FAMILIES = ("integral", "gm1")
 STREAMS = {"integral": iter_nonspecial_integral, "gm1": iter_degree_gm1}
+LISTINGS = {"integral": enumerate_nonspecial_integral, "gm1": enumerate_degree_gm1}
 
 
 def buckets_of(divisors):
@@ -182,6 +195,85 @@ class TestPreconditions:
         cover = CoverSpec(0, g, tuple(BranchPoint(pt(i), g.element([1])) for i in range(5)))
         with pytest.raises(NonIntegralInvariant):
             enumerate_nonspecial_integral(cover)
+
+
+def line_cover(orders, classes):
+    group = GroupSpec(orders)
+    return CoverSpec(0, group, tuple(BranchPoint(pt(j + 1), group.element(x)) for j, x in enumerate(classes)))
+
+
+@st.composite
+def drawn_line_covers(draw):
+    """A cover of the line by one or two cyclic factors of order 2 to 6 with
+    up to five points of nontrivial classes drawn freely: valid or not."""
+    orders = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=2)))
+    element = st.tuples(*(st.integers(0, m - 1) for m in orders)).filter(any)
+    return line_cover(orders, draw(st.lists(element, max_size=5)))
+
+
+def outcome(call):
+    """None when the call returns, else the galcov error's type and text."""
+    try:
+        call()
+    except GalcovError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestValidityFromTheWalk:
+    """The counts and streams decide validity in their u-table walk, with
+    the error ``validate`` would raise, and run no ``validate`` of their own
+    below the cap."""
+
+    @given(drawn_line_covers())
+    @example(line_cover((6,), [(1,), (5,)]))  # valid
+    @example(line_cover((6,), [(1,), (1,)]))  # non-integral at chi(1)
+    @example(line_cover((6,), [(2,), (4,)]))  # degenerate at chi(3)
+    @example(line_cover((2, 4), [(0, 1), (0, 3)]))  # degenerate at chi(1, 0)
+    @example(line_cover((5,), []))  # degenerate at chi(1)
+    @settings(max_examples=150, deadline=None)
+    def test_same_error_as_validate(self, cover):
+        expected = outcome(lambda: cover.validate().raise_for_status())
+        for family in FAMILIES:
+            assert outcome(lambda: count_by_cardinality(cover, family)) == expected
+            assert outcome(lambda: STREAMS[family](cover)) == expected  # at the call, before any next()
+            assert outcome(lambda: LISTINGS[family](cover)) == expected
+        if expected is None:
+            assert count_by_cardinality(cover, "gm1") == len(enumerate_degree_gm1(cover))
+
+    @pytest.mark.parametrize(
+        "classes, error",
+        [((1, 3), NonIntegralInvariant), ((2, DEFAULT_CAP * 2 - 2), DegenerateCover), ((1, DEFAULT_CAP * 2 - 1), None)],
+    )
+    def test_above_the_cap_validate_names_the_fault(self, classes, error):
+        # Z_{2 DEFAULT_CAP}: the walk is refused, so invalid data is named by validate
+        cover = line_cover((DEFAULT_CAP * 2,), [(x,) for x in classes])
+        expected = outcome(lambda: cover.validate().raise_for_status())
+        assert (expected or (None,))[0] is error
+        for family in FAMILIES:
+            for call in (lambda: count_by_cardinality(cover, family), lambda: STREAMS[family](cover)):
+                if error is None:
+                    with pytest.raises(SearchSpaceTooLarge):
+                        call()
+                else:
+                    assert outcome(call) == expected
+
+    def test_no_validate_and_no_smith_form(self, monkeypatch):
+        calls = []
+        smith, validate = galcov.cover.smith_diagonal, CoverSpec.validate
+        monkeypatch.setattr(galcov.cover, "smith_diagonal", lambda *a: calls.append("smith") or smith(*a))
+        monkeypatch.setattr(CoverSpec, "validate", lambda cover: calls.append("validate") or validate(cover))
+        for cover in (hyperelliptic(6), cyclic_cover(6, [1, 2, 3]), klein_cover()):
+            for family in FAMILIES:
+                count_by_cardinality(cover, family)
+                list(STREAMS[family](cover))
+        assert calls == []
+
+    def test_brute_force_filter_validates(self):
+        cover = line_cover((6,), [(2,), (4,)])
+        with pytest.raises(DegenerateCover) as raised:
+            brute_force_filter(cover, 0, cover.genus(), 1)
+        assert str(raised.value) == "degenerate cover: t vanishes at nontrivial character chi(3)"
 
 
 class TestAgainstUnprunedSearch:

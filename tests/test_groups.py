@@ -11,6 +11,7 @@ from galcov import (
     Character,
     ClassTable,
     CoverSpec,
+    GenericCharacter,
     GroupElement,
     GroupSpec,
     cover_from_class_table,
@@ -263,12 +264,28 @@ class TestKindMixups:
     def test_the_other_cover_kind_keeps_its_error(self):
         abelian, generic = z2_z6_cover(GroupSpec((2, 6))), class_table_cover()
         sgn = generic.group.characters[0]
-        with pytest.raises(ValueError) as raised:
-            abelian.u_row(sgn)
-        assert str(raised.value) == "character sgn supplies no value on class g(1,0)"
+        for call in (abelian.u_row, abelian.conjugate_character, abelian.t_chi):
+            with pytest.raises(TypeError) as raised:
+                call(sgn)
+            assert str(raised.value) == f"an abelian cover's characters are exponent vectors, got {sgn!r}"
         for call in (generic.u_row, generic.conjugate_character, generic.t_chi):
             with pytest.raises(NotAbelian):
                 call(Character((1, 1)))
+
+    def test_a_generic_character_on_an_abelian_cover_without_classes(self):
+        # no branch class to read: the character's kind alone decides
+        cover, x = CoverSpec(1, GroupSpec((2,)), ()), GenericCharacter("x", ())
+        calls = {
+            "u_row": cover.u_row,
+            "u_value": lambda chi: cover.u_value(chi, GroupElement((1,))),
+            "conjugate_character": cover.conjugate_character,
+            "t_chi": cover.t_chi,
+            "dim_omega_chi": lambda chi: dim_omega_chi(cover, chi),
+        }
+        for name, call in calls.items():
+            with pytest.raises(TypeError) as raised:
+                call(x)
+            assert str(raised.value) == f"an abelian cover's characters are exponent vectors, got {x!r}", name
 
 
 class TestPairing:

@@ -241,6 +241,18 @@ class TestLibraryWalksReadTheUTable:
         # the generators' checks in the generating-vector test; none per character
         assert checks[0] == len(cover.branch_classes)
 
+    def test_validate_words_issues_from_the_scan(self, checks):
+        # one point of class 1 in Z_60: t(chi(k)) = k/60, so 59 non-integral issues
+        group = GroupSpec((60,))
+        cover = CoverSpec(0, group, (BranchPoint(pt(1), group.element([1])),))
+        checks[0] = 0
+        report = cover.validate()
+        assert [(issue.kind, issue.character, issue.detail) for issue in report.issues] == [
+            ("non-integral", group.character([k]), f"t = {Fraction(k, 60)}") for k in range(1, 60)
+        ]
+        # the unit column's two checks (the unit character and the class); none per issue
+        assert checks[0] == 2
+
     def test_delta_search(self, checks):
         group = GroupSpec((6,))
         cover = CoverSpec(0, group, tuple(BranchPoint(pt(j + 1), group.element([x])) for j, x in enumerate([1, 2, 3])))
