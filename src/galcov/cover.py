@@ -38,6 +38,7 @@ has genus 0) is implicit and never allowed to be a branch value.
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, repeat
@@ -154,6 +155,7 @@ class CoverSpec:
         object.__setattr__(self, "branch_points", tuple(self.branch_points))
         if self.base_genus < 0:
             raise ValueError("base genus must be nonnegative")
+        abelian = self.is_abelian
         labels = set()
         orders: dict[ClassKey, int] = {}
         grouped: dict[ClassKey, list[int]] = {}
@@ -165,7 +167,10 @@ class CoverSpec:
             labels.add(bp.label)  # one hash per label: a repeat leaves the set at j
             if len(labels) == j:
                 raise ValueError(f"duplicate branch value {bp.label}")
-            if not isinstance(getattr(bp.psi, "exponents", ()), tuple):  # the key is hashed below
+            if not isinstance(bp.psi, GroupElement if abelian else Hashable):  # the key is hashed below
+                kind = "abelian covers index classes by group elements" if abelian else "a class key must be hashable"
+                raise TypeError(f"branch value {bp.label}: {kind}, got {bp.psi!r}")
+            if not isinstance(getattr(bp.psi, "exponents", ()), tuple):
                 raise TypeError(f"branch value {bp.label}: class exponents {bp.psi.exponents!r} are no tuple")
             if bp.psi not in orders:  # a class's order is read once, at its first point
                 orders[bp.psi] = self.class_order(bp.psi)

@@ -29,21 +29,14 @@ A character and its u-row are conjugated by ``CoverSpec``, a table by
 ``conjugate``; the +1 correction is decided once, by ``same_character``;
 ``omega_divisor`` reads the conjugate u-row.
 
-``cw_value`` is one integer numerator over L = lcm o(C), in closed form.
-With rho_C = (q - 1) mod o(C), every 0 <= alpha < o(C) has
-
-    (q - 1 - alpha) mod o(C) = rho_C - alpha + o(C) [alpha > rho_C],
-
-and w_C o(C) = r_C L for the weights w_C = r_C L / o(C), so, as the N_alpha
-of a class sum to the dimension, the numerator is
-
-    dim A_q - sum_C w_C sum_alpha N_alpha alpha
-            + L sum_C r_C sum_{alpha > rho_C} N_alpha,
-    A_q = ((2q-1)(g_S - 1) + deg Gamma) L + sum_C w_C ((q-1)(o(C)-1) + rho_C).
-
-A_q depends only on (cover, q, Gamma) and is memoized on the cover.  For a
-character the numerator is A_q - sum_C w_C u_C + L sum_{u_C > rho_C} r_C:
-one dot product, the one ``row_and_t`` takes, and one count.
+``cw_value`` is the divisor kernel ``divisors._euler_numerator`` at D_q:
+omega -> omega / f^*(dz)^q maps these q-differentials onto L(D_q) as
+G-modules, and D_q has bucket (q - 1) mod o(C) at every branch value of
+class C and p = deg Gamma - 2q + sum_j floor(q (o_j - 1) / o_j).  The
+kernel's constant is c = p + 1, so A_q = (p + 1) L is the numerator at the
+trivial row; over any base c = (2q-1)(g_S - 1) + deg Gamma + sum_C r_C
+(q - 1 - floor((q - 1) / o(C))).  ``_d_q`` memoizes c and D_q's class
+buckets on the cover per (q, Gamma).
 
 Traces of nontrivial deck transformations are evaluated by the fixed-point
 formula and returned as floating-point complex numbers together with the
@@ -55,19 +48,17 @@ multiplicity or trace then costs O(#classes); a trace checks tau once and
 takes each class's exponent from the discrete log of ``power_index`` with
 no vector checked again.  On a genus-1
 cover of the line the corrected character is the one whose u-row is
-rho_C = (q - 1) mod o(C), the row ``_cw_constants`` holds.
+rho_C = (q - 1) mod o(C), D_q's bucket (``_d_q``).
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from itertools import compress
-from operator import gt, mul
 from typing import Sequence
 
 from .cover import CharLike, ClassKey, CoverSpec
-from .divisors import EigenDivisor
+from .divisors import EigenDivisor, _euler_numerator
 from .errors import (
     AdmissibilityViolation,
     ConfigError,
@@ -230,7 +221,7 @@ def _locate_delta(cover: CoverSpec, q: int, gamma_degree: int) -> DeltaInfo:
         return DeltaInfo(0, None)
     if g_x != 1 or cover.base_genus == 1:
         return DeltaInfo(1, cover.trivial_character)
-    rhos = _cw_constants(cover, q, 0)[1]
+    rhos = tuple(buckets[0] for buckets in _d_q(cover, q, 0)[1])
     found = []
     for chi, row in zip(cover.characters(), cover.u_table()):
         cover._t_of_row(row, chi)  # a fractional t raises here, at the first such chi
@@ -402,19 +393,17 @@ def eigen_rows(cover: CoverSpec, rho: IrrepClassData | CharLike) -> tuple[int, E
     return 1, cover.u_row(rho)
 
 
-def _cw_constants(cover: CoverSpec, q: int, gamma_degree: int):
-    """A_q, rho_C = (q - 1) mod o(C) and r_C per branch class, memoized on
-    the cover per (q, gamma_degree) as ``delta_info`` is; O(#classes) once."""
-    memo = vars(cover).setdefault("_cw_constants_memo", {})
+def _d_q(cover: CoverSpec, q: int, gamma_degree: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """D_q's constant c and the buckets (q - 1) mod o(C) of each class's r_C
+    points (module docstring), memoized on the cover per (q, gamma_degree)
+    as ``delta_info`` is; O(#classes) once."""
+    memo = vars(cover).setdefault("_d_q_memo", {})
     key = (q, gamma_degree)
     if key not in memo:
-        lcm, weights = cover.class_weights
         classes = cover.branch_classes
-        rhos = tuple((q - 1) % cls.order for cls in classes)
-        a_q = ((2 * q - 1) * (cover.base_genus - 1) + gamma_degree) * lcm + sum(
-            w * ((q - 1) * (cls.order - 1) + rho) for w, cls, rho in zip(weights, classes, rhos)
-        )
-        memo[key] = a_q, rhos, tuple(cls.count for cls in classes)
+        c = (2 * q - 1) * (cover.base_genus - 1) + gamma_degree
+        c += sum(cls.count * (q - 1 - (q - 1) // cls.order) for cls in classes)
+        memo[key] = c, tuple(((q - 1) % cls.order,) * cls.count for cls in classes)
     return memo[key]
 
 
@@ -424,29 +413,17 @@ def cw_value(cover: CoverSpec, dim: int, rows: EigenRows, q: int, gamma_degree: 
         dim ((2q-1)(g_S - 1) + deg Gamma)
             + sum_C r_C sum_alpha N_alpha [ (q-1)(1 - 1/o(C)) + frac((q - 1 - alpha) / o(C)) ]
 
-    as one integer numerator over L = lcm o(C), in the closed form of the
-    module docstring: dim A_q - sum_C w_C sum_alpha N_alpha alpha + L sum_C
-    r_C sum_{alpha > rho_C} N_alpha, with the weights w_C = r_C L / o(C) of
-    ``CoverSpec.class_weights``.  ``rows`` is a character's u-row (dim 1) or
-    a table's pairs (``eigen_rows``).  Returns the quotient as an int when L
-    divides it, else the Fraction, whose ``denominator`` the callers check.
+    which is the divisor kernel ``_euler_numerator`` at D_q (``_d_q``) over
+    L = lcm o(C).  ``rows`` is a character's u-row (dim 1) or a table's
+    pairs (``eigen_rows``).  Returns the quotient as an int when L divides
+    it, else the Fraction, whose ``denominator`` the callers check.
 
     This one sum serves the q-differential dimensions, the Chevalley-Weil
     multiplicities and, at q = 1, the analytic and rational multiplicities
     on the Jacobian.
     """
-    lcm, weights = cover.class_weights
-    a_q, rhos, counts = _cw_constants(cover, q, gamma_degree)
-    if rows and not isinstance(rows[0], int):
-        # a table: per class, sum_alpha N_alpha alpha and sum_{alpha > rho_C} N_alpha
-        firsts = [sum(n * alpha for alpha, n in row) for row in rows]
-        above = sum(
-            r * sum(n for alpha, n in row if alpha > rho) for r, row, rho in zip(counts, rows, rhos)
-        )
-    else:
-        firsts = rows
-        above = sum(compress(counts, map(gt, rows, rhos)))
-    num = dim * a_q - sum(map(mul, weights, firsts)) + lcm * above
+    num = _euler_numerator(cover, *_d_q(cover, q, gamma_degree), dim, rows)
+    lcm = cover.class_weights[0]
     value, rem = divmod(num, lcm)
     return Fraction(num, lcm) if rem else value
 

@@ -11,16 +11,15 @@ symbolic divisors on the base instead of numbers).
 All numeric dimension formulas here require a genus-0 base, where the
 normalization is fully explicit:
 
-    r_chi = max(0, p + 1 + sum_C |A_{C,chi}| - t_chi)
-    i_chi = max(0, t_{conj chi} - sum_C |A_{C,conj chi}| - p - 1)
+    r_chi = max(0, chi_chi(D)),  chi_chi(D) = p + 1 + sum_C |A_{C,chi}| - t_chi
+    i_chi = r_chi(K_0 - D)
 
-with A_{C,chi} the union of buckets below u_{chi,C}.  Each is an integer
-read from one u-row: ``CoverSpec.row_and_t`` gives the row and t_chi (an
-integer numerator over lcm o(C)), |A_{C,chi}| is counted from the row, and
-i_chi reads conj chi's row from ``CoverSpec._conjugate_and_row``.  The totals
-read the u-table (``CoverSpec.u_table``), one row per character and no
-``Character``; there |A_{C,chi}| is ``bisect_left`` of u_{chi,C} in the
-class's sorted buckets.
+with A_{C,chi} the points of class C in buckets below u_{chi,C}, and K_0 =
+div(f^*(dz)), so K_0 - D has buckets o_j - 1 - i_j and p' = -2 - p (Serre
+duality).  One kernel, ``_euler_numerator``, gives L chi_rho(D), L = lcm
+o(C), from a character's u-row or an eigenvalue table: ``r_chi`` and
+``r_total`` (over ``CoverSpec.u_table``, no ``Character`` built) read it
+at D, ``differentials.cw_value`` at D_q.
 
 These divisors, and the eigendivisors of h_chi and of the q-differential
 generators (``EigenDivisor``), are constant along the fibres of the cover, so
@@ -31,7 +30,7 @@ invariant divisor e_j = o_j - 1 - i_j and e_inf = p plus the base part.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import ge
+from operator import ge, mul
 from typing import Iterable, Sequence
 
 from .cover import CharLike, CoverSpec, Label
@@ -44,6 +43,27 @@ def _fibre_degree(cover: CoverSpec, branch_exponents: Iterable[int], infinity_ex
     normalization point."""
     n = cover.degree
     return sum(n // o * e for o, e in zip(cover.point_orders, branch_exponents)) + n * infinity_exponent
+
+
+def _euler_numerator(cover: CoverSpec, c: int, class_buckets: Sequence[Sequence[int]], dim: int, rows) -> int:
+    """L chi_rho(D) over L = lcm o(C), for a divisor with constant part c
+    (p + 1 for an ``InvariantDivisor``) and the sorted buckets i_j of each
+    branch class's points:
+
+        L (dim c + sum_C sum_alpha N_alpha #{j in C : i_j < alpha})
+            - sum_C w_C sum_alpha N_alpha alpha,
+
+    with w_C = r_C L / o(C) (``CoverSpec.class_weights``).  ``rows`` is a
+    character's u-row (dim 1, N = 1 at alpha = u_C, so the count is |A_chi|
+    and the last sum L t_chi) or per class a table's (alpha, N_alpha) pairs."""
+    lcm, weights = cover.class_weights
+    if rows and not isinstance(rows[0], int):
+        below = sum(n * bisect_left(b, alpha) for b, row in zip(class_buckets, rows) for alpha, n in row)
+        firsts = [sum(n * alpha for alpha, n in row) for row in rows]
+    else:
+        below = sum(map(bisect_left, class_buckets, rows))
+        firsts = rows
+    return lcm * (dim * c + below) - sum(map(mul, weights, firsts))
 
 
 @_record
@@ -101,21 +121,11 @@ class InvariantDivisor:
         buckets = self.buckets
         return [j for cls, u in zip(self.cover.branch_classes, row) for j in cls.points if buckets[j] < u]
 
-    def _excess(self, row: tuple[int, ...], chi: CharLike) -> int:
-        """p + 1 + a_chi - t_chi from chi's u-row: r_chi is max(0, excess(chi))
-        and i_chi is max(0, -excess(conj chi))."""
-        return self.p + 1 + len(self._a_points(row)) - self.cover._t_of_row(row, chi)
-
     def _require_genus0(self):
         if self.cover.base_genus != 0:
             raise UnsupportedBaseGenus(
                 "numeric dimensions need a genus-0 base; use reduced_base_divisor"
             )
-
-    def r_chi(self, chi: CharLike) -> int:
-        """Dimension of the chi-part of the function space of 1/divisor."""
-        self._require_genus0()
-        return max(0, self._excess(self.cover.u_row(chi), chi))
 
     def basis_description(self, chi: CharLike) -> "BasisDescription":
         """The chi-part as h_chi times polynomials over the linear factors
@@ -126,41 +136,48 @@ class InvariantDivisor:
         denominator = tuple(self.cover.branch_points[j].label for j in a_points)
         return BasisDescription(max(-1, self.p + len(a_points) - t), denominator, chi)
 
-    def _total(self, sign: int) -> int:
-        """sum_chi max(0, sign * excess(chi)) over the dual group, from the
-        u-table: per row, t is an integer numerator over lcm o(C) and
-        |A_{C,chi}| the number of the class's buckets below u_{chi,C}.  A
-        non-integral t raises at the character of its row."""
+    def r_chi(self, chi: CharLike) -> int:
+        """Dimension of the chi-part of the function space of 1/divisor:
+        max(0, chi_chi(D)), from chi's u-row."""
         self._require_genus0()
-        cover = self.cover
-        if not cover.is_abelian:
+        return self._sum_excess(((chi, self.cover.u_row(chi)),))
+
+    def r_total(self) -> int:
+        """sum_chi r_chi over the dual group, from the u-table."""
+        self._require_genus0()
+        if not self.cover.is_abelian:
             raise NotAbelian("total dimension sums over the full dual group")
-        t_of_row = cover._t_of_row
-        sorted_buckets = [sorted(self.buckets[j] for j in cls.points) for cls in cover.branch_classes]
-        base = self.p + 1
+        return self._sum_excess(enumerate(self.cover.u_table()))
+
+    def _sum_excess(self, named_rows: Iterable[tuple[CharLike | int, tuple[int, ...]]]) -> int:
+        """sum max(0, chi_chi(D)) over (chi, u-row) pairs, one kernel value
+        per row.  A non-integral t raises at the row's chi or, for an index,
+        at the character with that index in ``characters()`` order."""
+        cover, own = self.cover, self.buckets
+        t_of_row, lcm = cover._t_of_row, cover.class_weights[0]
+        c, buckets = self.p + 1, [sorted([own[j] for j in cls.points]) for cls in cover.branch_classes]
         total = 0
-        for index, row in enumerate(cover.u_table()):
-            excess = sign * (base + sum(map(bisect_left, sorted_buckets, row)) - t_of_row(row, index))
+        for chi, row in named_rows:
+            excess, rem = divmod(_euler_numerator(cover, c, buckets, 1, row), lcm)
+            if rem:
+                t_of_row(row, chi)  # raises at chi
             if excess > 0:
                 total += excess
         return total
 
-    def r_total(self) -> int:
-        """sum_chi r_chi = sum_chi max(0, p + 1 + a_chi - t_chi)."""
-        return self._total(1)
+    def _serre_dual(self) -> "InvariantDivisor":
+        """K_0 - D for K_0 = div(f^*(dz)): buckets o_j - 1 - i_j, p' = -2 - p."""
+        buckets = tuple([o - 1 - i for i, o in zip(self.buckets, self.cover.point_orders)])
+        return InvariantDivisor._from_checked(self.cover, buckets, -2 - self.p)
 
     def i_chi(self, chi: CharLike) -> int:
-        """Dimension of the chi-part of differentials bounded below by the divisor."""
-        self._require_genus0()
-        conj, row = self.cover._conjugate_and_row(chi)
-        return max(0, -self._excess(row, conj))
+        """Dimension of the chi-part of differentials bounded below by the
+        divisor: r_chi of K_0 - D, by Serre duality."""
+        return self._serre_dual().r_chi(chi)
 
     def i_total(self) -> int:
-        """sum_chi i_chi = sum_chi max(0, t_chi - a_chi - p - 1), since
-        chi -> conj chi permutes the dual group: no row is conjugated.
-        On non-integral branch data the error names the first non-integral
-        character, where i_chi would name its conjugate."""
-        return self._total(-1)
+        """sum_chi i_chi: r_total of K_0 - D."""
+        return self._serre_dual().r_total()
 
     def reduced_base_divisor(self, chi: CharLike, kind: str = "function") -> "SymbolicDivisor":
         """Divisor on the base computing the chi-dimension, for any base genus.

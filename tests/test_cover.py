@@ -154,6 +154,19 @@ class TestPointTables:
             CoverSpec(0, g, (BranchPoint(pt(1), g.element([1])), BranchPoint(pt(2), GroupElement([59]))))
         assert str(raised.value) == "branch value 2: class exponents [59] are no tuple"
 
+    @pytest.mark.parametrize("key", [[1], {1: 2}, "a"], ids=["list", "dict", "class-id"])
+    def test_a_class_key_that_is_no_group_element_is_refused_before_hashing(self, key):
+        g = GroupSpec((6,))
+        with pytest.raises(TypeError) as raised:
+            CoverSpec(0, g, (BranchPoint(Coord(1), key),))
+        assert str(raised.value) == f"branch value 1: abelian covers index classes by group elements, got {key!r}"
+
+    def test_an_unhashable_class_table_key_is_refused(self):
+        table = ClassTable.build([("a", 2)], 2)
+        with pytest.raises(TypeError) as raised:
+            CoverSpec(0, table, (BranchPoint(Coord(1), ["a"]),))
+        assert str(raised.value) == "branch value 1: a class key must be hashable, got ['a']"
+
 
 class TestGenus:
     def test_four_points(self):

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from galcov import (
     BranchPoint,
@@ -27,6 +27,7 @@ from galcov import (
     cover_from_class_table,
 )
 from galcov.differentials import (
+    check_admissible,
     cw_multiplicity,
     cw_value,
     delta_info,
@@ -39,7 +40,7 @@ from galcov.errors import GalcovError, NonIntegralInvariant, NTableMismatch
 from galcov.jacobian import analytic_multiplicity, dim_A_W, dim_B_W, primitive_prym_dims
 
 import fraction_oracle as oracle
-from covergen import class_table_covers, covers, covers_with_divisors, pt, random_divisor
+from covergen import class_table_covers, covers, covers_with_divisors, irrep_of_character, pt, random_divisor
 
 QS = (1, 2, 3)
 GAMMAS = (0, 1)
@@ -150,7 +151,11 @@ class TestAbelian:
         assert outcome(div.r_total) == outcome(oracle.r_total, div)
         for chi in cover.characters():
             assert outcome(div.r_chi, chi) == outcome(oracle.r_chi, div, chi)
-            assert outcome(div.i_chi, chi) == outcome(oracle.i_chi, div, chi)
+            expected = outcome(oracle.i_chi, div, chi)
+            if isinstance(expected, tuple):
+                # i_chi is r_chi of K_0 - D, so it names chi, where the oracle names conj chi
+                expected = outcome(cover.row_and_t, chi)
+            assert outcome(div.i_chi, chi) == expected
             assert div.a_total(chi) == oracle.a_total(div, chi)
         total = outcome(div.i_total)
         expected = outcome(oracle.i_total, div)
@@ -329,6 +334,58 @@ class TestClosedFormKernel:
         for q in WRAP_QS:
             for gamma in WRAP_GAMMAS:
                 assert cw_value(cover, dim, rows, q, gamma) == oracle.cw_value(cover, dim, rows, q, gamma)
+
+
+def d_q(cover, q, gamma):
+    """The divisor of f^*(dz)^q over deg Gamma times the base point, in
+    normal form: bucket (q - 1) mod o_j at every branch value and
+    p = deg Gamma - 2q + sum_j floor(q (o_j - 1) / o_j)."""
+    orders = cover.point_orders
+    p = gamma - 2 * q + sum(q * (o - 1) // o for o in orders)
+    return InvariantDivisor(cover, tuple((q - 1) % o for o in orders), p)
+
+
+def k0_minus(div):
+    """K_0 - D for K_0 the divisor of f^*(dz): buckets o_j - 1 - i_j, p' = -2 - p."""
+    orders = div.cover.point_orders
+    return InvariantDivisor(div.cover, tuple(o - 1 - i for i, o in zip(div.buckets, orders)), -2 - div.p)
+
+
+class TestOneEulerCharacteristic:
+    """The Chevalley-Weil value is the divisor excess at D_q, and i_chi is
+    r_chi of K_0 - D (Serre duality), both against ``fraction_oracle``."""
+
+    @given(st.one_of(covers(max_order=24, max_points=6), class_table_covers()))
+    @settings(max_examples=60, deadline=None)
+    def test_cw_value_is_the_excess_at_d_q(self, cover):
+        assume(cover.base_genus == 0 and not isinstance(outcome(cover.genus), tuple))
+        for q in QS:
+            if isinstance(outcome(check_admissible, cover.genus(), q), tuple):
+                continue
+            for gamma in (0, 1, 2):
+                div = d_q(cover, q, gamma)
+                for chi in cover.characters():
+                    # t_chi as a Fraction: on a class table it need not be an integer
+                    expected = div.p + 1 + oracle.a_total(div, chi) - cover.t_fraction(chi)
+                    assert cw_value(cover, 1, cover.u_row(chi), q, gamma) == expected
+                    assert cw_value(cover, *eigen_rows(cover, irrep_of_character(cover, chi)), q, gamma) == expected
+
+    @given(covers_with_divisors())
+    @settings(max_examples=40, deadline=None)
+    def test_i_is_r_of_k0_minus_d(self, div):
+        dual = k0_minus(div)
+        for chi in div.cover.characters():
+            assert div.i_chi(chi) == oracle.r_chi(dual, chi) == oracle.i_chi(div, chi)
+        assert div.i_total() == oracle.r_total(dual)
+
+    @given(class_table_covers(), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_i_is_r_of_k0_minus_d_on_class_tables(self, cover, seed):
+        assume(cover.base_genus == 0)
+        div = random_divisor(random.Random(seed), cover)
+        dual = k0_minus(div)
+        for chi in cover.characters():
+            assert outcome(div.i_chi, chi) == outcome(oracle.r_chi, dual, chi)
 
 
 class TestNonIntegralRowsNameTheirCharacter:

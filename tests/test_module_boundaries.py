@@ -63,6 +63,68 @@ def names_used(code) -> set[str]:
     return names
 
 
+# the functions and methods of the divisor and differential layers, by name
+LAYER_CODE = {
+    name: value.__code__
+    for namespace in (vars(galcov.divisors), vars(galcov.differentials), vars(galcov.divisors.InvariantDivisor))
+    for name, value in namespace.items()
+    if hasattr(value, "__code__")
+}
+
+
+def names_reached(code) -> set[str]:
+    """The names a code object reads, with those of every function or
+    method of ``divisors`` and ``differentials`` it reaches by name."""
+    reached, todo = set(), [code]
+    while todo:
+        new = names_used(todo.pop()) - reached
+        reached |= new
+        todo.extend(LAYER_CODE[name] for name in new if name in LAYER_CODE)
+    return reached
+
+
+@pytest.mark.parametrize(
+    "function",
+    [galcov.differentials.cw_value, galcov.divisors.InvariantDivisor.r_chi, galcov.divisors.InvariantDivisor.r_total],
+    ids=lambda f: f.__name__,
+)
+def test_every_euler_characteristic_reaches_the_kernel(function):
+    assert "_euler_numerator" in names_reached(function.__code__)
+
+
+@pytest.mark.parametrize("module", ["divisors", "differentials"])
+def test_only_the_kernel_counts_buckets_and_weighs_rows(module):
+    """No function but ``_euler_numerator`` counts buckets (``bisect_left``,
+    ``compress``, ``gt``) or reads the weights of ``class_weights``; the
+    others may take its L, ``class_weights[0]``."""
+    offenders = set()
+    for node in ast.walk(TREES[module]):
+        if not isinstance(node, ast.FunctionDef) or node.name == "_euler_numerator":
+            continue
+        inner = list(ast.walk(node))
+        if any(isinstance(n, ast.Name) and n.id in {"bisect_left", "compress", "gt"} for n in inner):
+            offenders.add(node.name)
+        reads = sum(isinstance(n, ast.Attribute) and n.attr == "class_weights" for n in inner)
+        lcm_reads = sum(
+            isinstance(n, ast.Subscript)
+            and isinstance(n.value, ast.Attribute)
+            and n.value.attr == "class_weights"
+            and isinstance(n.slice, ast.Constant)
+            and n.slice.value == 0
+            for n in inner
+        )
+        if reads != lcm_reads:
+            offenders.add(node.name)
+    assert offenders == set()
+
+
+@pytest.mark.parametrize("name, r_name", [("i_chi", "r_chi"), ("i_total", "r_total")])
+def test_i_is_r_of_the_serre_dual(name, r_name):
+    names = names_reached(getattr(galcov.divisors.InvariantDivisor, name).__code__)
+    assert {"_serre_dual", r_name} <= names
+    assert not {"_conjugate_and_row", "_conjugate_row", "conjugate_character"} & names
+
+
 def test_delta_search_reads_rows_only():
     names = names_used(galcov.differentials._locate_delta.__code__)
     assert not {"raw_dimension_value", "same_character"} & names
