@@ -200,7 +200,7 @@ def _parse_branch_mode(document) -> ParsedInput:
         points.append(BranchPoint(label, psi))
     try:
         cover = CoverSpec(base_genus, group, tuple(points))
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         _fail(str(exc), "branch_points")
     if not abelian:
         # every formula reads each character on every branch class

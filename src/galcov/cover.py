@@ -173,7 +173,10 @@ class CoverSpec:
             if not isinstance(getattr(bp.psi, "exponents", ()), tuple):
                 raise TypeError(f"branch value {bp.label}: class exponents {bp.psi.exponents!r} are no tuple")
             if bp.psi not in orders:  # a class's order is read once, at its first point
-                orders[bp.psi] = self.class_order(bp.psi)
+                try:
+                    orders[bp.psi] = self.class_order(bp.psi)
+                except KeyError:  # only a class table's ``record`` looks keys up
+                    raise ValueError(f"branch value {bp.label}: class {bp.psi!r} is not in the class table") from None
                 if orders[bp.psi] == 1:
                     raise ValueError(f"branch value {bp.label} has trivial class")
             grouped.setdefault(bp.psi, []).append(j)

@@ -38,11 +38,13 @@ refused.  A stream builds its system when called; the oracle validates.
 ``count_by_cardinality`` runs the same search as a walk over states (class
 index, residual targets), memoized, with each composition weighted by its
 multinomial coefficient; it builds no solution list.  A stream walks the
-search's solutions one at a time and expands each per class: each class's
-table of bucket rows is built once and checked once for the row length and
-bucket range ``InvariantDivisor`` checks, and each row of the tables'
-product, in index order, becomes a divisor by
-``InvariantDivisor._from_checked``, which checks nothing.
+search's solutions one at a time and expands each per class.  A class's
+table of bucket rows is built once per stream for each composition, after
+one check of the composition, which fixes the row length and bucket range
+``InvariantDivisor`` checks; each row of it costs one C-level step, a tuple
+join or an ``itemgetter`` call.  Each row of the tables' product, in index
+order, becomes a divisor by ``InvariantDivisor._from_checked``, which checks
+nothing.
 """
 
 from __future__ import annotations
@@ -215,37 +217,55 @@ def _multinomial(sizes: tuple[int, ...]) -> int:
     return ways
 
 
-def _class_assignments(sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _class_assignments(cls: BranchClass, sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The bucket of each of a class's points, by position in the class, for
     every placement with the given bucket sizes: bucket 0's points are chosen
     first, in the order of ``combinations``, then bucket 1's among the rest,
-    and so on.  Built up from the last two nonempty buckets, one row per
-    choice of the first one's points: an earlier bucket choosing among f
-    positions fills the rest with each row so far, by one ``itemgetter``."""
+    and so on.  Built up from the last two nonempty buckets: an earlier bucket
+    choosing among f positions pads the rows so far with itself once, then
+    maps one ``itemgetter`` per choice over them.
+
+    ``InvariantDivisor`` checks each divisor's row length and bucket range;
+    o(C) nonnegative sizes summing to r_C fix both for every row, so the
+    composition is checked once instead."""
+    if len(sizes) != cls.order or min(sizes) < 0 or sum(sizes) != cls.count:
+        raise ValueError(f"a bucket row of class {cls.key} is not {cls.count} entries in [0, {cls.order})")
     # an empty bucket in front makes a lone nonempty bucket the last of a pair
     *head, (low, n_low), (last, free) = [(0, 0), *((i, s) for i, s in enumerate(sizes) if s)]
     free += n_low
-    table = []
-    for chosen in combinations(range(free), n_low):
-        row = [last] * free
-        for pos in chosen:
-            row[pos] = low
-        table.append(tuple(row))
+    table = _two_bucket_rows(free, n_low, low, last)
     for bucket, size in reversed(head[1:]):
+        padded = list(map((bucket,).__add__, table))
         free += size
-        rows = []
+        table = []
         for chosen in combinations(range(free), size):
             rank = iter(range(1, free))
-            getter = itemgetter(*[0 if pos in chosen else next(rank) for pos in range(free)])
-            rows.extend(map(getter, map((bucket,).__add__, table)))
-        table = rows
+            table.extend(map(itemgetter(*[0 if pos in chosen else next(rank) for pos in range(free)]), padded))
     return table
 
 
-def _checked_table(table: list[tuple[int, ...]], cls: BranchClass) -> list[tuple[int, ...]]:
-    """The table, once checked for what ``InvariantDivisor`` checks per divisor."""
-    if set(map(len, table)) != {cls.count} or not set().union(*table) <= set(range(cls.order)):
-        raise ValueError(f"a bucket row of class {cls.key} is not {cls.count} entries in [0, {cls.order})")
+def _two_bucket_rows(n: int, k: int, low: int, last: int) -> list[tuple[int, ...]]:
+    """The rows of n entries with ``low`` at k positions and ``last`` at the
+    rest, in the ``combinations`` order of the low positions, which is the
+    rows' lexicographic order since low < last.  Each row joins a prefix of
+    n // 2 entries, in order, to a suffix table of the complementary weight
+    shared by every prefix of that weight."""
+
+    def rows(m: int, w: int) -> list[tuple[int, ...]]:
+        out = []
+        for chosen in combinations(range(m), w):
+            row = [last] * m
+            for pos in chosen:
+                row[pos] = low
+            out.append(tuple(row))
+        return out
+
+    h = n // 2
+    weights = range(max(0, k - (n - h)), min(k, h) + 1)
+    suffixes = {j: rows(n - h, k - j) for j in weights}
+    table = []
+    for prefix, j in sorted((prefix, j) for j in weights for prefix in rows(h, j)):
+        table.extend(map(prefix.__add__, suffixes[j]))
     return table
 
 
@@ -255,8 +275,14 @@ def _iter_family(cover: CoverSpec, system: _CardinalitySystem, p: int) -> Iterat
     # rows list the points class by class; put them back in index order
     reorder = None if slots == sorted(slots) else itemgetter(*sorted(range(len(slots)), key=slots.__getitem__))
     build = InvariantDivisor._from_checked
+    memos: list[dict[tuple[int, ...], list[tuple[int, ...]]]] = [{} for _ in classes]
     for solution in system.solutions():
-        tables = [_checked_table(_class_assignments(sizes), cls) for cls, sizes in zip(classes, solution)]
+        if solution and solution[0] not in memos[0]:
+            memos[0].clear()  # solutions come in lexicographic order: class 0's never returns
+        for memo, cls, sizes in zip(memos, classes, solution):
+            if sizes not in memo:
+                memo[sizes] = _class_assignments(cls, sizes)
+        tables = [memo[sizes] for memo, sizes in zip(memos, solution)]
         rows = tables[0] if len(tables) == 1 else map(tuple, map(chain.from_iterable, product(*tables)))
         yield from map(build, repeat(cover), map(reorder, rows) if reorder else rows, repeat(p))
 

@@ -376,6 +376,26 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert "group.u_table.sgn" in json.loads(captured.err)["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "psi, path, message",
+        [
+            ("b", "branch_points", "branch value 1: class 'b' is not in the class table"),
+            (1, "branch_points[0].psi", "psi must be a class id for generic groups"),
+        ],
+        ids=["str", "int"],
+    )
+    def test_a_class_id_missing_from_the_table_is_refused(self, tmp_path, capsys, psi, path, message):
+        doc = {
+            "mode": "branch-data",
+            "base_genus": 0,
+            "group": {"classes": [{"id": "a", "order": 2}], "order": 2},
+            "branch_points": [{"label": [1, 0], "psi": psi}],
+        }
+        code = self.run(tmp_path, doc, "validate", "--format", "json")
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == EXIT_CODES["config"] == 2
+        assert error["message"] == f"{path}: {message}"
+
     def test_bad_u_table_row_child_process(self, tmp_path):
         doc = {
             "mode": "branch-data",

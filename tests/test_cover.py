@@ -167,6 +167,13 @@ class TestPointTables:
             CoverSpec(0, table, (BranchPoint(Coord(1), ["a"]),))
         assert str(raised.value) == "branch value 1: a class key must be hashable, got ['a']"
 
+    @pytest.mark.parametrize("key", ["b", 1], ids=["str", "int"])
+    def test_a_class_id_missing_from_the_table_is_refused(self, key):
+        table = ClassTable.build([("a", 2)], 2)
+        with pytest.raises(ValueError) as raised:
+            CoverSpec(0, table, (BranchPoint(Coord(1), key),))
+        assert str(raised.value) == f"branch value 1: class {key!r} is not in the class table"
+
 
 class TestGenus:
     def test_four_points(self):

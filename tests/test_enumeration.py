@@ -1,10 +1,12 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import galcov.cover
+import galcov.enumeration
 from galcov import (
     BranchPoint,
     CoverSpec,
@@ -20,7 +22,7 @@ from galcov import (
     trivial_divisor,
 )
 from galcov.cover import BranchClass
-from galcov.enumeration import _CardinalitySystem, _checked_table, _class_assignments
+from galcov.enumeration import _CardinalitySystem, _class_assignments
 from galcov.errors import (
     DegenerateCover,
     GalcovError,
@@ -313,32 +315,79 @@ class TestAgainstUnprunedSearch:
             assert count_by_cardinality(cover, family) == len(expected)
 
 
+@st.composite
+def class_compositions(draw):
+    """A class order from 2 to 7 and a composition of up to 16 points into
+    that many buckets, empty buckets anywhere, with at most 12870 rows so
+    that the oracle can expand it."""
+    order = draw(st.integers(2, 7))
+    nonempty = sorted(draw(st.sets(st.integers(0, order - 1), min_size=1)))
+    k = len(nonempty)
+    n = draw(st.integers(k, {1: 16, 2: 16, 3: 9, 4: 8}.get(k, 7)))
+    cuts = sorted(draw(st.permutations(range(1, n)))[: k - 1])
+    sizes = [0] * order
+    for i, a, b in zip(nonempty, [0, *cuts], [*cuts, n]):
+        sizes[i] = b - a
+    return tuple(sizes)
+
+
+def one_class_cover(order, n):
+    """n points of the class of 1 in Z_order; unvalidated, as expand needs
+    only the class's points."""
+    g = GroupSpec((order,))
+    return CoverSpec(0, g, tuple(BranchPoint(pt(j + 1), g.element([1])) for j in range(n)))
+
+
 class TestClassTables:
-    """The per-table check that stands in for the per-divisor one."""
+    """One composition check stands in for the per-divisor one; the tables
+    equal the oracle's expansion, order included."""
 
     def test_built_tables_pass(self):
-        table = _class_assignments((1, 0, 2))
+        table = _class_assignments(BranchClass((1,), 3, (0, 4, 5)), (1, 0, 2))
         assert table == [(0, 2, 2), (2, 0, 2), (2, 2, 0)]
-        assert _checked_table(table, BranchClass((1,), 3, (0, 4, 5))) is table
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_every_composition_matches_the_oracle(self, m):
         cover = cyclic_cover(m, [1] * m)  # one class of m points, of order m
         for sizes in oracle.compositions(m, m):
-            assert _class_assignments(sizes) == list(oracle.expand(cover, (sizes,)))
+            assert _class_assignments(cover.branch_classes[0], sizes) == list(oracle.expand(cover, (sizes,)))
+
+    @given(class_compositions())
+    @settings(max_examples=60, deadline=None)
+    @example((0, 8, 0, 8, 0))  # a two-bucket class of 16 points
+    @example((0, 0, 0, 0, 0, 0, 5))  # a lone nonempty bucket, last
+    @example((3, 0))  # a lone nonempty bucket, first
+    def test_drawn_compositions_match_the_oracle(self, sizes):
+        cover = one_class_cover(len(sizes), sum(sizes))
+        assert _class_assignments(cover.branch_classes[0], sizes) == list(oracle.expand(cover, (sizes,)))
 
     @pytest.mark.parametrize(
-        "table",
-        [
-            [(0, 2, 2), (2, 3, 2)],  # a bucket equal to the class order
-            [(0, 2, 2), (2, -1, 2)],  # a negative bucket
-            [(0, 2, 2), (2, 0)],  # a short row
-            [(0, 2, 2), (2, 0, 2, 2)],  # a long row
-        ],
+        "sizes",
+        [(1, 0, 1, 1), (2, -1, 2), (1, 0, 1), (1, 1, 2)],
+        ids=["wrong-length", "negative", "sum-short", "sum-long"],  # rows with bucket 3, -1, 2 or 4 entries
     )
-    def test_bad_rows_raise(self, table):
+    def test_bad_compositions_raise(self, sizes):
         with pytest.raises(ValueError, match=r"bucket row of class \(1,\) is not 3 entries in \[0, 3\)"):
-            _checked_table(table, BranchClass((1,), 3, (0, 4, 5)))
+            _class_assignments(BranchClass((1,), 3, (0, 4, 5)), sizes)
+
+    def test_a_cover_with_no_branch_points_streams_one_empty_divisor(self):
+        cover = CoverSpec(0, GroupSpec(()), ())  # the line over itself: genus 0, one solution with no classes
+        assert [(d.buckets, d.p) for d in iter_nonspecial_integral(cover)] == [((), 0)]
+        assert [(d.buckets, d.p) for d in iter_degree_gm1(cover)] == [((), -1)]
+
+    def test_a_stream_builds_each_table_once(self, monkeypatch):
+        cover = cyclic_cover(6, [1, 1, 2, 2, 3, 3])  # classes of orders 6, 3 and 2, two points each
+        assert [cls.order for cls in cover.branch_classes] == [6, 3, 2]
+        built = []
+        build = galcov.enumeration._class_assignments
+        monkeypatch.setattr(
+            galcov.enumeration, "_class_assignments", lambda cls, sizes: built.append((cls.key, sizes)) or build(cls, sizes)
+        )
+        divisors = list(iter_degree_gm1(cover))  # solutions share the order-2 class's composition
+        solutions = list(_CardinalitySystem(cover, "gm1").solutions())
+        pairs = [(cls.key, sizes) for solution in solutions for cls, sizes in zip(cover.branch_classes, solution)]
+        assert divisors and len(set(pairs)) < len(pairs)  # some table is shared by two solutions
+        assert Counter(built) == Counter(set(pairs))  # each distinct (class, composition) once
 
 
 class TestLargeCounts:

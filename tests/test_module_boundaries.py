@@ -22,7 +22,8 @@ time.  A private helper that nothing in the package calls is dead code.  No
 module imports ``dataclasses``: the records come from
 ``galcov.errors._record``.  Each table has one builder: the constructor
 builds a cover's point tables, and only the unit columns and the genus are
-computed lazily.
+computed lazily.  A family stream checks each class table once, by its
+composition, and scans no table row by row.
 """
 
 import ast
@@ -228,6 +229,24 @@ def test_no_module_imports_dataclasses():
         or isinstance(node, ast.ImportFrom) and not node.level and node.module.partition(".")[0] == "dataclasses"
     )
     assert importers == []
+
+
+def test_enumeration_scans_no_table_row_by_row():
+    """A class table is checked once, by its composition: no function in
+    ``enumeration`` takes ``map(len, ...)`` of a table or the union of its
+    rows (``set().union(*table)``)."""
+    scans = sorted(
+        node.lineno
+        for node in ast.walk(TREES["enumeration"])
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name) and node.func.id == "map"
+            and node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "len"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "union"
+            and any(isinstance(arg, ast.Starred) for arg in node.args)
+        )
+    )
+    assert scans == []
 
 
 def test_only_the_unit_columns_and_the_genus_are_lazy():
