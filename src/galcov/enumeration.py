@@ -39,8 +39,8 @@ refused.  A stream builds its system when called; the oracle validates.
 index, residual targets), memoized, with each composition weighted by its
 multinomial coefficient; it builds no solution list.  A stream walks the
 search's solutions one at a time and expands each per class.  A class's
-table of bucket rows is built once per stream for each composition, after
-one check of the composition, which fixes the row length and bucket range
+table of bucket rows is built for each solution, after one check of the
+composition, which fixes the row length and bucket range
 ``InvariantDivisor`` checks; each row of it costs one C-level step, a tuple
 join or an ``itemgetter`` call.  Each row of the tables' product, in index
 order, becomes a divisor by ``InvariantDivisor._from_checked``, which checks
@@ -275,14 +275,8 @@ def _iter_family(cover: CoverSpec, system: _CardinalitySystem, p: int) -> Iterat
     # rows list the points class by class; put them back in index order
     reorder = None if slots == sorted(slots) else itemgetter(*sorted(range(len(slots)), key=slots.__getitem__))
     build = InvariantDivisor._from_checked
-    memos: list[dict[tuple[int, ...], list[tuple[int, ...]]]] = [{} for _ in classes]
     for solution in system.solutions():
-        if solution and solution[0] not in memos[0]:
-            memos[0].clear()  # solutions come in lexicographic order: class 0's never returns
-        for memo, cls, sizes in zip(memos, classes, solution):
-            if sizes not in memo:
-                memo[sizes] = _class_assignments(cls, sizes)
-        tables = [memo[sizes] for memo, sizes in zip(memos, solution)]
+        tables = list(map(_class_assignments, classes, solution))
         rows = tables[0] if len(tables) == 1 else map(tuple, map(chain.from_iterable, product(*tables)))
         yield from map(build, repeat(cover), map(reorder, rows) if reorder else rows, repeat(p))
 

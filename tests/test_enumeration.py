@@ -1,12 +1,10 @@
 import math
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import galcov.cover
-import galcov.enumeration
 from galcov import (
     BranchPoint,
     CoverSpec,
@@ -374,20 +372,6 @@ class TestClassTables:
         cover = CoverSpec(0, GroupSpec(()), ())  # the line over itself: genus 0, one solution with no classes
         assert [(d.buckets, d.p) for d in iter_nonspecial_integral(cover)] == [((), 0)]
         assert [(d.buckets, d.p) for d in iter_degree_gm1(cover)] == [((), -1)]
-
-    def test_a_stream_builds_each_table_once(self, monkeypatch):
-        cover = cyclic_cover(6, [1, 1, 2, 2, 3, 3])  # classes of orders 6, 3 and 2, two points each
-        assert [cls.order for cls in cover.branch_classes] == [6, 3, 2]
-        built = []
-        build = galcov.enumeration._class_assignments
-        monkeypatch.setattr(
-            galcov.enumeration, "_class_assignments", lambda cls, sizes: built.append((cls.key, sizes)) or build(cls, sizes)
-        )
-        divisors = list(iter_degree_gm1(cover))  # solutions share the order-2 class's composition
-        solutions = list(_CardinalitySystem(cover, "gm1").solutions())
-        pairs = [(cls.key, sizes) for solution in solutions for cls, sizes in zip(cover.branch_classes, solution)]
-        assert divisors and len(set(pairs)) < len(pairs)  # some table is shared by two solutions
-        assert Counter(built) == Counter(set(pairs))  # each distinct (class, composition) once
 
 
 class TestLargeCounts:
