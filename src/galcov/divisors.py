@@ -30,8 +30,8 @@ invariant divisor e_j = o_j - 1 - i_j and e_inf = p plus the base part.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import ge, mul
-from typing import Iterable, Sequence
+from operator import ge, index, mul
+from typing import Iterable, Iterator, Sequence
 
 from .cover import CharLike, CoverSpec, Label
 from .errors import NonInvariantInput, NotAbelian, UnsupportedBaseGenus, _record
@@ -43,6 +43,15 @@ def _fibre_degree(cover: CoverSpec, branch_exponents: Iterable[int], infinity_ex
     normalization point."""
     n = cover.degree
     return sum(n // o * e for o, e in zip(cover.point_orders, branch_exponents)) + n * infinity_exponent
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as a plain int, through ``operator.index``: a float or a str
+    raises."""
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _euler_numerator(cover: CoverSpec, c: int, class_buckets: Sequence[Sequence[int]], dim: int, rows) -> int:
@@ -76,8 +85,13 @@ class InvariantDivisor:
     base_part: tuple[tuple[Label, int], ...] = ()
 
     def __post_init__(self):
-        buckets = tuple(map(int, self.buckets))
+        buckets = tuple(self.buckets)
+        try:
+            buckets = tuple(map(index, buckets))
+        except TypeError:  # raise at the first bucket that is no integer
+            buckets = tuple([_integer(i, f"the bucket at branch value {j}") for j, i in enumerate(buckets)])
         object.__setattr__(self, "buckets", buckets)
+        object.__setattr__(self, "p", _integer(self.p, "p"))
         object.__setattr__(self, "base_part", tuple(self.base_part))
         orders = self.cover.point_orders
         if len(buckets) != len(orders):
@@ -93,12 +107,23 @@ class InvariantDivisor:
             raise ValueError("genus-0 base: extra base divisor must be empty")
 
     @classmethod
-    def _from_checked(cls, cover: CoverSpec, buckets: tuple[int, ...], p: int) -> "InvariantDivisor":
-        """The divisor with no base part, skipping ``__post_init__``: ``buckets``
-        is a tuple of ints with 0 <= i_j < o_j at every branch value j."""
-        div = object.__new__(cls)
-        div.__dict__.update(cover=cover, buckets=buckets, p=p, base_part=())
-        return div
+    def _from_checked_rows(cls, cover: CoverSpec, rows: Iterable[tuple[int, ...]], p: int) -> Iterator["InvariantDivisor"]:
+        """The divisor with no base part of each row, in order, skipping
+        ``__post_init__``: every row is a tuple of ints with 0 <= i_j < o_j at
+        every branch value j.
+
+        Each divisor's ``__dict__`` gets a copy of one dict of the stream's
+        fields and then its row, two C-level steps against the four
+        ``object.__setattr__`` calls by which ``errors._record``'s ``__init__``
+        keeps a record's fields inline; four item writes alone would leave a
+        split dict, whose attribute reads CPython 3.11 does not specialize."""
+        new, fields = object.__new__, {"cover": cover, "buckets": (), "p": p, "base_part": ()}
+        for buckets in rows:
+            div = new(cls)
+            own = div.__dict__
+            own.update(fields)
+            own["buckets"] = buckets
+            yield div
 
     # -- structure ---------------------------------------------------------
 
@@ -168,7 +193,7 @@ class InvariantDivisor:
     def _serre_dual(self) -> "InvariantDivisor":
         """K_0 - D for K_0 = div(f^*(dz)): buckets o_j - 1 - i_j, p' = -2 - p."""
         buckets = tuple([o - 1 - i for i, o in zip(self.buckets, self.cover.point_orders)])
-        return InvariantDivisor._from_checked(self.cover, buckets, -2 - self.p)
+        return next(InvariantDivisor._from_checked_rows(self.cover, (buckets,), -2 - self.p))
 
     def i_chi(self, chi: CharLike) -> int:
         """Dimension of the chi-part of differentials bounded below by the

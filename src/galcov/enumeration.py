@@ -42,15 +42,16 @@ search's solutions one at a time and expands each per class.  A class's
 table of bucket rows is built for each solution, after one check of the
 composition, which fixes the row length and bucket range
 ``InvariantDivisor`` checks; each row of it costs one C-level step, a tuple
-join or an ``itemgetter`` call.  Each row of the tables' product, in index
-order, becomes a divisor by ``InvariantDivisor._from_checked``, which checks
-nothing.
+join or an ``itemgetter`` call.  The rows of the tables' product, in index
+order, go to ``InvariantDivisor._from_checked_rows``, one generator per
+solution that builds each divisor in its own loop, with no function call
+and no check per divisor.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, product
 from operator import itemgetter
 from typing import Iterator
 
@@ -274,11 +275,11 @@ def _iter_family(cover: CoverSpec, system: _CardinalitySystem, p: int) -> Iterat
     slots = [j for cls in classes for j in cls.points]  # the constructor's partition of the points
     # rows list the points class by class; put them back in index order
     reorder = None if slots == sorted(slots) else itemgetter(*sorted(range(len(slots)), key=slots.__getitem__))
-    build = InvariantDivisor._from_checked
+    build = InvariantDivisor._from_checked_rows
     for solution in system.solutions():
         tables = list(map(_class_assignments, classes, solution))
         rows = tables[0] if len(tables) == 1 else map(tuple, map(chain.from_iterable, product(*tables)))
-        yield from map(build, repeat(cover), map(reorder, rows) if reorder else rows, repeat(p))
+        yield from build(cover, map(reorder, rows) if reorder else rows, p)
 
 
 def iter_nonspecial_integral(cover: CoverSpec) -> Iterator[InvariantDivisor]:

@@ -268,6 +268,8 @@ class ClassRecord:
     branch_count: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.class_id, str):
+            raise TypeError(f"class id {self.class_id!r} is not a str")
         if self.order < 1:
             raise ValueError(f"class order must be positive, got {self.order}")
         if self.branch_count < 0:

@@ -84,6 +84,31 @@ class TestConstructorChecks:
         with pytest.raises(ValueError, match=r"^genus-0 base: extra base divisor must be empty$"):
             InvariantDivisor(hyp6, (0, 0, 1, 1, 1, 1), 0, (("s", 1),))
 
+    @pytest.mark.parametrize(
+        "buckets, message",
+        [
+            ((0.9, 0, 1, 1, 1, 1), r"^the bucket at branch value 0 must be an integer, got 0\.9$"),
+            ((0, 0, 1, "1", 1, 1), r"^the bucket at branch value 3 must be an integer, got '1'$"),
+        ],
+        ids=["float", "str"],
+    )
+    def test_a_bucket_that_is_no_integer(self, hyp6, buckets, message):
+        with pytest.raises(TypeError, match=message):
+            InvariantDivisor(hyp6, buckets, 0)
+
+    def test_a_p_that_is_no_integer(self):
+        z2 = hyperelliptic(4)
+        with pytest.raises(TypeError, match=r"^p must be an integer, got 0\.5$"):
+            InvariantDivisor(z2, (0, 0, 1, 1), 0.5)
+        with pytest.raises(TypeError, match=r"^p must be an integer, got '0'$"):
+            InvariantDivisor(z2, (0, 0, 1, 1), "0")
+
+    def test_integers_of_other_types_are_stored_as_ints(self, hyp6):
+        div = InvariantDivisor(hyp6, (False, 0, True, 1, 1, 1), True)
+        assert div == InvariantDivisor(hyp6, (0, 0, 1, 1, 1, 1), 1)
+        assert repr(div) == repr(InvariantDivisor(hyp6, (0, 0, 1, 1, 1, 1), 1))
+        assert {type(x) for x in (*div.buckets, div.p, div.degree(), div.r_total())} == {int}
+
     def test_lists_are_stored_as_hashable_tuples(self, hyp6):
         g = GroupSpec((2,))
         cover = CoverSpec(1, g, (BranchPoint("x", g.element([1])), BranchPoint("y", g.element([1]))))

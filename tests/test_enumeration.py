@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -372,6 +373,51 @@ class TestClassTables:
         cover = CoverSpec(0, GroupSpec(()), ())  # the line over itself: genus 0, one solution with no classes
         assert [(d.buckets, d.p) for d in iter_nonspecial_integral(cover)] == [((), 0)]
         assert [(d.buckets, d.p) for d in iter_degree_gm1(cover)] == [((), -1)]
+
+
+def streamed_covers():
+    """The fixtures, an 8-point hyperelliptic cover and a Z_6 cover with three
+    classes of two points each, the points of a class not adjacent."""
+    return [c for c in fixture_covers() if c.is_abelian] + [hyperelliptic(8), cyclic_cover(6, [1, 2, 3, 1, 2, 3])]
+
+
+class TestStreamedDivisors:
+    """A streamed divisor, built by ``InvariantDivisor._from_checked_rows``
+    without ``__init__``, is the record ``InvariantDivisor`` builds."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_equal_to_the_constructed_divisor(self, family):
+        for cover in streamed_covers():
+            for d in STREAMS[family](cover):
+                built = InvariantDivisor(cover, d.buckets, d.p)
+                assert d == built and built == d
+                assert hash(d) == hash(built) and repr(d) == repr(built)
+                assert list(vars(d)) == list(InvariantDivisor._fields)
+                assert d.base_part == () and d.p == (0 if family == "integral" else -1)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_frozen(self, family):
+        for d in (d for cover in streamed_covers() for d in itertools.islice(STREAMS[family](cover), 2)):
+            before = dict(vars(d))
+            for change in (
+                lambda: setattr(d, "p", 5),
+                lambda: delattr(d, "buckets"),
+                lambda: setattr(d, "extra", 1),
+            ):
+                with pytest.raises(AttributeError):
+                    change()
+            assert vars(d) == before and list(vars(d)) == list(InvariantDivisor._fields)
+
+    def test_a_stream_runs_no_constructor(self, monkeypatch):
+        calls = []
+        init, post_init = InvariantDivisor.__init__, InvariantDivisor.__post_init__
+        monkeypatch.setattr(InvariantDivisor, "__init__", lambda *a, **k: calls.append("init") or init(*a, **k))
+        monkeypatch.setattr(InvariantDivisor, "__post_init__", lambda d: calls.append("post") or post_init(d))
+        cover = hyperelliptic(10)
+        assert [len(list(STREAMS[family](cover))) for family in FAMILIES] == [math.comb(10, 4), math.comb(10, 5)]
+        assert calls == []
+        InvariantDivisor(cover, (0,) * 10)  # the counters see a constructed divisor
+        assert calls == ["init", "post"]
 
 
 class TestLargeCounts:

@@ -462,6 +462,12 @@ class TestClassTable:
         with pytest.raises(ValueError):
             ClassTable.build([("c", 2)], 2, {"chi": {"c": 2}})
 
+    def test_rejects_a_class_id_that_is_no_str(self):
+        with pytest.raises(TypeError, match=r"^class id 1 is not a str$"):
+            ClassTable.build([("a", 2), (1, 2)], 2)
+        with pytest.raises(TypeError, match=r"^class id \('a',\) is not a str$"):
+            ClassTable.build([(("a",), 2, 2)], 2)
+
     def test_record_reads_each_class_by_id(self):
         table = ClassTable.build([("a", 3), ("b", 2)], 6)
         assert [table.record(cid) for cid in ("b", "a")] == [table.classes[1], table.classes[0]]

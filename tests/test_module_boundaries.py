@@ -23,7 +23,8 @@ module imports ``dataclasses``: the records come from
 ``galcov.errors._record``.  Each table has one builder: the constructor
 builds a cover's point tables, and only the unit columns and the genus are
 computed lazily.  A family stream checks each class table once, by its
-composition, and scans no table row by row.
+composition, and scans no table row by row; its divisors come from the one
+builder that skips ``InvariantDivisor.__init__``.
 """
 
 import ast
@@ -247,6 +248,26 @@ def test_enumeration_scans_no_table_row_by_row():
         )
     )
     assert scans == []
+
+
+def test_only_the_stream_builder_skips_the_constructor():
+    """Every ``object.__new__`` in the package lies inside
+    ``InvariantDivisor._from_checked_rows``: no second divisor constructor
+    grows in ``enumeration`` or ``cli``."""
+    builder = next(
+        node for node in ast.walk(TREES["divisors"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_from_checked_rows"
+    )
+    found = sorted(
+        (module, node.lineno)
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    )
+    assert found and all(
+        module == "divisors" and builder.lineno <= line <= builder.end_lineno for module, line in found
+    ), found
 
 
 def test_only_the_unit_columns_and_the_genus_are_lazy():

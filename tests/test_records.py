@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 import galcov
-from galcov import Character, Coord, CoverSpec, GroupElement, InvariantDivisor
+from galcov import Character, Coord, CoverSpec, GroupElement, InvariantDivisor, iter_degree_gm1
 from galcov.differentials import omega_divisor
 from galcov.divisors import EigenDivisor, h_chi_divisor, trivial_divisor
 from galcov.errors import _record
@@ -90,7 +90,9 @@ def samples():
         out.extend(chis)
         if cover.base_genus == 0:
             out.append(trivial_divisor(cover))
-            out.append(InvariantDivisor._from_checked(cover, trivial_divisor(cover).buckets, 0))
+            out.extend(InvariantDivisor._from_checked_rows(cover, [trivial_divisor(cover).buckets], 0))
+            streamed = next(iter_degree_gm1(cover))
+            out += [streamed, InvariantDivisor(cover, streamed.buckets, streamed.p)]
             out.append(random_divisor(rng, cover))
             out.extend(h_chi_divisor(cover, chi) for chi in chis)
             if cover.genus() >= 1:
