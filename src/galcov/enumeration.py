@@ -275,11 +275,10 @@ def _iter_family(cover: CoverSpec, system: _CardinalitySystem, p: int) -> Iterat
     slots = [j for cls in classes for j in cls.points]  # the constructor's partition of the points
     # rows list the points class by class; put them back in index order
     reorder = None if slots == sorted(slots) else itemgetter(*sorted(range(len(slots)), key=slots.__getitem__))
-    build = InvariantDivisor._from_checked_rows
     for solution in system.solutions():
         tables = list(map(_class_assignments, classes, solution))
         rows = tables[0] if len(tables) == 1 else map(tuple, map(chain.from_iterable, product(*tables)))
-        yield from build(cover, map(reorder, rows) if reorder else rows, p)
+        yield from InvariantDivisor._from_checked_rows(cover, map(reorder, rows) if reorder else rows, p)
 
 
 def iter_nonspecial_integral(cover: CoverSpec) -> Iterator[InvariantDivisor]:
