@@ -235,44 +235,3 @@ def class_key_to_json(key):
     if isinstance(key, GroupElement):
         return list(key.exponents)
     return key
-
-
-def to_document(parsed: ParsedInput) -> dict:
-    """Serialize back to a document; parse(to_document(x)) reproduces x."""
-    if parsed.equations is not None:
-        return {
-            "mode": "equations",
-            "equations": [
-                {
-                    "m": eq.m,
-                    "factors": [
-                        {
-                            "point": "inf" if not isinstance(pt, Coord) else label_to_json(pt),
-                            "exp": e,
-                        }
-                        for pt, e in eq.rhs.factors
-                    ],
-                }
-                for eq in parsed.equations.equations
-            ],
-        }
-    cover = parsed.cover
-    if cover.is_abelian:
-        group_doc = {"cyclic_orders": list(cover.group.cyclic_orders)}
-    else:
-        group_doc = {
-            "classes": [{"id": c.class_id, "order": c.order} for c in cover.group.classes],
-            "order": cover.group.group_order,
-            "u_table": {
-                chi.name: {cid: u for cid, u in chi.u_values} for chi in cover.group.characters
-            },
-        }
-    return {
-        "mode": "branch-data",
-        "base_genus": cover.base_genus,
-        "group": group_doc,
-        "branch_points": [
-            {"label": label_to_json(bp.label), "psi": class_key_to_json(bp.psi)}
-            for bp in cover.branch_points
-        ],
-    }

@@ -45,7 +45,7 @@ from itertools import chain, repeat
 from operator import mod, mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DegenerateCover, NonIntegralInvariant, NotAbelian, SearchSpaceTooLarge, _record
+from .errors import DegenerateCover, NonIntegralInvariant, NotAbelian, SearchSpaceTooLarge, _integer, _record
 from .groups import (
     Character,
     ClassTable,
@@ -153,6 +153,7 @@ class CoverSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "branch_points", tuple(self.branch_points))
+        object.__setattr__(self, "base_genus", _integer(self.base_genus, "base genus"))
         if self.base_genus < 0:
             raise ValueError("base genus must be nonnegative")
         abelian = self.is_abelian
@@ -332,11 +333,6 @@ class CoverSpec:
 
     # -- invariants -----------------------------------------------------------
 
-    def t_fraction(self, chi: CharLike) -> Fraction:
-        """sum_C r_C u_{chi,C} / o(C) as a Fraction, integral or not."""
-        lcm, weights = self.class_weights
-        return Fraction(sum(map(mul, weights, self.u_row(chi))), lcm)
-
     def t_chi(self, chi: CharLike) -> int:
         """The t-invariant: pole order at the base point of the normalized
         eigenfunction attached to chi.  t = sum_C r_C u_{chi,C} / o(C) is one
@@ -377,7 +373,7 @@ class CoverSpec:
         An abelian cover is tested on its generating vector first, without
         the dual group: every t is integral iff sum_C r_C psi_C = 0, and on a
         genus-0 base no nontrivial t vanishes iff the psi_C generate G (one
-        Smith form, the first step of ``quotient``).  Data failing a test, and
+        Smith form, ``_quotient_group``).  Data failing a test, and
         generic covers, get the u-table scan, which lists every issue; above
         ``DEFAULT_CAP``, where the dual group is not walked, the scan checks
         only one witness character that the failed test yields.
@@ -419,37 +415,6 @@ class CoverSpec:
         images = (project(e).exponents[0] for e in units)
         return group.character([m * y // d for y, m in zip(images, group.cyclic_orders)])
 
-    def genus(self) -> int:
-        """Genus of the covering surface, by Riemann-Hurwitz, from the integer
-        2g = 2 + 2n(g_S - 1) + sum_C (n / o(C)) r_C (o(C) - 1); computed once
-        per cover, in O(#classes)."""
-        return self._genus
-
-    @cached_property
-    def _genus(self) -> int:
-        return _riemann_hurwitz(self.base_genus, self.degree, [(c.order, c.count) for c in self.branch_classes])
-
-    # -- quotients ---------------------------------------------------------
-
-    def quotient(self, subgroup_generators: Sequence[GroupElement]) -> "CoverSpec":
-        """Cover of the same base by the quotient of the deck group.
-
-        The quotient group is re-expressed as a product of cyclic factors in
-        ascending-divisibility form; branch values whose class dies in the
-        quotient are dropped.
-        """
-        return self.quotient_projection(subgroup_generators)[0]
-
-    def quotient_projection(self, subgroup_generators: Sequence[GroupElement]):
-        """The quotient cover together with the projection map on elements."""
-        new_group, project = self._quotient_group(subgroup_generators)
-        points = tuple(
-            BranchPoint(bp.label, project(bp.psi))
-            for bp in self.branch_points
-            if new_group.element_order(project(bp.psi)) > 1
-        )
-        return CoverSpec(self.base_genus, new_group, points), project
-
     def _quotient_group(self, subgroup_generators: Sequence[GroupElement]):
         """G / <subgroup_generators> in ascending-divisibility form, from one
         Smith form, and the projection map on elements."""
@@ -474,6 +439,16 @@ class CoverSpec:
             return new_group.element([image[i] for i in kept])
 
         return new_group, project
+
+    def genus(self) -> int:
+        """Genus of the covering surface, by Riemann-Hurwitz, from the integer
+        2g = 2 + 2n(g_S - 1) + sum_C (n / o(C)) r_C (o(C) - 1); computed once
+        per cover, in O(#classes)."""
+        return self._genus
+
+    @cached_property
+    def _genus(self) -> int:
+        return _riemann_hurwitz(self.base_genus, self.degree, [(c.order, c.count) for c in self.branch_classes])
 
 
 def _riemann_hurwitz(base_genus: int, n: int, classes: Iterable[tuple[int, int]]) -> int:

@@ -125,22 +125,6 @@ class DeltaInfo:
     character: CharLike | None
 
 
-def raw_dimension_value(cover: CoverSpec, rho: IrrepClassData | CharLike, q: int, gamma_degree: int) -> int:
-    """The Chevalley-Weil sum without the delta correction; an integer for
-    consistent branch data and a consistent eigenvalue table."""
-    return _integral(rho, cw_value(cover, *eigen_rows(cover, rho), q, gamma_degree))
-
-
-def _integral(rho: IrrepClassData | CharLike, value: int | Fraction) -> int:
-    """A ``cw_value`` at rho, which is an int unless the table is
-    inconsistent or, at a character, the branch data."""
-    if value.denominator != 1:
-        if isinstance(rho, IrrepClassData):
-            raise NTableMismatch(f"multiplicity {value} is not an integer; eigenvalue table inconsistent")
-        raise NonIntegralInvariant(rho, f"dimension value {value}")
-    return value
-
-
 def same_character(cover: CoverSpec, a: IrrepClassData | CharLike, b: CharLike) -> bool:
     """Equality of characters as the formulas see them: the one test of
     the +1 correction, with b the corrected character.
@@ -441,13 +425,18 @@ def _multiplicity(
     cover: CoverSpec, rho: IrrepClassData | CharLike, dim: int, rows: EigenRows, q: int, gamma_degree: int
 ) -> int:
     """``cw_multiplicity`` from rho's ``eigen_rows``, which a caller holding
-    a character's u-row passes as (1, row)."""
+    a character's u-row passes as (1, row).  A value that is not an integer
+    is an inconsistent table or, at a character, bad branch data."""
     info = delta_info(cover, q, gamma_degree)
-    value = _integral(rho, cw_value(cover, dim, rows, q, gamma_degree))
-    if info.delta and same_character(cover, rho, info.character):
+    value = cw_value(cover, dim, rows, q, gamma_degree)
+    integral = value.denominator == 1
+    if integral and info.delta and same_character(cover, rho, info.character):
         value += 1
-    if value < 0:
-        if isinstance(rho, IrrepClassData):
-            raise NTableMismatch(f"multiplicity {value} is negative; eigenvalue table inconsistent")
+    if integral and value >= 0:
+        return value
+    if isinstance(rho, IrrepClassData):
+        problem = "negative" if integral else "not an integer"
+        raise NTableMismatch(f"multiplicity {value} is {problem}; eigenvalue table inconsistent")
+    if integral:
         raise InternalInconsistency(f"negative dimension {value} at {rho}")
-    return value
+    raise NonIntegralInvariant(rho, f"dimension value {value}")

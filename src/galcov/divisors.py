@@ -30,11 +30,11 @@ invariant divisor e_j = o_j - 1 - i_j and e_inf = p plus the base part.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import ge, index, mul
+from operator import ge, mul
 from typing import Iterable, Iterator, Sequence
 
 from .cover import CharLike, CoverSpec, Label
-from .errors import NonInvariantInput, NotAbelian, UnsupportedBaseGenus, _record
+from .errors import NonInvariantInput, NotAbelian, UnsupportedBaseGenus, _integer, _integers, _record
 
 
 def _fibre_degree(cover: CoverSpec, branch_exponents: Iterable[int], infinity_exponent: int) -> int:
@@ -43,15 +43,6 @@ def _fibre_degree(cover: CoverSpec, branch_exponents: Iterable[int], infinity_ex
     normalization point."""
     n = cover.degree
     return sum(n // o * e for o, e in zip(cover.point_orders, branch_exponents)) + n * infinity_exponent
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as a plain int, through ``operator.index``: a float or a str
-    raises."""
-    try:
-        return index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _euler_numerator(cover: CoverSpec, c: int, class_buckets: Sequence[Sequence[int]], dim: int, rows) -> int:
@@ -85,14 +76,13 @@ class InvariantDivisor:
     base_part: tuple[tuple[Label, int], ...] = ()
 
     def __post_init__(self):
-        buckets = tuple(self.buckets)
-        try:
-            buckets = tuple(map(index, buckets))
-        except TypeError:  # raise at the first bucket that is no integer
-            buckets = tuple([_integer(i, f"the bucket at branch value {j}") for j, i in enumerate(buckets)])
+        buckets = _integers(self.buckets, "the bucket at branch value")
         object.__setattr__(self, "buckets", buckets)
         object.__setattr__(self, "p", _integer(self.p, "p"))
-        object.__setattr__(self, "base_part", tuple(self.base_part))
+        base_part = tuple(self.base_part)
+        if base_part:  # only a positive-genus base carries one
+            base_part = tuple([(pt, _integer(e, f"the exponent at base point {pt}")) for pt, e in base_part])
+        object.__setattr__(self, "base_part", base_part)
         orders = self.cover.point_orders
         if len(buckets) != len(orders):
             raise ValueError(
@@ -319,8 +309,9 @@ class Normalization:
 
 
 def _constant_fiber_value(values, expected_len, where) -> int:
-    if isinstance(values, int):
-        return values
+    """The one exponent of a fiber, given bare or per point; it must be an integer."""
+    if not hasattr(values, "__iter__"):
+        return _integer(values, f"the exponent on the {where}")
     seq = list(values)
     if expected_len is not None and len(seq) != expected_len:
         raise NonInvariantInput(f"{where}: expected {expected_len} fiber exponents, got {len(seq)}")
@@ -328,7 +319,7 @@ def _constant_fiber_value(values, expected_len, where) -> int:
         raise NonInvariantInput(f"{where}: empty fiber")
     if any(v != seq[0] for v in seq):
         raise NonInvariantInput(f"{where}: exponents differ along the fiber: {seq}")
-    return int(seq[0])
+    return _integer(seq[0], f"the exponent on the {where}")
 
 
 def normalize(

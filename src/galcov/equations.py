@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .cover import BranchPoint, Coord, CoverSpec
-from .errors import BranchedAtInfinity, _record
+from .errors import BranchedAtInfinity, _integer, _record
 from .groups import GroupElement, GroupSpec
 
 
@@ -49,7 +49,7 @@ class FactoredRational:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "factors", tuple((pt, int(e)) for pt, e in self.factors)
+            self, "factors", tuple((pt, _integer(e, f"the exponent at {pt}")) for pt, e in self.factors)
         )
         points = [pt for pt, _ in self.factors]
         if len(set(points)) != len(points):

@@ -1,13 +1,18 @@
-"""Error types shared across the library, and the frozen-record helper.
+"""Error types shared across the library, and the record and integer helpers.
 
 Every error that can reach a user through the CLI derives from GalcovError
 and carries a stable ``code`` identifier, so reports and exit codes stay
 deterministic.  ``_record`` makes the library's value types frozen records
 as ``dataclasses.dataclass(frozen=True)`` would, without importing
-``dataclasses`` (and with it ``inspect``) on every CLI start.
+``dataclasses`` (and with it ``inspect``) on every CLI start.  Every layer
+reads the integers a public constructor takes through ``_integer`` and
+``_integers``: a float, a str or a Fraction raises a TypeError naming the
+field, where ``int()`` would truncate it.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 
 class GalcovError(Exception):
@@ -139,3 +144,23 @@ def _record(cls):
         if name not in vars(cls):
             setattr(cls, name, methods[name])
     return cls
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as a plain int, through ``operator.index``; anything else
+    raises TypeError naming ``name``."""
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _integers(values, name: str) -> tuple[int, ...]:
+    """``values`` as a tuple of plain ints, by one C-level ``map(index, ...)``;
+    on failure the first value that is no integer raises TypeError, named
+    ``name`` and its position."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        return tuple([_integer(v, f"{name} {j}") for j, v in enumerate(values)])

@@ -27,7 +27,7 @@ from itertools import product, repeat
 from operator import floordiv, mod, mul
 from typing import Iterator, Mapping, Sequence
 
-from .errors import SearchSpaceTooLarge, _record
+from .errors import SearchSpaceTooLarge, _integer, _integers, _record
 
 # the largest group ``elements`` and ``characters`` walk, and the default
 # bound on the assignments ``enumeration.brute_force_filter`` scans
@@ -112,7 +112,7 @@ class GroupSpec:
     cyclic_orders: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cyclic_orders", tuple(int(m) for m in self.cyclic_orders))
+        object.__setattr__(self, "cyclic_orders", _integers(self.cyclic_orders, "cyclic order"))
         if any(m < 1 for m in self.cyclic_orders):
             raise ValueError(f"cyclic orders must be positive, got {self.cyclic_orders}")
 
@@ -133,7 +133,7 @@ class GroupSpec:
         return Character(self._reduce(exponents, "character"))
 
     def _reduce(self, exponents, what) -> tuple[int, ...]:
-        exponents = tuple(int(e) for e in exponents)
+        exponents = _integers(exponents, f"{what} exponent")
         if len(exponents) != self.rank:
             raise ValueError(
                 f"{what} exponent vector has length {len(exponents)}, expected {self.rank}"
@@ -340,7 +340,9 @@ class ClassTable:
         chars = ()
         if u_table:
             chars = tuple(
-                GenericCharacter(name, tuple(sorted((cid, int(u)) for cid, u in row.items())))
+                GenericCharacter(name, tuple(sorted(
+                    (cid, _integer(u, f"the u-value of {name} at class {cid}")) for cid, u in row.items()
+                )))
                 for name, row in sorted(u_table.items())
             )
         return cls(records, group_order, chars)

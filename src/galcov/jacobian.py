@@ -106,10 +106,6 @@ class RationalIrrepData:
         return looks_trivial
 
     @classmethod
-    def from_character_orbit(cls, cover: CoverSpec, orbit: CharacterOrbit) -> "RationalIrrepData":
-        return cls._of_orbit_row(cover, orbit, cover.u_row(orbit.representative))
-
-    @classmethod
     def _of_orbit_row(cls, cover: CoverSpec, orbit: CharacterOrbit, row: tuple[int, ...]):
         """The orbit's irreducible from its representative's u-row: N_{C,0}
         is 1 on the classes in the kernel, where u = 0, and 0 elsewhere."""

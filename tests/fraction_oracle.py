@@ -2,10 +2,11 @@
 
 These are the routes the library took before it computed each invariant as
 one integer numerator over a known denominator: the pairing of a character
-with an element, t, the Chevalley-Weil sum (over (alpha, N_alpha) pairs),
-the Riemann-Hurwitz genus, the isotypical dimension and the quotient-form
-Prym dimension summed class by class in Fractions, and the divisor totals
-taken as one ``r_chi`` or ``i_chi`` per character, ``i_chi`` conjugating the
+with an element, t (sum_C r_C u_C / o(C) from the u-row), the Chevalley-Weil
+sum (over (alpha, N_alpha) pairs) and its raw value at a character, the
+Riemann-Hurwitz genus, the isotypical dimension and the quotient-form Prym
+dimension summed class by class in Fractions, and the divisor totals taken
+as one ``r_chi`` or ``i_chi`` per character, ``i_chi`` conjugating the
 character first.  They serve only as oracles: the library must give the same
 values, and raise the same errors with the same text.  ``a_sets`` is the
 A-set tuple per class that the library now only counts.
@@ -27,8 +28,16 @@ def pairing(group, chi, x) -> Fraction:
     return s - math.floor(s)
 
 
+def t_fraction(cover: CoverSpec, chi) -> Fraction:
+    """sum_C r_C u_{chi,C} / o(C), one Fraction per class, integral or not."""
+    return sum(
+        (Fraction(cls.count * u, cls.order) for cls, u in zip(cover.branch_classes, cover.u_row(chi))),
+        Fraction(0),
+    )
+
+
 def t_chi(cover: CoverSpec, chi) -> int:
-    t = cover.t_fraction(chi)
+    t = t_fraction(cover, chi)
     if t.denominator != 1:
         raise NonIntegralInvariant(chi, f"t = {t}")
     return int(t)
@@ -44,6 +53,20 @@ def cw_value(cover: CoverSpec, dim: int, rows, q: int, gamma_degree: int) -> Fra
             cls.count * sum(n * ((q - 1) * (o - 1) + (q - 1 - alpha) % o) for alpha, n in row), o
         )
     return value
+
+
+def character_pairs(row):
+    """A character's u-row as one-dimensional eigenvalue rows: (u_C, 1) per class."""
+    return tuple(((u, 1),) for u in row)
+
+
+def raw_dimension_value(cover: CoverSpec, chi, q: int, gamma_degree: int) -> int:
+    """The Chevalley-Weil sum at a character, without the +1; a value that
+    is not an integer raises at chi."""
+    value = cw_value(cover, 1, character_pairs(cover.u_row(chi)), q, gamma_degree)
+    if value.denominator != 1:
+        raise NonIntegralInvariant(chi, f"dimension value {value}")
+    return int(value)
 
 
 def genus(cover: CoverSpec) -> int:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from galcov.cover import CoverSpec, ValidationIssue, ValidationReport
 from galcov.groups import GroupElement, GroupSpec
 
+from fraction_oracle import t_fraction
+
 
 def add(group: GroupSpec, x: GroupElement, y: GroupElement) -> GroupElement:
     """x + y, factor by factor."""
@@ -36,7 +38,7 @@ def validate_by_scan(cover: CoverSpec) -> ValidationReport:
     genus-0 base the nontrivial characters whose t vanishes."""
     issues = []
     for chi in cover.characters():
-        t = cover.t_fraction(chi)
+        t = t_fraction(cover, chi)
         if t.denominator != 1:
             issues.append(ValidationIssue("non-integral", chi, f"t = {t}"))
         elif cover.base_genus == 0 and t == 0 and not chi.is_trivial:

@@ -2,7 +2,9 @@
 
 Each public per-character question now checks its argument once and then
 does arithmetic on the character's u-row.  The earlier routes stay here as
-oracles: a cyclic quotient built as a ``CoverSpec`` of its own, a trace's
+oracles: a cyclic quotient built as a ``CoverSpec`` of its own, the quotient
+cover by any subgroup from the Smith form of ``CoverSpec._quotient_group``,
+an orbit's rational irreducible built from its representative, a trace's
 fixed-point terms from the checked discrete log ``power_index``, the
 Jacobian columns from ``cw_multiplicity`` of each character and of its
 ``conjugate_character``, and the eigendivisors of h_chi and
@@ -15,6 +17,7 @@ from __future__ import annotations
 from galcov.cover import BranchPoint, CoverSpec
 from galcov.differentials import FixedPointTerm, cw_multiplicity
 from galcov.groups import Character, CharacterOrbit, GroupElement, GroupSpec
+from galcov.jacobian import RationalIrrepData
 
 
 def cyclic_quotient(cover: CoverSpec, chi: Character, e: int) -> CoverSpec:
@@ -34,6 +37,32 @@ def cyclic_quotient(cover: CoverSpec, chi: Character, e: int) -> CoverSpec:
         if any(image[bp.psi].exponents)
     )
     return CoverSpec(cover.base_genus, group, points)
+
+
+def quotient_projection(cover: CoverSpec, subgroup_generators):
+    """The cover of the same base by G / <subgroup_generators>, in
+    ascending-divisibility form, and the projection map on elements; branch
+    values whose class dies in the quotient are dropped."""
+    group, project = cover._quotient_group(subgroup_generators)
+    points = tuple(
+        BranchPoint(bp.label, project(bp.psi))
+        for bp in cover.branch_points
+        if group.element_order(project(bp.psi)) > 1
+    )
+    return CoverSpec(cover.base_genus, group, points), project
+
+
+def quotient(cover: CoverSpec, subgroup_generators) -> CoverSpec:
+    return quotient_projection(cover, subgroup_generators)[0]
+
+
+def orbit_irrep(cover: CoverSpec, orbit: CharacterOrbit) -> RationalIrrepData:
+    """The orbit's rational irreducible: N_{C,0} is 1 on the branch classes
+    in the representative's kernel and 0 elsewhere; trivial iff e = 1."""
+    rows = tuple(
+        (cls.key, int(cover.group.u_value(orbit.representative, cls.key) == 0)) for cls in cover.branch_classes
+    )
+    return RationalIrrepData(1, orbit.field_degree, 1, rows, trivial=orbit.order == 1)
 
 
 def quotient_genus_and_form(cover: CoverSpec, orbit: CharacterOrbit) -> tuple[int, int]:

@@ -7,7 +7,6 @@ import random
 from contextlib import contextmanager
 
 from galcov import (
-    RationalIrrepData,
     brute_force_filter,
     cw_multiplicity,
     delta_info,
@@ -23,7 +22,6 @@ from galcov import (
     search_space_size,
     total_dim_omega,
 )
-from galcov.differentials import raw_dimension_value
 
 import fraction_oracle
 from covergen import (
@@ -36,6 +34,7 @@ from covergen import (
     random_divisor,
     random_validated_cover,
 )
+from row_route_oracle import orbit_irrep
 
 
 @contextmanager
@@ -191,7 +190,7 @@ def test_criterion_9_genus1_exception():
         for cover in genus1_fixtures():
             lcm = math.lcm(*(cls.order for cls in cover.branch_classes))
             for q in range(-2, 5):
-                raws = [raw_dimension_value(cover, chi, q, 0) for chi in cover.characters()]
+                raws = [fraction_oracle.raw_dimension_value(cover, chi, q, 0) for chi in cover.characters()]
                 assert raws.count(-1) == 1
                 info = delta_info(cover, q, 0)
                 assert info.delta == 1
@@ -202,14 +201,11 @@ def test_criterion_10_jacobian_decomposition():
     with criterion(10, "isotypical dimensions sum to the genus; both quotient dimension forms agree"):
         for cover in fixture_covers():
             orbits = cover.group.rational_character_orbits()
-            total = sum(
-                dim_A_W(cover, RationalIrrepData.from_character_orbit(cover, orbit))
-                for orbit in orbits
-            )
+            total = sum(dim_A_W(cover, orbit_irrep(cover, orbit)) for orbit in orbits)
             assert total == cover.genus()
             for piece in primitive_prym_dims(cover):
                 assert piece.dim == piece.dim_from_quotient
-                w = RationalIrrepData.from_character_orbit(cover, piece.orbit)
+                w = orbit_irrep(cover, piece.orbit)
                 assert piece.dim == dim_B_W(cover, w)
         klein = klein_cover()
         pieces = primitive_prym_dims(klein)[1:]

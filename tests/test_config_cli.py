@@ -15,11 +15,12 @@ from galcov import (
     iter_nonspecial_integral,
 )
 from galcov.cli import COMMANDS, EXIT_CODES, FAMILIES, main
-from galcov.config import parse_config, to_document
+from galcov.config import parse_config
 from galcov.cover import Coord, CoverSpec
 from galcov.errors import BranchedAtInfinity, ConfigError
 
 from covergen import Z2Z2_OVER_ELLIPTIC, hyperelliptic
+from document_oracle import to_document
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # S3 over the line with four transpositions; the u_table lists only sgn

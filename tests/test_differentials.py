@@ -28,9 +28,9 @@ from galcov import (
 )
 from galcov import cli, differentials
 from galcov.config import parse_config
-from galcov.differentials import raw_dimension_value
 from galcov.errors import AdmissibilityViolation, IdentityElement, NTableMismatch
 
+from fraction_oracle import raw_dimension_value
 from covergen import (
     Z2Z2_OVER_ELLIPTIC,
     covers,

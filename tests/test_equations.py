@@ -16,10 +16,11 @@ from galcov import (
     psi_at,
 )
 from galcov.cli import EXIT_CODES, main
-from galcov.config import ParsedInput, to_document
+from galcov.config import ParsedInput
 from galcov.errors import BranchedAtInfinity
 
 from covergen import pt
+from document_oracle import to_document
 from equations_oracle import check_nondegeneracy, is_nondegenerate
 
 

@@ -233,7 +233,7 @@ class TestKindMixups:
     }
     ELEMENT_CALLS = {
         "eichler_trace": lambda g, x: eichler_trace(z2_z6_cover(g), x),
-        "quotient": lambda g, x: z2_z6_cover(g).quotient([x]),
+        "quotient": lambda g, x: z2_z6_cover(g)._quotient_group([x]),
         "power_index base": lambda g, x: g.power_index(x, g.identity),
         "power_index target": lambda g, x: g.power_index(g.identity, x),
     }

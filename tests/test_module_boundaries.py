@@ -18,7 +18,9 @@ Each quantity has one formula: the order of a character is
 ``_conjugate_row`` of chi's, never read through ``conjugate_character``, an
 eigenvalue table is checked once by ``IrrepClassData.rows``, and the walk
 orders of ``elements`` and ``characters`` are not established a second
-time.  A private helper that nothing in the package calls is dead code.  No
+time.  A private helper that nothing in the package calls is dead code, and
+so is a public function or method that no command, benchmark workload or
+library function reads, unless it is listed as library API.  No
 module imports ``dataclasses``: the records come from
 ``galcov.errors._record``.  Each table has one builder: the constructor
 builds a cover's point tables, and only the unit columns and the genus are
@@ -39,6 +41,8 @@ import galcov.differentials
 import galcov.divisors
 import galcov.groups
 import galcov.jacobian
+
+from test_public_api import BENCHMARK_METHODS
 
 
 def test_jacobian_binds_no_kernel_internals():
@@ -298,3 +302,46 @@ def test_private_names_have_callers(qualified):
         if where != module or not node.lineno <= line <= node.end_lineno
     )
     assert node.name in outside, f"{qualified} has no caller in the package"
+
+
+# public functions and methods that only a user of the library calls: no
+# command, benchmark workload or library function reads them
+LIBRARY_API = (
+    "a_total", "basis_description", "dimension", "i_chi", "identity", "power_index", "reduced_base_divisor",
+)
+
+# (module, node) of every module-level function and every method of a
+# module-level class, properties included, whose name has no leading underscore
+PUBLIC_DEFS = tuple(
+    (module, node)
+    for module, tree in TREES.items()
+    for top in tree.body
+    for node in ([top] if isinstance(top, ast.FunctionDef) else top.body if isinstance(top, ast.ClassDef) else ())
+    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+)
+
+
+def unread_public_names() -> list[str]:
+    """The public functions and methods that are neither exported
+    (``galcov._EXPORTS``), nor called by the benchmark on an instance
+    (``BENCHMARK_METHODS``), nor referenced by code outside their own body.
+    The scan matches names, so a local variable of the same name counts as
+    a reference."""
+    kept = {name for names in (*galcov._EXPORTS.values(), *BENCHMARK_METHODS.values()) for name in names}
+    return sorted(
+        f"{module}.{node.name}"
+        for module, node in PUBLIC_DEFS
+        if node.name not in kept
+        and not any(
+            name == node.name and (where != module or not node.lineno <= line <= node.end_lineno)
+            for where, name, line in REFERENCES
+        )
+    )
+
+
+def test_public_names_have_a_reader():
+    """Public code that nothing runs is deleted, or moved to a test oracle:
+    every unread public name is library API, and every library API name is
+    still an unread public one."""
+    unread = unread_public_names()
+    assert sorted(name.partition(".")[2] for name in unread) == sorted(LIBRARY_API), unread

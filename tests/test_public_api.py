@@ -108,9 +108,9 @@ BENCHMARK_FUNCTIONS = {
 COUNTED = {
     galcov.groups: ("smith_diagonal",),
     galcov.GroupSpec: ("u_value",),
-    galcov.CoverSpec: ("t_fraction", "validate", "quotient"),
+    galcov.CoverSpec: ("validate",),
     galcov.jacobian: ("decompose",),
-    galcov.differentials: ("delta_info", "raw_dimension_value", "eichler_trace", "cw_multiplicity"),
+    galcov.differentials: ("delta_info", "eichler_trace", "cw_multiplicity"),
     galcov.enumeration: ("count_by_cardinality",),
     galcov.InvariantDivisor: ("r_chi",),
     galcov.equations: ("build_cover",),
