@@ -43,9 +43,10 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, repeat
 from operator import mod, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .errors import DegenerateCover, NonIntegralInvariant, NotAbelian, SearchSpaceTooLarge, _integer, _record
+from .errors import DegenerateCover, InternalInconsistency, NonIntegralInvariant, NotAbelian, SearchSpaceTooLarge
+from .errors import _integer, _record
 from .groups import (
     Character,
     ClassTable,
@@ -55,7 +56,6 @@ from .groups import (
     GroupSpec,
     _class_element,
     _of_kind,
-    smith_diagonal,
 )
 
 
@@ -372,11 +372,12 @@ class CoverSpec:
 
         An abelian cover is tested on its generating vector first, without
         the dual group: every t is integral iff sum_C r_C psi_C = 0, and on a
-        genus-0 base no nontrivial t vanishes iff the psi_C generate G (one
-        Smith form, ``_quotient_group``).  Data failing a test, and
-        generic covers, get the u-table scan, which lists every issue; above
-        ``DEFAULT_CAP``, where the dual group is not walked, the scan checks
-        only one witness character that the failed test yields.
+        genus-0 base no nontrivial t vanishes iff the psi_C generate G (a
+        triangular basis of the relations, ``_relation_basis``).  Data
+        failing a test, and generic covers, get the u-table scan, which lists
+        every issue; above ``DEFAULT_CAP``, where the dual group is not
+        walked, the scan checks only one witness character that the failed
+        test yields.
         """
         witness = self._generating_vector_witness() if self.is_abelian else None
         if self.is_abelian and witness is None:
@@ -398,47 +399,29 @@ class CoverSpec:
         generate G.  Otherwise a character that fails validation: the unit
         character e_i of the first factor where the sum s is nonzero, whose t
         has fractional part u_{e_i,s} / o(s) != 0; or a nontrivial character
-        trivial on every psi_C, so t = 0, pulled back from the first factor
-        Z_d of G / <psi_C>."""
+        trivial on every psi_C, so t = 0, read off the triangular basis T of
+        the relations (``_relation_basis``) at its first diagonal entry d > 1."""
         group, classes = self.group, self.branch_classes
-        for i, m in enumerate(group.cyclic_orders):
+        orders = group.cyclic_orders
+        for i, m in enumerate(orders):
             if sum(cls.count * cls.key.exponents[i] for cls in classes) % m:
                 return group.character([int(i == j) for j in range(group.rank)])
         if self.base_genus:
             return None
-        quotient, project = self._quotient_group([cls.key for cls in classes])
-        if quotient.order == 1:
+        basis = _relation_basis(orders, [cls.key.exponents for cls in classes])
+        i = next((i for i, column in enumerate(basis) if column[i] > 1), None)
+        if i is None:
             return None
-        # x -> y_1 / d with y = project(x), in G's exponents: m_j y_1(e_j) / d is an integer
-        d = quotient.cyclic_orders[0]
-        units = (group.element([int(i == j) for j in range(group.rank)]) for i in range(group.rank))
-        images = (project(e).exponents[0] for e in units)
-        return group.character([m * y // d for y, m in zip(images, group.cyclic_orders)])
-
-    def _quotient_group(self, subgroup_generators: Sequence[GroupElement]):
-        """G / <subgroup_generators> in ascending-divisibility form, from one
-        Smith form, and the projection map on elements."""
-        group = self._require_abelian()
-        gens = [
-            group.check_element(_of_kind(g, GroupElement, "expected a group element"))
-            for g in subgroup_generators
-        ]
-        rank = group.rank
-        if rank == 0:
-            return GroupSpec(()), lambda x: GroupElement(())
-        columns = [
-            [m if i == j else 0 for i in range(rank)]
-            for j, m in enumerate(group.cyclic_orders)
-        ] + [list(g.exponents) for g in gens]
-        diag, u = smith_diagonal([list(row) for row in zip(*columns)])
-        kept = [i for i, d in enumerate(diag) if d != 1]
-        new_group = GroupSpec(tuple(diag[i] for i in kept))
-
-        def project(x: GroupElement) -> GroupElement:
-            image = [sum(u[i][k] * x.exponents[k] for k in range(rank)) for i in range(rank)]
-            return new_group.element([image[i] for i in kept])
-
-        return new_group, project
+        # row i of T^-1 is y = n / d, n integral since T_ll = 1 for l < i: y T = e_i,
+        # so y is integral on the relations, and chi_k with k_j = y_j m_j is
+        # trivial on every psi_C but not on e_i, where it is zeta_d
+        d, n = basis[i][i], [0] * i + [1]
+        for l in reversed(range(i)):
+            n[l] = -sum(n[j] * basis[l][j] for j in range(l + 1, i + 1))
+        k, rems = zip(*(divmod(n_j * m, d) for n_j, m in zip(n, orders)))
+        if any(rems):  # m_j e_j is a relation, so y_j m_j is an integer
+            raise InternalInconsistency(f"witness exponents {n} / {d} are not integral on the relations")
+        return group.character(list(k) + [0] * (group.rank - i - 1))
 
     def genus(self) -> int:
         """Genus of the covering surface, by Riemann-Hurwitz, from the integer
@@ -459,6 +442,34 @@ def _riemann_hurwitz(base_genus: int, n: int, classes: Iterable[tuple[int, int]]
     if odd:
         raise NonIntegralInvariant(None, f"genus = {Fraction(twice, 2)}")
     return g
+
+
+def _relation_basis(orders: tuple[int, ...], generators: Iterable[tuple[int, ...]]) -> list[list[int]]:
+    """A lower-triangular basis of the relations Lambda = <m_i e_i, generators>
+    in Z^r, so that G / <generators> = Z^r / Lambda has order the product of
+    the diagonal: column i, zero above row i, starts at m_i e_i, and each
+    generator is folded into it by one unimodular extended-gcd step, which
+    zeroes the generator's entry i.  Every vector is kept reduced mod the
+    m_j, which leaves Lambda unchanged: m_j e_j is a relation, the entries
+    above row i are 0, and the gcd at row i stays below m_i, since the
+    generator's entry lies in (0, m_i)."""
+    pool = [list(map(mod, g, orders)) for g in generators]
+    basis = []
+    for i, m in enumerate(orders):
+        column = [0] * len(orders)
+        column[i] = m
+        for v in pool:
+            if v[i]:
+                g = math.gcd(column[i], v[i])
+                a, b = column[i] // g, v[i] // g
+                x = pow(a, -1, abs(b))  # x a + y b = 1; x = 0 when b = +-1
+                y = (1 - x * a) // b
+                column, v[:] = (
+                    [(x * c + y * w) % o for c, w, o in zip(column, v, orders)],
+                    [(a * w - b * c) % o for c, w, o in zip(column, v, orders)],
+                )
+        basis.append(column)
+    return basis
 
 
 def _factor_rows(prefix: tuple[int, ...], steps: tuple[int, ...], m: int, orders: tuple[int, ...]):

@@ -68,6 +68,8 @@ from .errors import (
     NotAbelian,
     NTableMismatch,
     UnsupportedBaseGenus,
+    _integer,
+    _integers,
     _record,
 )
 from .groups import Character, GroupElement, _of_kind
@@ -327,6 +329,12 @@ class IrrepClassData:
     dim: int
     n_table: tuple[tuple[ClassKey, tuple[int, ...]], ...]
     character: CharLike | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "dim", _integer(self.dim, "dimension"))
+        what = "eigenvalue multiplicity at class {}, alpha ="
+        rows = tuple((key, _integers(row, what.format(key))) for key, row in self.n_table)
+        object.__setattr__(self, "n_table", rows)
 
     def rows(self, cover: CoverSpec) -> tuple[tuple[int, ...], ...]:
         """N_alpha for every branch class, in ``branch_classes`` order; the

@@ -91,6 +91,7 @@ class Equation:
     rhs: FactoredRational
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _integer(self.m, "root order"))
         if self.m < 2:
             raise ValueError(f"root order must be at least 2, got {self.m}")
 

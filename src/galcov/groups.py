@@ -270,6 +270,9 @@ class ClassRecord:
     def __post_init__(self):
         if not isinstance(self.class_id, str):
             raise TypeError(f"class id {self.class_id!r} is not a str")
+        object.__setattr__(self, "order", _integer(self.order, f"the order of class {self.class_id}"))
+        count = _integer(self.branch_count, f"the branch count of class {self.class_id}")
+        object.__setattr__(self, "branch_count", count)
         if self.order < 1:
             raise ValueError(f"class order must be positive, got {self.order}")
         if self.branch_count < 0:
@@ -306,6 +309,7 @@ class ClassTable:
     characters: tuple[GenericCharacter, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "group_order", _integer(self.group_order, "group order"))
         if self.group_order < 1:
             raise ValueError("group order must be positive")
         vars(self)["_by_id"] = by_id = {c.class_id: c for c in self.classes}  # the index ``record`` reads
@@ -346,91 +350,3 @@ class ClassTable:
                 for name, row in sorted(u_table.items())
             )
         return cls(records, group_order, chars)
-
-
-# -- integer Smith normal form (row transform tracked) -----------------------
-
-
-def smith_diagonal(matrix: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """Elementary divisors of an integer matrix, plus the row transform.
-
-    Returns ``(diag, U)`` where U is unimodular and U @ matrix can be brought
-    to diag(diag) by column operations alone; diag entries are nonnegative
-    with each dividing the next.  Only the row transform is tracked because
-    column operations do not change the column span.
-    """
-    a = [list(int(x) for x in row) for row in matrix]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-
-    def add_row(dst, src, k):
-        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(dst, src, k):
-        for row in a:
-            row[dst] += k * row[src]
-
-    t = 0
-    while t < min(nrows, ncols):
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            if a[t][t] < 0:
-                negate_row(t)
-            dirty = False
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # pivot must divide the remaining submatrix for ascending divisibility
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
-        t += 1
-    diag = [abs(a[i][i]) for i in range(min(nrows, ncols))]
-    return diag, u

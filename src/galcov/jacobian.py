@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .cover import CharLike, ClassKey, CoverSpec, _riemann_hurwitz
 from .differentials import IrrepClassData, _multiplicity, conjugate, cw_multiplicity
-from .errors import InternalInconsistency, NonIntegralDimension, NotAbelian, NTableMismatch, _record
+from .errors import InternalInconsistency, NonIntegralDimension, NotAbelian, NTableMismatch, _integer, _record
 from .groups import Character, CharacterOrbit
 
 
@@ -72,6 +72,10 @@ class RationalIrrepData:
     trivial: bool | None = None
 
     def __post_init__(self):
+        for name, what in (("dim", "dimension"), ("field_degree", "field degree"), ("schur_index", "Schur index")):
+            object.__setattr__(self, name, _integer(getattr(self, name), what))
+        dims = tuple((key, _integer(n0, f"the invariant dimension at class {key}")) for key, n0 in self.invariant_dims)
+        object.__setattr__(self, "invariant_dims", dims)
         if self.dim < 1 or self.field_degree < 1 or self.schur_index < 1:
             raise ValueError("dimension, field degree, and Schur index must be positive")
         if self.dim % self.schur_index:

@@ -3,7 +3,10 @@
 Each public per-character question now checks its argument once and then
 does arithmetic on the character's u-row.  The earlier routes stay here as
 oracles: a cyclic quotient built as a ``CoverSpec`` of its own, the quotient
-cover by any subgroup from the Smith form of ``CoverSpec._quotient_group``,
+group G / <generators> and its projection from a general Smith normal form
+(``quotient_group`` over ``smith_diagonal``, which ``CoverSpec.validate``
+used before it read generation off a triangular basis of the relations),
+the quotient cover by any subgroup built from them,
 an orbit's rational irreducible built from its representative, a trace's
 fixed-point terms from the checked discrete log ``power_index``, the
 Jacobian columns from ``cw_multiplicity`` of each character and of its
@@ -14,9 +17,11 @@ conj chi's row from ``conjugate_character``.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from galcov.cover import BranchPoint, CoverSpec
 from galcov.differentials import FixedPointTerm, cw_multiplicity
-from galcov.groups import Character, CharacterOrbit, GroupElement, GroupSpec
+from galcov.groups import Character, CharacterOrbit, GroupElement, GroupSpec, _of_kind
 from galcov.jacobian import RationalIrrepData
 
 
@@ -39,11 +44,125 @@ def cyclic_quotient(cover: CoverSpec, chi: Character, e: int) -> CoverSpec:
     return CoverSpec(cover.base_genus, group, points)
 
 
+# -- integer Smith normal form (row transform tracked) -----------------------
+
+
+def smith_diagonal(matrix: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Elementary divisors of an integer matrix, plus the row transform.
+
+    Returns ``(diag, U)`` where U is unimodular and U @ matrix can be brought
+    to diag(diag) by column operations alone; diag entries are nonnegative
+    with each dividing the next.  Only the row transform is tracked because
+    column operations do not change the column span.
+    """
+    a = [list(int(x) for x in row) for row in matrix]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+
+    def add_row(dst, src, k):
+        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    def add_col(dst, src, k):
+        for row in a:
+            row[dst] += k * row[src]
+
+    t = 0
+    while t < min(nrows, ncols):
+        pivot = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            if a[t][t] < 0:
+                negate_row(t)
+            dirty = False
+            for i in range(t + 1, nrows):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    add_row(i, t, -q)
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(t + 1, ncols):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    add_col(j, t, -q)
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            # pivot must divide the remaining submatrix for ascending divisibility
+            offender = None
+            for i in range(t + 1, nrows):
+                for j in range(t + 1, ncols):
+                    if a[i][j] % a[t][t]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+        t += 1
+    diag = [abs(a[i][i]) for i in range(min(nrows, ncols))]
+    return diag, u
+
+
+def quotient_group(cover: CoverSpec, subgroup_generators: Sequence[GroupElement]):
+    """G / <subgroup_generators> in ascending-divisibility form, from one
+    Smith form, and the projection map on elements."""
+    group = cover._require_abelian()
+    gens = [
+        group.check_element(_of_kind(g, GroupElement, "expected a group element"))
+        for g in subgroup_generators
+    ]
+    rank = group.rank
+    if rank == 0:
+        return GroupSpec(()), lambda x: GroupElement(())
+    columns = [
+        [m if i == j else 0 for i in range(rank)]
+        for j, m in enumerate(group.cyclic_orders)
+    ] + [list(g.exponents) for g in gens]
+    diag, u = smith_diagonal([list(row) for row in zip(*columns)])
+    kept = [i for i, d in enumerate(diag) if d != 1]
+    new_group = GroupSpec(tuple(diag[i] for i in kept))
+
+    def project(x: GroupElement) -> GroupElement:
+        image = [sum(u[i][k] * x.exponents[k] for k in range(rank)) for i in range(rank)]
+        return new_group.element([image[i] for i in kept])
+
+    return new_group, project
+
+
 def quotient_projection(cover: CoverSpec, subgroup_generators):
     """The cover of the same base by G / <subgroup_generators>, in
     ascending-divisibility form, and the projection map on elements; branch
     values whose class dies in the quotient are dropped."""
-    group, project = cover._quotient_group(subgroup_generators)
+    group, project = quotient_group(cover, subgroup_generators)
     points = tuple(
         BranchPoint(bp.label, project(bp.psi))
         for bp in cover.branch_points

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -18,6 +19,7 @@ from galcov.cli import COMMANDS, EXIT_CODES, FAMILIES, main
 from galcov.config import parse_config
 from galcov.cover import Coord, CoverSpec
 from galcov.errors import BranchedAtInfinity, ConfigError
+from galcov.groups import GroupSpec
 
 from covergen import Z2Z2_OVER_ELLIPTIC, hyperelliptic
 from document_oracle import to_document
@@ -555,6 +557,28 @@ class TestHugeCyclicGroup:
                 "code": "degenerate-cover",
                 "message": f"degenerate cover: t vanishes at nontrivial character chi({witness[0]})",
             }
+
+
+def test_rank_two_group_above_the_cap_reports_one_witness(tmp_path, capsys):
+    """Z_{10^4} x Z_{10^4} with psi = (2,0), (0,2), (-2,-2): the psi sum to 0
+    but generate only the even elements, so the witness read off the
+    triangular basis, chi(5000, 0), is the one degenerate issue, and the
+    dual group is never walked."""
+    order = 10**4
+    doc = {
+        "mode": "branch-data",
+        "base_genus": 0,
+        "group": {"cyclic_orders": [order, order]},
+        "branch_points": [
+            {"label": k + 1, "psi": psi} for k, psi in enumerate([[2, 0], [0, 2], [order - 2, order - 2]])
+        ],
+    }
+    path = tmp_path / "rank2.json"
+    path.write_text(json.dumps(doc))
+    with mock.patch.object(GroupSpec, "characters", side_effect=AssertionError("walked")):
+        code, out, err = run_json(capsys, "validate", str(path))
+    assert (code, err) == (EXIT_CODES["degenerate-cover"], None)
+    assert out["issues"] == [{"kind": "degenerate", "character": [order // 2, 0], "detail": ""}]
 
 
 class TestShippedConfigs:

@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -19,13 +20,14 @@ from galcov import (
     ValidationReport,
     cover_from_class_table,
 )
+from galcov.cover import _relation_basis
 from galcov.errors import DegenerateCover, NonIntegralInvariant, NotAbelian, SearchSpaceTooLarge
 from galcov.groups import DEFAULT_CAP
 
 from covergen import class_table_covers, covers, fixture_covers, klein_cover, pt, random_validated_cover
 from fraction_oracle import t_fraction
 from group_walk_oracle import add, validate_by_scan
-from row_route_oracle import quotient, quotient_projection
+from row_route_oracle import quotient, quotient_group, quotient_projection
 
 
 def z2_cover(num_points):
@@ -320,7 +322,7 @@ class TestQuotient:
         table = ClassTable.build([("c", 2, 2)], 2)
         cover = cover_from_class_table(1, table)
         with pytest.raises(NotAbelian):
-            cover._quotient_group([])
+            quotient_group(cover, [])
 
 
 class TestGenericMode:
@@ -368,6 +370,67 @@ def branch_data_on_any_base(draw):
     return CoverSpec(base_genus, group, tuple(BranchPoint(pt(j + 1), x) for j, x in enumerate(classes)))
 
 
+@st.composite
+def line_data_of_rank_up_to_5(draw):
+    """Branch data over the line whose classes sum to zero, on 1 to 5 cyclic
+    factors with orders of 1 and orders that do not divide one another."""
+    orders = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 9, 10]), min_size=1, max_size=5))
+    group = GroupSpec(tuple(orders))
+    vectors = draw(st.lists(st.tuples(*(st.integers(0, m - 1) for m in orders)), max_size=4))
+    closing = [-sum(v[i] for v in vectors) for i in range(len(orders))]
+    classes = [group.element(v) for v in [*vectors, closing]]
+    classes = [x for x in classes if group.element_order(x) > 1]
+    return CoverSpec(0, group, tuple(BranchPoint(pt(j + 1), x) for j, x in enumerate(classes)))
+
+
+class TestGenerationWitness:
+    """``_generating_vector_witness`` against the Smith form of the oracle's
+    ``quotient_group``: the triangular basis of the relations has the
+    quotient's order on its diagonal, and the witness is a nontrivial
+    character that is trivial on every psi_C exactly when the psi_C do not
+    generate G."""
+
+    @given(line_data_of_rank_up_to_5())
+    @settings(max_examples=200, deadline=None)
+    def test_witness_iff_the_quotient_is_nontrivial(self, cover):
+        keys = [cls.key for cls in cover.branch_classes]
+        quotient_order = quotient_group(cover, keys)[0].order
+        basis = _relation_basis(cover.group.cyclic_orders, [x.exponents for x in keys])
+        assert math.prod(column[i] for i, column in enumerate(basis)) == quotient_order
+        assert all(not any(column[:i]) for i, column in enumerate(basis))
+        witness = cover._generating_vector_witness()
+        assert (witness is None) == (quotient_order == 1)
+        if witness is not None:
+            assert not witness.is_trivial
+            assert cover.u_row(witness) == (0,) * len(keys)
+
+    @given(
+        st.integers(2, 10**12),
+        st.integers(1, 60),
+        st.lists(st.integers(1, 10**12), min_size=1, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cyclic_witness_is_m_over_the_gcd(self, m, factor, psi):
+        # a common factor of the psi makes them fail to generate whenever it shares a prime with m
+        psi = [factor * x % m for x in psi]
+        psi.append(-sum(psi) % m)
+        psi = [x for x in psi if x]
+        group = GroupSpec((m,))
+        cover = CoverSpec(0, group, tuple(BranchPoint(pt(j + 1), group.element([x])) for j, x in enumerate(psi)))
+        d = math.gcd(m, *psi)
+        assert cover._generating_vector_witness() == (None if d == 1 else Character((m // d,)))
+
+    def test_two_factors_above_the_cap(self):
+        # psi = (3, 4) and (3, -4) generate the relations with basis diagonal
+        # (3, 8): the first entry d = 3 > 1 gives chi(6 / 3, 0)
+        group = GroupSpec((6, 10**8))
+        points = (BranchPoint(pt(1), group.element([3, 4])), BranchPoint(pt(2), group.element([3, -4])))
+        cover = CoverSpec(0, group, points)
+        with mock.patch.object(GroupSpec, "characters", side_effect=AssertionError("walked")):
+            report = cover.validate()
+        assert [(issue.kind, issue.character) for issue in report.issues] == [("degenerate", Character((2, 0)))]
+
+
 class TestValidityByGenerators:
     @given(branch_data_on_any_base())
     @settings(max_examples=150, deadline=None)
@@ -383,7 +446,7 @@ class TestValidityByGenerators:
         integral = not any(total)
         assert integral == all(issue.kind != "non-integral" for issue in scanned.issues)
         if cover.base_genus == 0 and integral:
-            generated = cover._quotient_group([cls.key for cls in cover.branch_classes])[0].order == 1
+            generated = quotient_group(cover, [cls.key for cls in cover.branch_classes])[0].order == 1
             assert generated == scanned.ok
 
     @given(branch_data_on_any_base())

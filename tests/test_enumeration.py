@@ -5,7 +5,6 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import galcov.cover
 from galcov import (
     BranchPoint,
     CoverSpec,
@@ -259,10 +258,12 @@ class TestValidityFromTheWalk:
             assert outcome(lambda: count_by_cardinality(cover, family)) == expected
             assert outcome(lambda: STREAMS[family](cover)) == expected
 
-    def test_no_validate_and_no_smith_form(self, monkeypatch):
+    def test_no_validate_and_no_generation_test(self, monkeypatch):
         calls = []
-        smith, validate = galcov.cover.smith_diagonal, CoverSpec.validate
-        monkeypatch.setattr(galcov.cover, "smith_diagonal", lambda *a: calls.append("smith") or smith(*a))
+        witness, validate = CoverSpec._generating_vector_witness, CoverSpec.validate
+        monkeypatch.setattr(
+            CoverSpec, "_generating_vector_witness", lambda cover: calls.append("witness") or witness(cover)
+        )
         monkeypatch.setattr(CoverSpec, "validate", lambda cover: calls.append("validate") or validate(cover))
         for cover in (hyperelliptic(6), cyclic_cover(6, [1, 2, 3]), klein_cover()):
             for family in FAMILIES:

@@ -3,12 +3,31 @@
 Every integer a public constructor or ``normalize`` takes is read through
 ``operator.index``, so a float or a str is refused with a TypeError that
 names the field, where ``int()`` would truncate it and a float base genus
-would give a float genus.
+would give a float genus.  The representation records, the class records
+and the equations read their integers the same way: a float dimension gave
+a float ``dim_A_W`` and a float multiplicity a bare AttributeError, and a
+str order failed in a comparison.
 """
 
 import pytest
 
-from galcov import BranchPoint, ClassTable, Coord, CoverSpec, FactoredRational, GroupSpec, InvariantDivisor, normalize
+from galcov import (
+    BranchPoint,
+    ClassRecord,
+    ClassTable,
+    Coord,
+    CoverSpec,
+    Equation,
+    FactoredRational,
+    GroupSpec,
+    InvariantDivisor,
+    IrrepClassData,
+    RationalIrrepData,
+    cover_from_class_table,
+    cw_multiplicity,
+    dim_A_W,
+    normalize,
+)
 
 from covergen import hyperelliptic
 
@@ -16,6 +35,14 @@ from covergen import hyperelliptic
 def two_points_over_a_torus():
     g = GroupSpec((2,))
     return CoverSpec(1, g, (BranchPoint("a", g.element([1])), BranchPoint("b", g.element([1]))))
+
+
+def hyp6_key():
+    return hyperelliptic(6).branch_classes[0].key
+
+
+def rational_irrep(dim=1, field_degree=1, schur_index=1, n0=0):
+    return RationalIrrepData(dim, field_degree, schur_index, ((hyp6_key(), n0),))
 
 
 @pytest.mark.parametrize(
@@ -45,10 +72,30 @@ def two_points_over_a_torus():
             lambda: ClassTable.build([("a", 2)], 2, {"x": {"a": 0.7}}),
             "the u-value of x at class a must be an integer, got 0.7",
         ),
+        (lambda: dim_A_W(hyperelliptic(6), rational_irrep(dim=1.0)), "dimension must be an integer, got 1.0"),
+        (lambda: rational_irrep(field_degree=1.0), "field degree must be an integer, got 1.0"),
+        (lambda: rational_irrep(schur_index=1.0), "Schur index must be an integer, got 1.0"),
+        (lambda: rational_irrep(n0=0.0), "the invariant dimension at class g(1) must be an integer, got 0.0"),
+        (
+            lambda: cw_multiplicity(hyperelliptic(6), IrrepClassData(1.0, ((hyp6_key(), (0, 1)),))),
+            "dimension must be an integer, got 1.0",
+        ),
+        (
+            lambda: cw_multiplicity(hyperelliptic(6), IrrepClassData(1, ((hyp6_key(), (0.0, 1.0)),))),
+            "eigenvalue multiplicity at class g(1), alpha = 0 must be an integer, got 0.0",
+        ),
+        (
+            lambda: cover_from_class_table(0, ClassTable.build([("a", 2, 6)], 2.0)).genus(),
+            "group order must be an integer, got 2.0",
+        ),
+        (lambda: ClassRecord("a", 2, 2.5), "the branch count of class a must be an integer, got 2.5"),
+        (lambda: ClassRecord("a", "2"), "the order of class a must be an integer, got '2'"),
+        (lambda: Equation("3", FactoredRational(())), "root order must be an integer, got '3'"),
     ],
     ids=[
         "cyclic-order", "element-exponent", "base-genus", "fiber-exponent", "nu-exponent", "bare-exponent",
-        "base-part", "factor-exponent", "u-value",
+        "base-part", "factor-exponent", "u-value", "irrep-dim", "field-degree", "schur-index", "invariant-dim",
+        "table-dim", "multiplicity-row", "group-order", "branch-count", "class-order", "root-order",
     ],
 )
 def test_a_value_that_is_no_integer_is_refused_by_name(call, message):

@@ -26,7 +26,9 @@ module imports ``dataclasses``: the records come from
 builds a cover's point tables, and only the unit columns and the genus are
 computed lazily.  A family stream checks each class table once, by its
 composition, and scans no table row by row; its divisors come from the one
-builder that skips ``InvariantDivisor.__init__``.
+builder that skips ``InvariantDivisor.__init__``.  ``validate`` decides
+whether the branch classes generate the group from a triangular basis of
+the relations, with no Smith form and no quotient group built.
 """
 
 import ast
@@ -192,6 +194,14 @@ def test_trace_takes_unchecked_discrete_logs():
     names = names_used(galcov.differentials.eichler_trace.__code__)
     assert "power_index" not in names and "u_value" not in names
     assert "_discrete_log" in names
+
+
+def test_generation_is_read_off_the_triangular_basis():
+    names = names_used(galcov.cover.CoverSpec._generating_vector_witness.__code__)
+    assert "_relation_basis" in names
+    assert not {"smith_diagonal", "_quotient_group", "GroupSpec"} & names
+    defined = {node.name for tree in TREES.values() for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "smith_diagonal" not in defined
 
 
 TREES = {

@@ -106,7 +106,6 @@ BENCHMARK_FUNCTIONS = {
 # ``<module>.<name>``, and a counter whose name no longer resolves reads 0
 # instead of failing
 COUNTED = {
-    galcov.groups: ("smith_diagonal",),
     galcov.GroupSpec: ("u_value",),
     galcov.CoverSpec: ("validate",),
     galcov.jacobian: ("decompose",),

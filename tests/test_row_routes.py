@@ -238,8 +238,8 @@ class TestLibraryWalksReadTheUTable:
         checks[0] = 0
         report = cover.validate()
         assert [(issue.kind, issue.character) for issue in report.issues] == [("degenerate", group.character([30]))]
-        # the generators' checks in the generating-vector test; none per character
-        assert checks[0] == len(cover.branch_classes)
+        # the constructor checked every class key: none in the generating-vector test, none per character
+        assert checks[0] == 0
 
     def test_validate_words_issues_from_the_scan(self, checks):
         # one point of class 1 in Z_60: t(chi(k)) = k/60, so 59 non-integral issues
