@@ -66,11 +66,9 @@ def _parse_coord(value, path) -> Coord:
     _fail(f"not a coordinate: {value!r}", path)
 
 
-def _expect(document, key, types, path, default=_fail):
+def _expect(document, key, types, path):
     if key not in document:
-        if default is _fail:
-            _fail(f"missing required field '{key}'", path)
-        return default
+        _fail(f"missing required field '{key}'", path)
     value = document[key]
     if not isinstance(value, types) or isinstance(value, bool):
         _fail(f"field '{key}' has the wrong type", f"{path}.{key}" if path else key)
@@ -78,8 +76,6 @@ def _expect(document, key, types, path, default=_fail):
 
 
 def _parse_group(document, path):
-    if not isinstance(document, dict):
-        _fail("group must be an object", path)
     if "cyclic_orders" in document:
         orders = document["cyclic_orders"]
         if not isinstance(orders, list) or not all(

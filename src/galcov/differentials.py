@@ -72,7 +72,7 @@ from .errors import (
     _integers,
     _record,
 )
-from .groups import Character, GroupElement, _of_kind
+from .groups import Character, GenericCharacter, GroupElement, _of_kind
 
 
 def check_admissible(genus_cover: int, q: int):
@@ -108,6 +108,7 @@ def omega_divisor(cover: CoverSpec, chi: CharLike, q: int = 1) -> OmegaDivisor:
     branch preimage, and t_{conj chi} - 2q + sum_C r_C alpha at infinity."""
     if cover.base_genus != 0:
         raise UnsupportedBaseGenus("explicit generators need a genus-0 base")
+    q = _integer(q, "q")
     # a fractional t_chi raises here, at chi; t_{conj chi} is fractional exactly then
     row_conj = cover._conjugate_row(cover.row_and_t(chi)[0])
     t_conj = cover._t_of_row(row_conj, chi)
@@ -155,10 +156,8 @@ def same_character(cover: CoverSpec, a: IrrepClassData | CharLike, b: CharLike) 
                 )
             return matched
         a = a.character
-    if isinstance(a, Character) and isinstance(b, Character):
+    if isinstance(a, Character):  # then b is one too: ``rows`` and ``u_row`` refuse the other kind
         return a == b
-    if isinstance(a, Character) or isinstance(b, Character):
-        return False
     if not g_s:
         return cover.u_row(a) == cover.u_row(b)
     if not (a.is_trivial and b.is_trivial):
@@ -189,6 +188,7 @@ def delta_info(cover: CoverSpec, q: int = 1, gamma_degree: int = 0) -> DeltaInfo
     the O(|G|) row match runs once per cover and the memo is freed with it;
     the other cases cost O(1) once the cover's genus is known.
     """
+    q, gamma_degree = _integer(q, "q"), _integer(gamma_degree, "gamma_degree")
     if gamma_degree < 0:
         raise ConfigError(
             f"the auxiliary divisor must be integral, got degree {gamma_degree}", "gamma_degree"
@@ -246,6 +246,10 @@ class FixedPointTerm:
     exponent: int
     multiplicity: int
 
+    def __post_init__(self):
+        for name in ("order", "exponent", "multiplicity"):
+            object.__setattr__(self, name, _integer(getattr(self, name), f"the fixed-point {name}"))
+
     def value(self, q: int) -> complex:
         zeta = cmath.exp(2j * cmath.pi * self.exponent / self.order)
         # zeta^order = 1, so the reduced power is exact and never overflows
@@ -275,6 +279,7 @@ def trace_from_fixed_points(
     delta_character_angle: Fraction | None = None,
 ) -> EichlerTrace:
     """Assemble a trace from explicit fixed-point data (generic-group route)."""
+    q = _integer(q, "q")
     value = sum((term.value(q) for term in terms), 0j)
     if delta:
         if delta_character_angle is None:
@@ -338,7 +343,11 @@ class IrrepClassData:
 
     def rows(self, cover: CoverSpec) -> tuple[tuple[int, ...], ...]:
         """N_alpha for every branch class, in ``branch_classes`` order; the
-        first class missing or inconsistent raises NTableMismatch."""
+        first class missing or inconsistent raises NTableMismatch, and a
+        ``character`` that is no character of the cover's kind a TypeError."""
+        kind = Character if cover.is_abelian else GenericCharacter
+        if self.character is not None and not isinstance(self.character, kind):
+            raise TypeError(f"character must be a {kind.__name__} or None, got {self.character!r}")
         supplied = dict(self.n_table)
         for key, order in ((cls.key, cls.order) for cls in cover.branch_classes):
             if key not in supplied:

@@ -313,10 +313,8 @@ def _constant_fiber_value(values, expected_len, where) -> int:
     if not hasattr(values, "__iter__"):
         return _integer(values, f"the exponent on the {where}")
     seq = list(values)
-    if expected_len is not None and len(seq) != expected_len:
+    if len(seq) != expected_len:  # a fiber has at least one point
         raise NonInvariantInput(f"{where}: expected {expected_len} fiber exponents, got {len(seq)}")
-    if not seq:
-        raise NonInvariantInput(f"{where}: empty fiber")
     if any(v != seq[0] for v in seq):
         raise NonInvariantInput(f"{where}: exponents differ along the fiber: {seq}")
     return _integer(seq[0], f"the exponent on the {where}")

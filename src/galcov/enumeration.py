@@ -105,7 +105,6 @@ class _CardinalitySystem:
         for c in range(len(classes) - 1, -1, -1):
             for k, row in enumerate(rows):
                 tail[c][k] = tail[c + 1][k] + (classes[c].count if row[c] else 0)
-        self.feasible = all(0 <= t <= tail[0][k] for k, t in enumerate(self.targets))
         # checks[c][w]: (constraint, tail after class c) for each constraint of
         # weight w in class c; weight 0 adds nothing and needs no check there
         self.checks = []
@@ -172,8 +171,6 @@ class _CardinalitySystem:
 
     def solutions(self) -> Iterator[tuple[tuple[int, ...], ...]]:
         """Per-class compositions of every solution, in lexicographic order."""
-        if not self.feasible:
-            return
         residual = list(self.targets)
         chosen: list[tuple[int, ...]] = []
 
@@ -190,8 +187,6 @@ class _CardinalitySystem:
 
     def count(self) -> int:
         """Number of divisors realizing the solutions."""
-        if not self.feasible:
-            return 0
         residual = list(self.targets)
         memo: dict[tuple, int] = {}
 

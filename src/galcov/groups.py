@@ -213,6 +213,7 @@ class GroupSpec:
     # -- character arithmetic --------------------------------------------
 
     def char_pow(self, chi: Character, k: int) -> Character:
+        k = _integer(k, "the power of a character")
         return Character(tuple(map(mod, map(mul, chi.exponents, repeat(k)), self.cyclic_orders)))
 
     def u_value(self, chi: Character, x: GroupElement) -> int:

@@ -9,8 +9,9 @@ corresponding cyclic quotient cover; ``decompose`` reads its orbit rows
 from these pieces.  The analytic multiplicity at rho is ``cw_multiplicity``
 of conj rho at q = 1, Gamma = 0 (T_0 J(X) is the dual of H^0(X, K)), and
 the rational one adds that of rho; conjugation, the +1 correction and the
-error checks are the differentials module's; ``decompose`` reads both
-columns at the u-table's rows and their conjugates.  Each quotient cover is
+error checks are the differentials module's; ``decompose`` computes each
+multiplicity once, at its u-table row, and an orbit's piece builds no
+record.  Each quotient cover is
 read off a representative's u-row: a character of order e maps the deck
 group onto Z_e, so the group is never enumerated, no Smith form is taken
 and no quotient ``CoverSpec`` is built.  Only
@@ -76,6 +77,8 @@ class RationalIrrepData:
             object.__setattr__(self, name, _integer(getattr(self, name), what))
         dims = tuple((key, _integer(n0, f"the invariant dimension at class {key}")) for key, n0 in self.invariant_dims)
         object.__setattr__(self, "invariant_dims", dims)
+        if self.trivial is not None and not isinstance(self.trivial, bool):
+            raise TypeError(f"trivial must be a bool or None, got {self.trivial!r}")
         if self.dim < 1 or self.field_degree < 1 or self.schur_index < 1:
             raise ValueError("dimension, field degree, and Schur index must be positive")
         if self.dim % self.schur_index:
@@ -109,20 +112,12 @@ class RationalIrrepData:
             )
         return looks_trivial
 
-    @classmethod
-    def _of_orbit_row(cls, cover: CoverSpec, orbit: CharacterOrbit, row: tuple[int, ...]):
-        """The orbit's irreducible from its representative's u-row: N_{C,0}
-        is 1 on the classes in the kernel, where u = 0, and 0 elsewhere."""
-        rows = tuple((bcls.key, int(u == 0)) for bcls, u in zip(cover.branch_classes, row))
-        return cls(1, orbit.field_degree, 1, rows, trivial=orbit.order == 1)
 
-
-def _isotypical_dim(cover: CoverSpec, w: RationalIrrepData, factor: int, name: str) -> int:
+def _isotypical_dim(cover: CoverSpec, kf: int, d: int, n0_row: tuple[int, ...], trivial: bool, name: str) -> int:
     """k f (d (g_S - 1) + sum_C r_C (d - N_{C,0}) / 2) + [W trivial], from
-    the integer twice its value."""
-    k, d = w.field_degree, w.dim
-    twice = 2 * k * factor * d * (cover.base_genus - 1) + 2 * w.is_trivial(cover)
-    twice += k * factor * sum(c.count * (d - n0) for c, n0 in zip(cover.branch_classes, w.n0_row(cover)))
+    the integer twice its value, with kf = k f."""
+    twice = 2 * kf * d * (cover.base_genus - 1) + 2 * trivial
+    twice += kf * sum(c.count * (d - n0) for c, n0 in zip(cover.branch_classes, n0_row))
     value, odd = divmod(twice, 2)
     if odd:
         raise NonIntegralDimension(f"{name} = {Fraction(twice, 2)} is not an integer")
@@ -132,13 +127,13 @@ def _isotypical_dim(cover: CoverSpec, w: RationalIrrepData, factor: int, name: s
 def dim_A_W(cover: CoverSpec, w: RationalIrrepData) -> int:
     """Dimension of the isotypical abelian subvariety attached to a rational
     irreducible."""
-    return _isotypical_dim(cover, w, w.dim, "dim A_W")
+    return _isotypical_dim(cover, w.field_degree * w.dim, w.dim, w.n0_row(cover), w.is_trivial(cover), "dim A_W")
 
 
 def dim_B_W(cover: CoverSpec, w: RationalIrrepData) -> int:
     """Dimension of the primitive factor B_W, of which A_W is the
     (d/m)-th power up to isogeny."""
-    return _isotypical_dim(cover, w, w.schur_index, "dim B_W")
+    return _isotypical_dim(cover, w.field_degree * w.schur_index, w.dim, w.n0_row(cover), w.is_trivial(cover), "dim B_W")
 
 
 @_record
@@ -176,10 +171,12 @@ def primitive_prym_dims(cover: CoverSpec) -> tuple[PrymPiece, ...]:
 
 
 def _prym_piece(cover: CoverSpec, orbit: CharacterOrbit) -> PrymPiece:
-    """The PrymPiece of one orbit, with its kernel-sum dimension dim B_W."""
+    """The PrymPiece of one orbit, with its kernel-sum dimension dim B_W:
+    the orbit's irreducible has d = m = 1, k = phi(e), and N_{C,0} = 1 on
+    the classes in the kernel, where u = 0, and 0 elsewhere."""
     row = cover.u_row(orbit.representative)
-    dim = dim_B_W(cover, RationalIrrepData._of_orbit_row(cover, orbit, row))
     e, phi = orbit.order, orbit.field_degree
+    dim = _isotypical_dim(cover, phi, 1, tuple([int(u == 0) for u in row]), e == 1, "dim B_W")
     # (order, count) of each branch class of the quotient cover that survives
     images = [(c.order // math.gcd(u, c.order), c.count) for c, u in zip(cover.branch_classes, row) if u]
     g_y = _riemann_hurwitz(cover.base_genus, e, images)
@@ -221,13 +218,11 @@ def decompose(cover: CoverSpec) -> DecompositionReport:
     checked to sum to the genus."""
     if not cover.is_abelian:
         raise NotAbelian("the decomposition report enumerates the dual group")
-    analytic, rational = [], []
-    for chi, row in zip(cover.characters(), cover.u_table()):
-        # analytic(chi) is the multiplicity of conj chi, and rational(chi) adds
-        # chi's own; chi is reduced, so its conjugate needs no check
-        conj = _multiplicity(cover, cover.group.char_pow(chi, -1), 1, cover._conjugate_row(row), 1, 0)
-        analytic.append((chi, conj))
-        rational.append((chi, conj + _multiplicity(cover, chi, 1, row, 1, 0)))
+    # m(chi) once per row, in characters() order; analytic(chi) is m(conj chi)
+    # and rational(chi) adds m(chi); chi is reduced, so chi^-1 needs no check
+    mult = {chi: _multiplicity(cover, chi, 1, row, 1, 0) for chi, row in zip(cover.characters(), cover.u_table())}
+    analytic = tuple((chi, mult[cover.group.char_pow(chi, -1)]) for chi in mult)
+    rational = tuple((chi, m + mult[chi]) for chi, m in analytic)
     prym = primitive_prym_dims(cover)
     # a character orbit's irreducible has d = m = 1, so dim A_W = dim B_W = dim B_Q
     orbits = tuple(OrbitSummary(piece.orbit, piece.dim, piece.dim) for piece in prym)
@@ -237,4 +232,4 @@ def decompose(cover: CoverSpec) -> DecompositionReport:
         raise InternalInconsistency(
             f"isotypical dimensions sum to {total}, expected the genus {genus}"
         )
-    return DecompositionReport(cover, tuple(analytic), tuple(rational), orbits, prym)
+    return DecompositionReport(cover, analytic, rational, orbits, prym)

@@ -601,6 +601,92 @@ class TestShippedConfigs:
         assert "genus: 1" in result.stdout
 
 
+def branch_points_doc(**first):
+    """A genus-0 double cover with two branch points, the first one edited."""
+    points = [{"label": [1, 0], "psi": [1]}, {"label": [2, 0], "psi": [1]}]
+    points[0].update(first)
+    return {"mode": "branch-data", "base_genus": 0, "group": {"cyclic_orders": [2]}, "branch_points": points}
+
+
+def group_doc(group):
+    return {"mode": "branch-data", "base_genus": 1, "group": group, "branch_points": []}
+
+
+def equations_doc(*equations):
+    return {"mode": "equations", "equations": list(equations)}
+
+
+class TestDocumentErrorsNameTheField:
+    """Every refusal of a document exits 2, and its message starts with the
+    path of the field at fault."""
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (branch_points_doc(label=[True, 0]), "branch_points[0].label[0]: expected a rational number"),
+            (
+                branch_points_doc(label=[1.5, 0]),
+                "branch_points[0].label[0]: rationals are integers or 'a/b' strings, got 1.5",
+            ),
+            (branch_points_doc(label=[1, 2, 3]), "branch_points[0].label: coordinates are [re, im] pairs"),
+            (branch_points_doc(label={}), "branch_points[0].label: not a coordinate: {}"),
+            (
+                group_doc({"cyclic_orders": [0]}),
+                "group.cyclic_orders: cyclic_orders must be a list of positive integers",
+            ),
+            (group_doc({"classes": 5, "order": 2}), "group.classes: classes must be a list"),
+            (group_doc({"classes": [5], "order": 2}), "group.classes[0]: class records are objects"),
+            (
+                group_doc({"classes": [{"id": "a", "order": 2}], "order": 2, "u_table": [1]}),
+                "group.u_table: u_table must map character names to class rows",
+            ),
+            (
+                group_doc({"classes": [{"id": "a", "order": 3}], "order": 2}),
+                "group: class a has order 3, not a divisor of the group order 2",
+            ),
+            (group_doc({}), "group: group needs either 'cyclic_orders' or 'classes'"),
+            (group_doc([2]), "group: field 'group' has the wrong type"),
+            (equations_doc({"m": 2, "factors": [5]}), "equations[0].factors[0]: factors are objects"),
+            (
+                equations_doc({"m": 1, "factors": [{"point": [0, 0], "exp": 1}]}),
+                "equations[0]: root order must be at least 2, got 1",
+            ),
+            (
+                {**branch_points_doc(), "branch_points": [5]},
+                "branch_points[0]: branch points are objects",
+            ),
+            (branch_points_doc(psi="x"), "branch_points[0].psi: psi must be an exponent list for abelian groups"),
+            (
+                branch_points_doc(psi=[1, 0]),
+                "branch_points[0].psi: element exponent vector has length 2, expected 1",
+            ),
+        ],
+        ids=[
+            "bool-rational", "float-rational", "long-coordinate", "object-coordinate", "cyclic-orders",
+            "classes-object", "class-record", "u-table-list", "class-order", "group-kind", "group-list",
+            "factor-record", "root-order", "branch-point-record", "psi-str", "psi-length",
+        ],
+    )
+    def test_exit_2_naming_the_field(self, tmp_path, capsys, document, message):
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_json(capsys, "genus", str(path))
+        assert (code, out) == (EXIT_CODES["config"], None)
+        assert err == {"code": "config", "message": message}
+
+    def test_a_malformed_tau_names_the_flag(self, capsys):
+        code, out, err = run_json(capsys, "traces", HYPER6, "--tau", "1,x")
+        assert (code, out) == (EXIT_CODES["config"], None)
+        assert err["code"] == "config" and err["message"].startswith("--tau: ")
+
+    def test_a_coordinate_label_over_a_positive_genus_base_is_its_text(self):
+        doc = branch_doc()
+        doc["group"] = {"cyclic_orders": [2]}
+        doc["branch_points"] = [{"label": ["1/2", 3], "psi": [1]}, {"label": "q", "psi": [1]}]
+        cover = parse_config(doc).cover
+        assert [bp.label for bp in cover.branch_points] == [str(Coord(Fraction(1, 2), Fraction(3))), "q"]
+
+
 def run_json(capsys, *argv):
     """main(argv) in JSON format: the exit code, the report and the error."""
     code = main([*argv, "--format", "json"])

@@ -131,6 +131,20 @@ class TestOmegaDivisor:
                 for q in range(-2, 5):
                     assert omega_divisor(cover, chi, q).degree() == q * target
 
+    @settings(max_examples=40, deadline=None)
+    @given(covers(max_order=24, max_points=6))
+    def test_branch_exponents_are_u_minus_q(self, cover):
+        """The closed form of the generator's branch exponents: (u_chi - q)
+        mod o(C), which is not h_chi's u_chi (they differ at q = 1 on a
+        character with u = 1 at an order-2 class), so ``omega_divisor`` is no
+        second copy of ``h_chi_divisor``."""
+        for chi in cover.characters():
+            for q in (1, 2, 3):
+                expected = tuple(
+                    (cover.u_value(chi, bp.psi) - q) % cover.point_order(j) for j, bp in enumerate(cover.branch_points)
+                )
+                assert omega_divisor(cover, chi, q).branch_exponents == expected
+
     def test_presentation_mentions_dz(self):
         cover = hyperelliptic(6)
         text = omega_divisor(cover, cover.group.character([1]), 1).presentation()

@@ -147,6 +147,16 @@ class TestNormalize:
         with pytest.raises(NonInvariantInput):
             normalize(hyp6, [[1], [0], [0], [0], [0], [0]], [0, 1])
 
+    def test_wrong_fiber_length_rejected(self, hyp6):
+        with pytest.raises(NonInvariantInput, match=r"^fiber over 1: expected 1 fiber exponents, got 2$"):
+            normalize(hyp6, [[1, 1], [0], [0], [0], [0], [0]], 0)
+        with pytest.raises(NonInvariantInput, match=r"^fiber over infinity: expected 2 fiber exponents, got 3$"):
+            normalize(hyp6, [0, 0, 0, 0, 0, 0], [0, 0, 0])
+
+    def test_wrong_number_of_branch_values_rejected(self, hyp6):
+        with pytest.raises(NonInvariantInput, match=r"^expected 6 branch exponents, got 5$"):
+            normalize(hyp6, [0, 0, 0, 0, 0], 0)
+
     def test_positive_genus_unsupported(self):
         g = GroupSpec((2,))
         cover = CoverSpec(1, g, ())
@@ -341,3 +351,22 @@ class TestReducedBaseDivisor:
     def test_unknown_kind_rejected(self, hyp6):
         with pytest.raises(ValueError):
             trivial_divisor(hyp6).reduced_base_divisor(hyp6.trivial_character, "sections")
+
+
+class TestPrintedForms:
+    def test_basis_description(self):
+        cover = hyperelliptic(4)
+        div = InvariantDivisor(cover, (0, 0, 1, 1), 0)
+        trivial, chi = cover.characters()
+        assert str(div.basis_description(trivial)) == "h[chi(0)] * P<=(0)(z) / 1"
+        assert str(div.basis_description(chi)) == "h[chi(1)] * P<=(0)(z) / (z-1)(z-2)"
+
+    def test_symbolic_divisor(self):
+        g = GroupSpec((2,))
+        cover = CoverSpec(1, g, (BranchPoint("a", g.element([1])), BranchPoint("b", g.element([1]))))
+        div = InvariantDivisor(cover, (1, 0), 0, (("s", 2),))
+        trivial, chi = cover.characters()
+        assert str(div.reduced_base_divisor(trivial)) == "(s)^2 * Y[chi(0)]"
+        assert str(div.reduced_base_divisor(chi)) == "nu^-1 * (b) * (s)^2 * Y[chi(1)]"
+        assert str(div.reduced_base_divisor(chi, "differential")) == "nu^1 * (a)^-1 * (s)^2 * Y[chi(1)]^-1"
+        assert str(trivial_divisor(hyperelliptic(4)).reduced_base_divisor(trivial)) == "1"

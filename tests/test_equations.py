@@ -45,6 +45,14 @@ class TestFactoredRational:
         with pytest.raises(ValueError):
             FactoredRational(((pt(0), 2), (INF, -1)))
 
+    def test_rejects_a_point_that_is_no_coordinate(self):
+        with pytest.raises(TypeError, match=r"^points must be coordinates or infinity, got 5$"):
+            FactoredRational(((5, 1),))
+
+    def test_rejects_a_root_order_below_2(self):
+        with pytest.raises(ValueError, match=r"^root order must be at least 2, got 1$"):
+            equation_system([(1, [(pt(0), 1)])])
+
     def test_rejects_repeats_and_zero_exponents(self):
         with pytest.raises(ValueError):
             FactoredRational(((pt(0), 1), (pt(0), 2)))

@@ -475,6 +475,25 @@ class TestClassTable:
         with pytest.raises(KeyError):
             table.record("c")
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: GroupSpec((2, 0)), r"^cyclic orders must be positive, got \(2, 0\)$"),
+            (lambda: ClassTable.build([("c", 0)], 2), r"^class order must be positive, got 0$"),
+            (lambda: ClassTable.build([("c", 2, -1)], 2), r"^branch count must be nonnegative$"),
+            (lambda: ClassTable.build([("c", 2)], 0), r"^group order must be positive$"),
+            (lambda: ClassTable.build([("c", 2), ("c", 2)], 2), r"^duplicate class ids$"),
+            (
+                lambda: ClassTable((), 2, (GenericCharacter("chi", (("d", 1),)),)),
+                r"^character chi references unknown class d$",
+            ),
+        ],
+        ids=["cyclic-order", "class-order", "branch-count", "group-order", "duplicate-id", "unknown-class"],
+    )
+    def test_refusals_are_worded(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_conjugate_row(self):
         table = ClassTable.build([("a", 3), ("b", 2)], 6, {"chi": {"a": 1, "b": 1}})
         chi = table.characters[0]

@@ -411,6 +411,19 @@ class TestDecompose:
         assert [s.dim_A for s in report.orbits] == [0, 0, 0, 1]
         assert report.genus == 1
 
+    @pytest.mark.parametrize("data", [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
+    def test_rational_irrep_refuses_a_nonpositive_integer(self, data):
+        with pytest.raises(ValueError, match="^dimension, field degree, and Schur index must be positive$"):
+            RationalIrrepData(*data, ())
+
+    def test_non_integral_data_names_the_character_computed(self):
+        # Z_6 with four points of class 1: t is fractional, and the first row
+        # whose multiplicity is no integer is chi(1)'s own
+        group = GroupSpec((6,))
+        cover = CoverSpec(0, group, tuple(BranchPoint(pt(j), group.element([1])) for j in range(1, 5)))
+        with pytest.raises(NonIntegralInvariant, match=r"at character chi\(1\)\): dimension value 7/3"):
+            decompose(cover)
+
     def test_generic_mode_rejected(self):
         from galcov import ClassTable, cover_from_class_table
 

@@ -11,7 +11,9 @@ trace's delta angle comes from the order of tau it already has.
 A per-character question checks its argument once and then reads rows: a
 trace takes its discrete logs unchecked, a cyclic quotient's genus comes
 from the representative's row with no quotient cover built, and conj chi's
-row is (-u) mod o(C) of chi's, from the one helper ``_conjugate_row``.
+row is (-u) mod o(C) of chi's, from the one helper ``_conjugate_row``; ``decompose`` reads no conjugate
+row, since conj chi's multiplicity is the one computed at chi^-1, and an
+orbit's piece builds no representation record.
 
 Each quantity has one formula: the order of a character is
 ``element_order``, a Galois orbit carries its phi(e), conj chi's row is
@@ -168,13 +170,30 @@ def test_differential_divisor_reads_the_conjugate_row():
 
 @pytest.mark.parametrize(
     "function",
-    [galcov.differentials.omega_divisor, galcov.jacobian.decompose],
+    [galcov.differentials.omega_divisor],
     ids=lambda f: f.__name__,
 )
 def test_conjugate_rows_come_from_one_helper(function):
     names = names_used(function.__code__)
     assert "_conjugate_row" in names
     assert not {"conjugate_character", "conjugate", "u_row"} & names
+
+
+def test_decompose_reads_no_conjugate_row():
+    """Each multiplicity is computed once, at its own row: analytic(chi) is
+    the multiplicity already computed at chi^-1's row."""
+    names = names_used(galcov.jacobian.decompose.__code__)
+    assert not {"_conjugate_row", "_conjugate_and_row", "RationalIrrepData"} & names
+    assert "char_pow" in names
+
+
+def test_prym_piece_builds_no_record():
+    """An orbit's dimension comes straight from integers: the one
+    isotypical formula, with no ``RationalIrrepData`` built and checked."""
+    names = names_used(galcov.jacobian._prym_piece.__code__)
+    assert not {"RationalIrrepData", "dim_B_W", "dim_A_W"} & names
+    assert "_isotypical_dim" in names
+    assert not hasattr(galcov.jacobian.RationalIrrepData, "_of_orbit_row")
 
 
 def test_prym_piece_builds_no_quotient_cover():

@@ -5,7 +5,8 @@ and then does arithmetic on the u-row.  On random abelian covers, over the
 line and over bases of genus 1 and 2 (where the branch classes need not
 generate the group), each answer must equal the earlier route kept in
 ``row_route_oracle``; and on a Z_60 cover, each listing question makes at
-most one ``GroupSpec.check_element`` call per public call.
+most one ``GroupSpec.check_element`` call per public call, and ``decompose``
+computes one multiplicity per character.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import galcov.jacobian
 
 from galcov.cover import BranchPoint, CoverSpec
 from galcov.differentials import cw_multiplicity, delta_info, dim_omega_chi, eichler_trace, omega_divisor
@@ -211,6 +214,20 @@ class TestOneCheckPerPublicCall:
         decompose(cover)
         # the orbit walk's order and the representative's row, per orbit
         assert calls[0] <= 2 * orbits < cover.degree
+
+    def test_decompose_computes_each_multiplicity_once(self, counted, monkeypatch):
+        cover, _ = counted
+        calls = [0]
+        multiplicity = galcov.jacobian._multiplicity
+
+        def counting(*args):
+            calls[0] += 1
+            return multiplicity(*args)
+
+        monkeypatch.setattr(galcov.jacobian, "_multiplicity", counting)
+        report = decompose(cover)
+        # one per row of the u-table; each column reads the others from these
+        assert calls[0] == cover.degree == len(report.analytic)
 
 
 class TestLibraryWalksReadTheUTable:
